@@ -23,6 +23,14 @@
 # the offender's reward burned, and a BCFL_CHAOS_SEEDS-wide byzantine-mix
 # sweep must converge on every seed while the shared ledger records the
 # slashes and accusations.
+# A crash-restart stage kills a session mid-run and resumes it from its
+# state dir, bit-identical to an uninterrupted run.
+# Right after ctest, an AddressSanitizer stage rebuilds the suites that
+# drive in-place block execution and its undo-journal rollback
+# (proposals, validations, failed transactions and commits, byzantine
+# leaders, replay on resume, block-log recovery) with
+# -DBCFL_SANITIZE=address in their own build dir (<build-dir>-asan), so
+# a dangling journal entry or a use-after-rollback fails CI.
 #
 # Usage: scripts/ci_check.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -35,6 +43,24 @@ CHAOS_SEEDS="${BCFL_CHAOS_SEEDS:-200}"
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+# AddressSanitizer stage: in-place execution means every trial execution
+# writes the live state and undoes it from the journal; ASan checks those
+# paths for use-after-free and out-of-bounds access.
+ASAN_DIR="${BUILD_DIR}-asan"
+ASAN_SUITES=(test_state_contract test_consensus test_adversary test_byzantine
+             test_resume test_block_log)
+cmake -B "$ASAN_DIR" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DBCFL_SANITIZE=address \
+  -DBCFL_BUILD_BENCHMARKS=OFF \
+  -DBCFL_BUILD_EXAMPLES=OFF
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target "${ASAN_SUITES[@]}"
+for SUITE in "${ASAN_SUITES[@]}"; do
+  ASAN_OPTIONS="halt_on_error=1:detect_stack_use_after_return=1" \
+    "$ASAN_DIR/tests/$SUITE"
+done
+echo "ASan: ${#ASAN_SUITES[@]} suites clean"
 
 # End-to-end smoke: a tiny session must finish and export artifacts.
 ARTIFACT_DIR="$(mktemp -d)"

@@ -18,7 +18,9 @@ namespace bcfl::chain {
 namespace {
 
 constexpr char kLogMagic[4] = {'B', 'C', 'L', 'G'};
-constexpr uint32_t kLogVersion = 1;
+/// Version 2: headers commit to the leaf-digest state root
+/// ("bcfl-state-v2"); version-1 logs cannot replay under it.
+constexpr uint32_t kLogVersion = 2;
 constexpr size_t kHeaderSize = 8;   // magic + version.
 constexpr size_t kRecordHeader = 8; // length + crc32c.
 /// A length field beyond this is treated as torn garbage, not a record.

@@ -42,7 +42,8 @@ struct CommitResult {
 ///
 /// One `RunRound` call:
 ///  1. The schedule picks a leader for the next height; the leader
-///     executes its mempool on a scratch state and broadcasts the block.
+///     executes its mempool (rolled back afterwards) and broadcasts the
+///     block.
 ///  2. Every other miner re-executes the proposal against its own state
 ///     replica and unicasts an accept/reject vote back.
 ///  3. With strict-majority accepts (> n/2, the proposer counting as an

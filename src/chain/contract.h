@@ -27,7 +27,7 @@ class SmartContract {
   virtual std::string name() const = 0;
 
   /// Applies `tx` to `state`. Errors abort the transaction (the host
-  /// discards any partial writes by executing against a scratch copy).
+  /// rolls back any partial writes through a `ContractState::Scope`).
   virtual Status Execute(const Transaction& tx, ContractState* state) = 0;
 };
 

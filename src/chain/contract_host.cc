@@ -74,12 +74,12 @@ Result<TxReceipt> ContractHost::ExecuteTransaction(const Transaction& tx,
     return receipt;
   }
 
-  // Execute on a scratch copy; merge only on success so a failed tx
-  // cannot leave partial writes behind.
-  ContractState scratch = state->Snapshot();
-  Status status = it->second->Execute(tx, &scratch);
+  // Execute in place under an undo scope, kept only on success, so a
+  // failed tx cannot leave partial writes behind.
+  ContractState::Scope scope(state);
+  Status status = it->second->Execute(tx, state);
   if (status.ok()) {
-    *state = std::move(scratch);
+    scope.Keep();
     receipt.success = true;
   } else {
     receipt.success = false;

@@ -25,9 +25,10 @@ struct TxReceipt {
 ///
 /// Dispatches transactions to registered contracts, enforcing signature
 /// validity first. Failed transactions are recorded in receipts but do
-/// not mutate state (execution runs on a scratch snapshot that is only
-/// merged on success), so a block containing a bad transaction still
-/// yields the same post-state on every honest miner.
+/// not mutate state (execution runs in place under a
+/// `ContractState::Scope` that is kept only on success), so a block
+/// containing a bad transaction still yields the same post-state on
+/// every honest miner.
 class ContractHost {
  public:
   explicit ContractHost(crypto::Schnorr scheme = crypto::Schnorr());

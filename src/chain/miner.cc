@@ -5,6 +5,23 @@
 
 namespace bcfl::chain {
 
+namespace {
+
+/// Runs a block body in place on `state` under a `block_execute` span.
+Status ExecuteInPlace(const ContractHost& host,
+                      const std::vector<Transaction>& txs,
+                      ContractState* state) {
+  obs::ScopedSpan span(obs::Tracer::Global(), "block_execute", "chain");
+  return host.ExecuteBlock(txs, state).status();
+}
+
+crypto::Digest TracedStateRoot(const ContractState& state) {
+  obs::ScopedSpan span(obs::Tracer::Global(), "state_root", "chain");
+  return state.StateRoot();
+}
+
+}  // namespace
+
 Miner::Miner(uint32_t id, std::shared_ptr<const ContractHost> host)
     : id_(id), host_(std::move(host)) {}
 
@@ -29,14 +46,13 @@ Result<Block> Miner::ProposeBlock(uint64_t timestamp_us, size_t max_txs) {
                                  ? mempool_.PendingRoot()
                                  : block.ComputeMerkleRoot();
 
-  ContractState scratch = state_.Snapshot();
-  BCFL_ASSIGN_OR_RETURN(std::vector<TxReceipt> receipts,
-                        host_->ExecuteBlock(block.txs, &scratch));
-  (void)receipts;
+  // Trial execution in place; the scope always rolls it back.
+  ContractState::Scope trial(&state_);
+  BCFL_RETURN_IF_ERROR(ExecuteInPlace(*host_, block.txs, &state_));
   if (behavior_.tamper_state) {
-    behavior_.tamper_state(&scratch);
+    behavior_.tamper_state(&state_);
   }
-  block.header.state_root = scratch.StateRoot();
+  block.header.state_root = TracedStateRoot(state_);
   return block;
 }
 
@@ -59,15 +75,14 @@ Result<bool> Miner::ValidateProposal(const Block& block) {
     return false;
   }
 
-  // Re-execute the body on a snapshot of this miner's own state — the
-  // "verification protocol" of Sect. III.
-  ContractState scratch = state_.Snapshot();
-  auto receipts = host_->ExecuteBlock(block.txs, &scratch);
-  if (!receipts.ok()) {
+  // Re-execute the body on this miner's own state — the "verification
+  // protocol" of Sect. III — and roll it back whatever the verdict.
+  ContractState::Scope trial(&state_);
+  if (!ExecuteInPlace(*host_, block.txs, &state_).ok()) {
     rejected.Add();
     return false;
   }
-  const bool match = scratch.StateRoot() == block.header.state_root;
+  const bool match = TracedStateRoot(state_) == block.header.state_root;
   (match ? accepted : rejected).Add();
   return match;
 }
@@ -76,16 +91,16 @@ Status Miner::CommitBlock(const Block& block) {
   static auto& commit_us =
       obs::MetricsRegistry::Global().GetHistogram("chain.commit_us");
   obs::ScopedLatency latency(commit_us);
-  ContractState scratch = state_.Snapshot();
-  BCFL_ASSIGN_OR_RETURN(std::vector<TxReceipt> receipts,
-                        host_->ExecuteBlock(block.txs, &scratch));
-  (void)receipts;
-  if (scratch.StateRoot() != block.header.state_root) {
+  // Executed in place; kept only once the root matches and the block is
+  // on the chain, rolled back on every earlier return.
+  ContractState::Scope apply(&state_);
+  BCFL_RETURN_IF_ERROR(ExecuteInPlace(*host_, block.txs, &state_));
+  if (TracedStateRoot(state_) != block.header.state_root) {
     return Status::Corruption(
         "committed block does not re-execute to its state root");
   }
   BCFL_RETURN_IF_ERROR(chain_.Append(block));
-  state_ = std::move(scratch);
+  apply.Keep();
   mempool_.RemoveCommitted(block.txs);
   return Status::OK();
 }

@@ -37,14 +37,15 @@ class Miner {
   void set_behavior(MinerBehavior behavior) { behavior_ = std::move(behavior); }
   const MinerBehavior& behavior() const { return behavior_; }
 
-  /// Leader role: executes pending transactions on a scratch state and
-  /// assembles the next block (committing nothing). A Byzantine
-  /// `tamper_state` hook corrupts the proposal here.
+  /// Leader role: executes pending transactions in place, assembles the
+  /// next block and rolls the execution back (committing nothing). A
+  /// Byzantine `tamper_state` hook corrupts the proposal here; its writes
+  /// are rolled back too.
   Result<Block> ProposeBlock(uint64_t timestamp_us, size_t max_txs = 0);
 
-  /// Validator role: structural checks plus full re-execution; true iff
-  /// the proposer's state root matches this miner's own re-execution
-  /// (the verification protocol of Sect. III).
+  /// Validator role: structural checks plus full re-execution, rolled
+  /// back afterwards; true iff the proposer's state root matches this
+  /// miner's own re-execution (the verification protocol of Sect. III).
   Result<bool> ValidateProposal(const Block& block);
 
   /// Applies a block agreed by consensus: re-executes against the live

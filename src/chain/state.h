@@ -1,7 +1,9 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -12,12 +14,43 @@ namespace bcfl::chain {
 /// Deterministic key-value store backing smart-contract execution.
 ///
 /// Keys are strings, values opaque bytes. The store is an ordered map so
-/// `StateRoot()` — a SHA-256 over the sorted entries — is identical on
-/// every miner that executed the same transactions in the same order.
-/// Consensus compares state roots to verify the leader's execution.
+/// `StateRoot()` — a SHA-256 fold over per-entry leaf digests in key
+/// order — is identical on every miner that executed the same
+/// transactions in the same order. Consensus compares state roots to
+/// verify the leader's execution.
+///
+/// Execution is in place: a `Scope` journals every write made while it
+/// is open and undoes them unless kept, so trial executions (proposals,
+/// validations, failing transactions) cost O(write set), never a copy of
+/// the whole store. The store is deliberately not copyable.
 class ContractState {
  public:
+  /// RAII undo scope. Writes made while it is open are rolled back when
+  /// it is destroyed, unless `Keep()` was called first. Scopes nest
+  /// strictly (innermost first); keeping an inner scope hands its writes
+  /// to the enclosing one, which may still roll them back. A scope must
+  /// not outlive its state.
+  class Scope {
+   public:
+    explicit Scope(ContractState* state);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+    /// Keeps this scope's writes; the destructor then does nothing.
+    void Keep();
+
+   private:
+    void Close();
+
+    ContractState* state_;  ///< Null once kept or rolled back.
+    size_t mark_;           ///< Journal length when the scope opened.
+    size_t depth_;          ///< Open scopes including this one.
+  };
+
   ContractState() = default;
+  ContractState(const ContractState&) = delete;
+  ContractState& operator=(const ContractState&) = delete;
 
   /// Stores `value` under `key` (overwrites).
   void Put(const std::string& key, Bytes value);
@@ -34,15 +67,29 @@ class ContractState {
   /// prefix scans to enumerate e.g. all submissions of a round.
   std::vector<std::string> KeysWithPrefix(const std::string& prefix) const;
 
-  /// Commitment to the full store contents.
+  /// Commitment to the full store contents:
+  /// SHA-256("bcfl-state-v2" ‖ leaf_1 ‖ … ‖ leaf_N) over the entries in
+  /// key order, each leaf cached since its `Put`. Costs 32 bytes of
+  /// hashing per key, independent of value sizes.
   crypto::Digest StateRoot() const;
 
-  /// Deep copy, used by validators to re-execute proposals without
-  /// touching their committed state.
-  ContractState Snapshot() const { return *this; }
-
  private:
-  std::map<std::string, Bytes> entries_;
+  struct Entry {
+    Bytes value;
+    /// SHA-256(u32 len ‖ key ‖ u32 len ‖ value), lengths little-endian.
+    crypto::Digest leaf;
+  };
+  /// What a write replaced: the prior entry, or nothing for a fresh key.
+  struct Undo {
+    std::string key;
+    std::optional<Entry> prior;
+  };
+
+  void RollbackTo(size_t mark);
+
+  std::map<std::string, Entry> entries_;
+  std::vector<Undo> journal_;  ///< Writes made under the open scopes.
+  size_t open_scopes_ = 0;
 };
 
 }  // namespace bcfl::chain

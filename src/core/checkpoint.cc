@@ -12,7 +12,9 @@ namespace bcfl::core {
 namespace {
 
 constexpr char kMagic[4] = {'B', 'C', 'K', 'P'};
-constexpr uint32_t kVersion = 1;
+/// Version 2: the checkpointed chain tip commits to the leaf-digest state
+/// root ("bcfl-state-v2").
+constexpr uint32_t kVersion = 2;
 
 void WriteU32Map(ByteWriter* writer,
                  const std::map<uint32_t, uint64_t>& map) {

@@ -145,6 +145,29 @@ TEST_F(BlockLogTest, BadMagicFailsClosed) {
   EXPECT_TRUE(BlockLog::Open(LogPath()).status().IsCorruption());
 }
 
+TEST_F(BlockLogTest, UnsupportedVersionIsRejected) {
+  {
+    auto log = BlockLog::Open(LogPath());
+    ASSERT_TRUE(log.ok());
+    for (const Block& block : MakeBlocks(2)) {
+      ASSERT_TRUE(log->Append(block).ok());
+    }
+  }
+  // A log written by an older format (version 1 committed to a different
+  // state root) fails closed at open, and is left exactly as it was.
+  std::string bytes = ReadFileBytes(LogPath());
+  ASSERT_GT(bytes.size(), 8u);
+  bytes[4] = 1;  // Version field follows the 4-byte magic (u32 LE).
+  bytes[5] = bytes[6] = bytes[7] = 0;
+  WriteFileBytes(LogPath(), bytes);
+  Status st = BlockLog::Open(LogPath()).status();
+  EXPECT_TRUE(st.IsUnimplemented()) << st.ToString();
+  EXPECT_NE(st.ToString().find("unsupported block log version 1"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(ReadFileBytes(LogPath()), bytes);
+}
+
 // Crash-consistency fuzz: truncate the file at EVERY byte boundary inside
 // the last record. Each prefix must recover to exactly the settled blocks
 // (the torn tail dropped), never to a half-loaded record.

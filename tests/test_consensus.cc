@@ -120,6 +120,103 @@ TEST_F(ConsensusFixture, ByzantineLeaderIsRejectedThenRotatedPast) {
   }
 }
 
+// In-place execution must leave a replica exactly as it was whenever the
+// block is not committed: after proposing (even with a tamper hook that
+// writes), after a rejected validation and after a failed commit.
+class MinerRollbackTest : public ConsensusFixture {
+ protected:
+  MinerRollbackTest() {
+    Miner founder(0, host_);
+    EXPECT_TRUE(founder.mempool().Add(IncTx(1)).ok());
+    auto block = founder.ProposeBlock(1000);
+    EXPECT_TRUE(block.ok());
+    first_block_ = *block;
+  }
+
+  /// A miner holding the shared height-1 block, so trial executions
+  /// overwrite an existing key as well as add new ones.
+  std::unique_ptr<Miner> MinerWithHistory(uint32_t id) {
+    auto miner = std::make_unique<Miner>(id, host_);
+    EXPECT_TRUE(miner->CommitBlock(first_block_).ok());
+    EXPECT_EQ(miner->state().size(), 1u);
+    return miner;
+  }
+
+  /// A proposal for height 2 whose state root was forged by its leader.
+  Block ForgedProposal() {
+    auto leader = MinerWithHistory(9);
+    MinerBehavior evil;
+    evil.tamper_state = [](ContractState* state) {
+      state->Put("forged", {0xde, 0xad});
+    };
+    leader->set_behavior(evil);
+    EXPECT_TRUE(leader->mempool().Add(IncTx(2)).ok());
+    auto block = leader->ProposeBlock(2000);
+    EXPECT_TRUE(block.ok());
+    return *block;
+  }
+
+  Block first_block_;
+};
+
+TEST_F(MinerRollbackTest, ProposeWithWritingTamperHookLeavesStateUntouched) {
+  auto miner = MinerWithHistory(0);
+  const crypto::Digest root = miner->state().StateRoot();
+  const std::string counter = miner->state().KeysWithPrefix("count/")[0];
+  MinerBehavior evil;
+  evil.tamper_state = [&counter](ContractState* state) {
+    state->Put("forged", {0xde, 0xad});
+    state->Delete(counter);
+  };
+  miner->set_behavior(evil);
+  ASSERT_TRUE(miner->mempool().Add(IncTx(2)).ok());
+  auto block = miner->ProposeBlock(2000);
+  ASSERT_TRUE(block.ok());
+  EXPECT_NE(block->header.state_root, root);
+  EXPECT_EQ(miner->state().StateRoot(), root);
+  EXPECT_EQ(miner->state().size(), 1u);
+  EXPECT_FALSE(miner->state().Has("forged"));
+  EXPECT_TRUE(miner->state().Has(counter));
+  EXPECT_EQ(miner->chain().Height(), 1u);
+}
+
+TEST_F(MinerRollbackTest, RejectedValidationLeavesStateUntouched) {
+  auto validator = MinerWithHistory(1);
+  const crypto::Digest root = validator->state().StateRoot();
+  auto verdict = validator->ValidateProposal(ForgedProposal());
+  ASSERT_TRUE(verdict.ok());
+  EXPECT_FALSE(*verdict);
+  EXPECT_EQ(validator->state().StateRoot(), root);
+  EXPECT_EQ(validator->state().size(), 1u);
+}
+
+TEST_F(MinerRollbackTest, AcceptedValidationAlsoRollsBack) {
+  auto leader = MinerWithHistory(0);
+  auto validator = MinerWithHistory(1);
+  const crypto::Digest root = validator->state().StateRoot();
+  ASSERT_TRUE(leader->mempool().Add(IncTx(2)).ok());
+  auto block = leader->ProposeBlock(2000);
+  ASSERT_TRUE(block.ok());
+  auto verdict = validator->ValidateProposal(*block);
+  ASSERT_TRUE(verdict.ok());
+  EXPECT_TRUE(*verdict);
+  EXPECT_EQ(validator->state().StateRoot(), root);
+  // Committing the validated block then applies it exactly once.
+  ASSERT_TRUE(validator->CommitBlock(*block).ok());
+  EXPECT_EQ(validator->state().StateRoot(), block->header.state_root);
+}
+
+TEST_F(MinerRollbackTest, FailedCommitLeavesStateUntouched) {
+  auto replica = MinerWithHistory(2);
+  const crypto::Digest root = replica->state().StateRoot();
+  Status st = replica->CommitBlock(ForgedProposal());
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(replica->state().StateRoot(), root);
+  EXPECT_EQ(replica->state().size(), 1u);
+  EXPECT_FALSE(replica->state().Has("forged"));
+  EXPECT_EQ(replica->chain().Height(), 1u);
+}
+
 TEST_F(ConsensusFixture, MinorityGriefersCannotBlockProgress) {
   auto engine = MakeEngine(5);
   MinerBehavior reject;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "core/coordinator.h"
 #include "fault/fault_plan.h"
@@ -190,6 +191,37 @@ TEST_F(ResumeTest, ResumeRefusesDifferentConfig) {
   EXPECT_TRUE((*coordinator)
                   ->AttachPersistence(persist)
                   .IsFailedPrecondition());
+}
+
+TEST_F(ResumeTest, StateDirOfAnOlderFormatFailsClosed) {
+  BcflConfig config = SmallConfig(RoundEngineMode::kSerial, "kill @2");
+  PersistenceOptions persist;
+  persist.state_dir = StateDir("v1");
+  {
+    auto coordinator = BcflCoordinator::Create(config);
+    ASSERT_TRUE(coordinator.ok());
+    ASSERT_TRUE((*coordinator)->AttachPersistence(persist).ok());
+    (void)(*coordinator)->Run();
+  }
+  // Rewrite both version fields (u32 LE after the 4-byte magic) to the
+  // format before the leaf-digest state root: resume must refuse at open
+  // instead of failing a state-root check mid-replay.
+  for (const char* file : {"blocks.log", "checkpoint.bckp"}) {
+    std::fstream out(StateDir("v1") + "/" + file,
+                     std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(out.is_open()) << file;
+    out.seekp(4);
+    const char version_one[4] = {1, 0, 0, 0};
+    out.write(version_one, sizeof(version_one));
+  }
+  persist.resume = true;
+  auto coordinator = BcflCoordinator::Create(config);
+  ASSERT_TRUE(coordinator.ok());
+  Status st = (*coordinator)->AttachPersistence(persist);
+  EXPECT_TRUE(st.IsUnimplemented()) << st.ToString();
+  EXPECT_NE(st.ToString().find("unsupported"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ((*coordinator)->start_round(), 0u);
 }
 
 TEST_F(ResumeTest, ResumeOnEmptyStateDirIsNotFound) {

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "chain/contract_host.h"
 #include "chain/state.h"
+#include "common/rng.h"
 
 namespace bcfl::chain {
 namespace {
@@ -61,14 +67,185 @@ TEST(ContractStateTest, KeyValueBoundaryIsUnambiguous) {
   EXPECT_NE(a.StateRoot(), b.StateRoot());
 }
 
-TEST(ContractStateTest, SnapshotIsolation) {
+TEST(ContractStateTest, ScopeRollbackIsolation) {
   ContractState state;
   state.Put("k", {1});
-  ContractState snap = state.Snapshot();
-  snap.Put("k", {2});
-  snap.Put("new", {3});
+  state.Put("gone", {4});
+  const crypto::Digest before = state.StateRoot();
+  {
+    ContractState::Scope scope(&state);
+    state.Put("k", {2});
+    state.Put("new", {3});
+    state.Delete("gone");
+    EXPECT_EQ(*state.Get("k"), (Bytes{2}));
+  }
   EXPECT_EQ(*state.Get("k"), (Bytes{1}));
   EXPECT_FALSE(state.Has("new"));
+  EXPECT_EQ(*state.Get("gone"), (Bytes{4}));
+  EXPECT_EQ(state.size(), 2u);
+  EXPECT_EQ(state.StateRoot(), before);
+}
+
+TEST(ContractStateTest, KeptScopePersistsWrites) {
+  ContractState state;
+  state.Put("k", {1});
+  {
+    ContractState::Scope scope(&state);
+    state.Put("k", {2});
+    state.Put("new", {3});
+    scope.Keep();
+  }
+  EXPECT_EQ(*state.Get("k"), (Bytes{2}));
+  EXPECT_EQ(*state.Get("new"), (Bytes{3}));
+}
+
+TEST(ContractStateTest, KeptInnerScopeIsStillRolledBackByItsParent) {
+  ContractState state;
+  state.Put("k", {1});
+  {
+    ContractState::Scope outer(&state);
+    state.Put("outer", {1});
+    {
+      ContractState::Scope kept(&state);
+      state.Put("k", {2});
+      kept.Keep();
+    }
+    {
+      ContractState::Scope dropped(&state);
+      state.Put("k", {3});
+      state.Delete("outer");
+    }
+    EXPECT_EQ(*state.Get("k"), (Bytes{2}));
+    EXPECT_TRUE(state.Has("outer"));
+  }
+  EXPECT_EQ(*state.Get("k"), (Bytes{1}));
+  EXPECT_FALSE(state.Has("outer"));
+  EXPECT_EQ(state.size(), 1u);
+}
+
+// Frozen state-root vectors (the test_gen idiom: fixed inputs, expected
+// outputs generated once from an independent implementation of the
+// PROTOCOL.md §5 definition and committed). A change to any of these hex
+// strings is a consensus format break and needs a new state-root domain
+// tag plus block-log and checkpoint version bumps.
+struct RootVector {
+  const char* name;
+  std::vector<std::pair<std::string, Bytes>> entries;
+  const char* root_hex;
+};
+
+std::vector<RootVector> RootVectors() {
+  return {
+      {"empty", {},
+       "373c4d69b9d86c71d2960b642036f5159e60e6bfbe85a4674639cb8921ed7b34"},
+      {"empty_value", {{"a", {}}},
+       "fa424b12d3d2981d45503708b5a6bc60ef04445c60685784b9a41ef6792fb4f7"},
+      // "a" is a prefix of "ab"; the third key is UTF-8 "round/é"; the
+      // values cover empty, high-bit and NUL bytes.
+      {"mixed",
+       {{"z", {0xde, 0xad, 0xbe, 0xef}},
+        {"ab", {0x01}},
+        {"round/\xc3\xa9", {0x00, 0xff, 0x80}},
+        {"a", {}}},
+       "10fb60d6b81c6e6f2b112e580677597dd1c05faaf7520039c6ab2f2a7fd42e33"},
+  };
+}
+
+TEST(ContractStateTest, StateRootMatchesFrozenVectors) {
+  for (const RootVector& vector : RootVectors()) {
+    ContractState state;
+    for (const auto& [key, value] : vector.entries) state.Put(key, value);
+    EXPECT_EQ(crypto::DigestToHex(state.StateRoot()), vector.root_hex)
+        << vector.name;
+  }
+}
+
+/// The state-root definition computed from scratch over a plain map: a
+/// fold of SHA-256(len‖key‖len‖value) leaves behind the domain tag.
+crypto::Digest ReferenceRoot(const std::map<std::string, Bytes>& entries) {
+  crypto::Sha256 root;
+  root.Update(std::string_view("bcfl-state-v2"));
+  for (const auto& [key, value] : entries) {
+    ByteWriter leaf;
+    leaf.WriteString(key);
+    leaf.WriteBytes(value);
+    root.Update(crypto::DigestToBytes(crypto::Sha256::Hash(leaf.buffer())));
+  }
+  return root.Finish();
+}
+
+// In-place execution must earn what whole-state copies used to give for
+// free: after any mix of writes, nested scopes, rollbacks and keeps, the
+// store equals a plain map that replays only the kept writes, and its root
+// equals a from-scratch recomputation.
+TEST(ContractStateTest, RandomizedJournalMatchesReferenceMap) {
+  const std::vector<std::string> key_pool = {
+      "", "k", "k1", "k10", "k2", "update/00000001/a", "\xff", "z"};
+  Xoshiro256 rng(20261017);
+  ContractState state;
+  std::map<std::string, Bytes> reference;
+  std::vector<std::unique_ptr<ContractState::Scope>> scopes;
+  std::vector<std::map<std::string, Bytes>> saved;  // Reference per scope.
+
+  auto check = [&](int step) {
+    ASSERT_EQ(state.size(), reference.size()) << "step " << step;
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : reference) {
+      keys.push_back(key);
+      auto got = state.Get(key);
+      ASSERT_TRUE(got.ok()) << "step " << step << " key " << key;
+      ASSERT_EQ(*got, value) << "step " << step << " key " << key;
+    }
+    ASSERT_EQ(state.KeysWithPrefix(""), keys) << "step " << step;
+    ASSERT_EQ(state.StateRoot(), ReferenceRoot(reference)) << "step " << step;
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    const std::string& key = key_pool[rng.NextBounded(key_pool.size())];
+    switch (rng.NextBounded(6)) {
+      case 0:
+      case 1: {  // Put: a fresh key or an overwrite.
+        Bytes value(rng.NextBounded(6));
+        for (uint8_t& b : value) b = static_cast<uint8_t>(rng.Next());
+        state.Put(key, value);
+        reference[key] = value;
+        break;
+      }
+      case 2:  // Delete, present or absent.
+        state.Delete(key);
+        reference.erase(key);
+        break;
+      case 3:  // Open a nested scope.
+        if (scopes.size() < 6) {
+          scopes.push_back(std::make_unique<ContractState::Scope>(&state));
+          saved.push_back(reference);
+        }
+        break;
+      case 4:  // Roll the innermost scope back.
+        if (!scopes.empty()) {
+          scopes.pop_back();
+          reference = std::move(saved.back());
+          saved.pop_back();
+        }
+        break;
+      case 5:  // Keep the innermost scope.
+        if (!scopes.empty()) {
+          scopes.back()->Keep();
+          scopes.pop_back();
+          saved.pop_back();
+        }
+        break;
+    }
+    check(step);
+    if (HasFatalFailure()) return;
+  }
+  while (!scopes.empty()) {
+    scopes.pop_back();
+    reference = std::move(saved.back());
+    saved.pop_back();
+    check(-1);
+    if (HasFatalFailure()) return;
+  }
 }
 
 /// Test contract: method "put" stores payload under the key in the
@@ -158,6 +335,26 @@ TEST_F(HostFixture, FailedExecutionRollsBackPartialWrites) {
   EXPECT_FALSE(receipt->success);
   EXPECT_FALSE(state.Has("should_not_persist"));
   EXPECT_TRUE(state.Has("pre"));
+}
+
+TEST_F(HostFixture, TransactionScopesNestInsideAnEnclosingScope) {
+  ContractState state;
+  state.Put("pre", {1});
+  const crypto::Digest before = state.StateRoot();
+  {
+    ContractState::Scope block(&state);
+    auto ok = host_->ExecuteTransaction(SignedTx("echo", "put", 1), &state);
+    auto failed = host_->ExecuteTransaction(SignedTx("echo", "fail", 2), &state);
+    ASSERT_TRUE(ok.ok() && failed.ok());
+    EXPECT_TRUE(ok->success);
+    EXPECT_FALSE(failed->success);
+    // The failed tx undid only its own write; the kept one stays visible
+    // until the enclosing scope decides.
+    EXPECT_TRUE(state.Has("echo/1"));
+    EXPECT_FALSE(state.Has("should_not_persist"));
+  }
+  EXPECT_FALSE(state.Has("echo/1"));
+  EXPECT_EQ(state.StateRoot(), before);
 }
 
 TEST_F(HostFixture, ExecuteBlockMixesSuccessAndFailureDeterministically) {

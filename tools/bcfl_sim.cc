@@ -67,7 +67,7 @@ void PrintUsage(const char* argv0) {
       "  --miners N      blockchain miners (default 5)\n"
       "  --rounds N      FL rounds R (default 10)\n"
       "  --groups M      GroupSV group count m (default 3)\n"
-      "  --sigma S       data-quality gradient (default 1.0)\n"
+      "  --sigma S       data-quality gradient (default 0.0, no noise)\n"
       "  --instances N   dataset size (default 5620)\n"
       "  --seed N        master seed (default 42)\n"
       "  --reward N      reward pool to distribute on chain (default 0)\n"
