@@ -255,8 +255,7 @@ int main(int argc, char** argv) {
       std::max<size_t>(1, std::thread::hardware_concurrency());
 
   std::printf("Ablation B: blockchain throughput and consensus latency\n");
-  std::printf("(crypto path: %s, sha256 batch path: %s%s)\n",
-              std::string(crypto::CryptoActivePath()).c_str(),
+  std::printf("(sha256 batch path: %s%s)\n",
               std::string(crypto::Sha256BatchActivePath()).c_str(),
               quick ? ", quick" : "");
 
@@ -284,7 +283,6 @@ int main(int argc, char** argv) {
   json.BeginObject();
   json.Field("bench", "chain_throughput");
   json.Field("quick", quick);
-  json.Field("crypto_path", std::string(crypto::CryptoActivePath()));
   json.Field("sha256_batch_path",
              std::string(crypto::Sha256BatchActivePath()));
   json.Field("hardware_threads", hw_threads);

@@ -17,19 +17,22 @@
 # Since the telemetry-plane PR it also covers the HTTP exporter (scrape
 # threads racing a live coordinator round) and the round ledger's
 # coordinator wiring, plus the snapshot-vs-Reset stress in test_metrics.
-# Since the parallel-round-engine PR it also covers the owner fan-out
+# Since the parallel round engine PR it also covers the owner fan-out
 # (test_round_engine: concurrent train/mask/payload against the
 # allocation-free ParallelFor), the batched Shamir recovery under a pool
 # (test_shamir, test_dropout_recovery) and bench_e2e_rounds --quick,
-# whose serial-vs-parallel sessions run the whole protocol both ways.
+# whose pool-1-vs-pool-N sessions run the whole protocol both ways.
 # Since the byzantine-hardening PR it also covers the Feldman share
 # verification (test_vss, batched ModPow under a pool) and the full
-# accusation/slashing path on both round engines (test_byzantine), where
-# slash transactions race the parallel owner fan-out.
+# accusation/slashing path under a multi-thread pool (test_byzantine),
+# where slash transactions race the owner fan-out.
 # Since the durable-persistence PR it also covers kill/restart recovery
-# (test_resume, reduced to the parallel-engine cases): the block-log
+# (test_resume, reduced to the multi-thread-pool cases): the block-log
 # commit sink and checkpoint writes interleave with the hot owner
 # fan-out, and the resumed session must still be bit-identical.
+# The reduced suites are picked by --gtest_filter; every pattern of a
+# filter must select at least one test, so a renamed test fails this
+# script instead of silently dropping out of it.
 #
 # Usage: scripts/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -55,6 +58,22 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # halt_on_error: fail the script on the first race instead of limping on.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 
+# Runs gtest binary $1 on --gtest_filter $2. gtest passes a filter that
+# selects nothing, so each ':'-separated pattern must list a test first.
+run_filtered() {
+  local binary="$1" filter="$2" pattern listed
+  local -a patterns
+  IFS=':' read -ra patterns <<< "$filter"
+  for pattern in "${patterns[@]}"; do
+    listed="$("$binary" --gtest_list_tests --gtest_filter="$pattern")"
+    if ! grep -q '^  ' <<< "$listed"; then
+      echo "tsan_check: '$pattern' selects no test in $binary" >&2
+      exit 1
+    fi
+  done
+  "$binary" --gtest_filter="$filter"
+}
+
 "$BUILD_DIR/tests/test_thread_pool"
 "$BUILD_DIR/tests/test_coalition_engine"
 "$BUILD_DIR/tests/test_utility"
@@ -71,15 +90,15 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "$BUILD_DIR/tests/test_vss"
 "$BUILD_DIR/tests/test_dropout_recovery"
 # Byzantine coordinator rounds under TSan: slash transactions landing
-# during recovery while the parallel engine's owner fan-out is hot.
-"$BUILD_DIR/tests/test_byzantine" \
-  --gtest_filter='Engines/SlashEqualsCrashTest.BadShareForgerDuringRecovery/Parallel:ByzantineTest.MixedByzantinePlanIsEngineModeInvariant'
+# during recovery while the round engine's owner fan-out is hot.
+run_filtered "$BUILD_DIR/tests/test_byzantine" \
+  'PoolSizes/SlashEqualsCrashTest.BadShareForgerDuringRecovery/Pool3:ByzantineTest.MixedByzantinePlanIsPoolSizeInvariant'
 "$BUILD_DIR/tests/test_sig_cache"
 "$BUILD_DIR/tests/test_merkle"
-# Kill/restart under TSan, reduced to the parallel-engine cases where
+# Kill/restart under TSan, reduced to the multi-thread-pool cases where
 # checkpoint/block-log writes race the owner fan-out.
-"$BUILD_DIR/tests/test_resume" \
-  --gtest_filter='ResumeTest.ParallelKillMidSessionResumesBitIdentical:ResumeTest.ResumeSurvivesFaultsBesidesTheKill'
+run_filtered "$BUILD_DIR/tests/test_resume" \
+  'ResumeTest.Pool3KillMidSessionResumesBitIdentical:ResumeTest.ResumeSurvivesFaultsBesidesTheKill'
 # Chaos under TSan: full faulted protocol runs (coordinator + consensus
 # + recovery) with a reduced sweep — TSan is ~10x slower per seed.
 BCFL_CHAOS_SEEDS="${BCFL_CHAOS_SEEDS:-2}" "$BUILD_DIR/tests/test_chaos"

@@ -1,6 +1,5 @@
 #include "core/coordinator.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -13,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "secureagg/aggregator.h"
-#include "secureagg/fixed_point.h"
 #include "shapley/group_sv.h"
 
 namespace bcfl::core {
@@ -189,23 +187,19 @@ Result<std::unique_ptr<BcflCoordinator>> BcflCoordinator::Create(
     return Status::Internal("setup transaction failed to commit");
   }
 
-  // --- Round engine: pool + fan-out machinery (parallel mode only). ----
-  coord->engine_mode_ = ResolveRoundEngineMode(config.round_engine);
-  if (coord->engine_mode_ == RoundEngineMode::kParallel) {
-    const size_t threads = config.pool_threads != 0
-                               ? config.pool_threads
-                               : ThreadPool::DefaultThreads();
-    coord->pool_ = std::make_unique<ThreadPool>(threads);
-    RoundEngine::Deps deps;
-    deps.clients = &coord->clients_;
-    deps.participants = &coord->participants_;
-    deps.injector = coord->injector_.get();
-    deps.retired = &coord->retired_;
-    deps.fixed_point_bits = static_cast<int>(config.fixed_point_bits);
-    deps.session_seed = config.seed;
-    coord->round_engine_ =
-        std::make_unique<RoundEngine>(deps, coord->pool_.get());
-  }
+  // --- Round engine: pool + fan-out machinery. -------------------------
+  const size_t threads = config.pool_threads != 0
+                             ? config.pool_threads
+                             : ThreadPool::DefaultThreads();
+  coord->pool_ = std::make_unique<ThreadPool>(threads);
+  RoundEngine::Deps deps;
+  deps.clients = &coord->clients_;
+  deps.participants = &coord->participants_;
+  deps.injector = coord->injector_.get();
+  deps.retired = &coord->retired_;
+  deps.fixed_point_bits = static_cast<int>(config.fixed_point_bits);
+  coord->round_engine_ =
+      std::make_unique<RoundEngine>(deps, coord->pool_.get());
   return coord;
 }
 
@@ -456,57 +450,6 @@ Status BcflCoordinator::DisarmJournaledKills() {
   return Status::OK();
 }
 
-Result<Bytes> BcflCoordinator::BuildSubmitPayload(
-    uint32_t owner, uint64_t round, const ml::Matrix& local_weights,
-    const std::vector<std::vector<size_t>>& groups) {
-  // Locate the owner's group for this round.
-  std::vector<secureagg::OwnerId> group_members;
-  for (const auto& group : groups) {
-    if (std::find(group.begin(), group.end(), owner) != group.end()) {
-      for (size_t member : group) {
-        group_members.push_back(static_cast<secureagg::OwnerId>(member));
-      }
-      break;
-    }
-  }
-  if (group_members.empty()) {
-    return Status::Internal("owner missing from grouping");
-  }
-
-  secureagg::FixedPointCodec codec(
-      static_cast<int>(config_.fixed_point_bits));
-  // Byzantine perturbations (PR 9) — the same pure helpers the parallel
-  // fan-out applies, so both engines produce identical submissions.
-  const double poison =
-      injector_ != nullptr ? injector_->OwnerPoisonMagnitude(owner) : 0.0;
-  std::vector<uint64_t> encoded =
-      poison != 0.0
-          ? codec.EncodeMatrix(byzantine::PoisonedWeights(local_weights,
-                                                          poison))
-          : codec.EncodeMatrix(local_weights);
-  auto masked =
-      participants_[owner]->MaskUpdate(round, group_members, encoded);
-  if (!masked.ok()) return masked.status();
-  if (injector_ != nullptr && injector_->OwnerInconsistentMask(owner)) {
-    byzantine::CorruptMaskedUpdate(round, owner, &*masked);
-  }
-  return FlContract::EncodeSubmitUpdate(round, owner, *masked);
-}
-
-Status BcflCoordinator::SubmitOwnerUpdate(
-    uint32_t owner, uint64_t round, const ml::Matrix& local_weights,
-    const std::vector<std::vector<size_t>>& groups) {
-  BCFL_ASSIGN_OR_RETURN(
-      Bytes payload, BuildSubmitPayload(owner, round, local_weights, groups));
-  chain::Transaction tx;
-  tx.contract = "bcfl";
-  tx.method = "submit_update";
-  tx.payload = std::move(payload);
-  tx.nonce = SubmitNonce(round, owner, config_.num_owners);
-  tx.Sign(schnorr_, schnorr_keys_[owner], rng_.get());
-  return engine_->SubmitTransaction(tx);
-}
-
 Result<uint32_t> BcflCoordinator::FindReporter(uint32_t excluding) const {
   for (uint32_t j = 0; j < config_.num_owners; ++j) {
     if (j == excluding || retired_.count(j) > 0) continue;
@@ -565,34 +508,6 @@ Status BcflCoordinator::SlashEquivocator(uint32_t owner, uint64_t round,
       round, owner, participants_[owner]->private_key(), first, second);
   return SubmitSlash(round, owner, reporter, evidence, "equivocation",
                      result);
-}
-
-Result<bool> BcflCoordinator::SubmitWithRetries(
-    uint32_t owner, uint64_t round, const ml::Matrix& local_weights,
-    const std::vector<std::vector<size_t>>& groups, uint64_t deadline_us,
-    BcflRunResult* result) {
-  static auto& retries_counter =
-      obs::MetricsRegistry::Global().GetCounter("fl.submission_retries");
-  net::SimulatedNetwork& network = engine_->mutable_network();
-  uint64_t extra = injector_ != nullptr ? injector_->OwnerExtraDelayUs(owner)
-                                        : 0;
-  if (extra > 0) network.AdvanceClock(extra);
-  uint64_t backoff = config_.submit_backoff_us;
-  for (uint32_t attempt = 0; attempt < config_.max_submit_attempts;
-       ++attempt) {
-    if (network.clock().NowMicros() > deadline_us) break;
-    if (injector_ != nullptr && injector_->DropSubmissionAttempt(owner)) {
-      retries_counter.Add();
-      result->submission_retries++;
-      network.AdvanceClock(backoff);
-      backoff *= 2;
-      continue;
-    }
-    BCFL_RETURN_IF_ERROR(
-        SubmitOwnerUpdate(owner, round, local_weights, groups));
-    return true;
-  }
-  return false;  // Deadline missed: the owner counts as dropped.
 }
 
 Result<bool> BcflCoordinator::SubmitPreparedWithRetries(
@@ -886,13 +801,13 @@ Result<BcflRunResult> BcflCoordinator::Run() {
         config_.submit_deadline_us;
     std::set<uint32_t> missing;
     double fanout_wall_us = 0.0;
-    if (engine_mode_ == RoundEngineMode::kParallel) {
-      // Parallel path: fan the per-owner work (train, encode, mask,
-      // payload) across the pool, then replay submissions in canonical
-      // owner order on this thread. Training and masking touch neither
-      // the simulated clock nor the session RNG, so the replayed
-      // protocol-event sequence — clock advances, injector drop draws,
-      // signing nonces, chain submissions — is exactly the serial one.
+    {
+      // Fan the per-owner work (train, encode, mask, payload) across the
+      // pool, then replay submissions in canonical owner order on this
+      // thread. Training and masking touch neither the simulated clock
+      // nor the session RNG, so the replayed protocol-event sequence —
+      // clock advances, injector drop draws, signing nonces, chain
+      // submissions — does not depend on the pool size.
       obs::ScopedSpan span(obs::Tracer::Global(), "train", "fl");
       RoundEngineStats stats;
       BCFL_RETURN_IF_ERROR(round_engine_->PrepareOwners(
@@ -933,41 +848,6 @@ Result<BcflRunResult> BcflCoordinator::Run() {
             locals[i] = std::move(round_scratch_.slots[i].local);
           }
         }
-        result.per_round_locals.push_back(std::move(locals));
-      }
-    } else {
-      // Serial reference path: the seed-faithful interleaved loop (train
-      // owner i, submit owner i, then owner i+1), kept verbatim as the
-      // escape hatch the parallel engine is equivalence-tested against.
-      std::vector<ml::Matrix> locals(n);
-      obs::ScopedSpan span(obs::Tracer::Global(), "train", "fl");
-      for (uint32_t i = 0; i < n; ++i) {
-        if (retired_.count(i) > 0) continue;
-        if (injector_ != nullptr && injector_->OwnerOffline(i)) {
-          missing.insert(i);
-          continue;
-        }
-        WallTimer train_timer;
-        BCFL_ASSIGN_OR_RETURN(locals[i], clients_[i].LocalUpdate(global));
-        train_wall_us += train_timer.ElapsedUs();
-        // Equivocation at admission — see the parallel path above.
-        if (injector_ != nullptr && injector_->OwnerEquivocates(i)) {
-          WallTimer submit_timer;
-          BCFL_ASSIGN_OR_RETURN(
-              Bytes payload, BuildSubmitPayload(i, round, locals[i], groups));
-          BCFL_RETURN_IF_ERROR(SlashEquivocator(i, round, payload, &result));
-          submit_wall_us += submit_timer.ElapsedUs();
-          continue;
-        }
-        WallTimer submit_timer;
-        BCFL_ASSIGN_OR_RETURN(
-            bool submitted,
-            SubmitWithRetries(i, round, locals[i], groups, deadline_us,
-                              &result));
-        submit_wall_us += submit_timer.ElapsedUs();
-        if (!submitted) missing.insert(i);
-      }
-      if (config_.keep_local_models) {
         result.per_round_locals.push_back(std::move(locals));
       }
     }
@@ -1039,22 +919,15 @@ Result<BcflRunResult> BcflCoordinator::Run() {
       obs::RoundRecord record;
       record.round = round;
       // Masking and SV evaluation run inside other phases' walls;
-      // attribute them via instrument deltas. Serially, masking happens
-      // inside the submit wall (subtract it out); in parallel mode it
-      // happens inside the fan-out, whose barrier-to-barrier wall — the
-      // max-over-workers critical path — lands on the parallel-only
-      // `owner_fanout` key while `train` keeps the aggregate per-owner
-      // sum the serial path has always reported.
+      // attribute them via instrument deltas. Masking happens inside the
+      // fan-out, whose barrier-to-barrier wall — the max-over-workers
+      // critical path — lands on `owner_fanout`, while `train` is the
+      // aggregate per-owner sum.
       const double mask_us = mask_us_hist.Sum() - mask_us0;
       const double sv_eval_us = sv_eval_us_hist.Sum() - sv_eval_us0;
       record.phase_us["train"] = train_wall_us;
-      if (engine_mode_ == RoundEngineMode::kParallel) {
-        record.phase_us["tx_admission"] = submit_wall_us;
-        record.phase_us["owner_fanout"] = fanout_wall_us;
-      } else {
-        record.phase_us["tx_admission"] =
-            std::max(0.0, submit_wall_us - mask_us);
-      }
+      record.phase_us["tx_admission"] = submit_wall_us;
+      record.phase_us["owner_fanout"] = fanout_wall_us;
       record.phase_us["secureagg_mask"] = mask_us;
       record.phase_us["consensus"] = consensus_wall_us;
       if (!missing.empty()) {

@@ -62,14 +62,10 @@ struct BcflConfig {
   uint64_t submit_backoff_us = 10'000;
   /// Submission attempts before the coordinator gives an owner up.
   uint32_t max_submit_attempts = 5;
-  /// How the per-owner phase of each round executes. kParallel fans
-  /// train/mask/payload work across a thread pool and replays submissions
-  /// in canonical owner order — bit-identical to kSerial for any pool
-  /// size. Overridable at runtime with BCFL_ROUND_REFERENCE=1 (forces
-  /// serial, no rebuild).
-  RoundEngineMode round_engine = RoundEngineMode::kParallel;
-  /// Worker threads for the round engine's fan-out; 0 = one per hardware
-  /// thread. Ignored in serial mode.
+  /// Worker threads for the round engine, which fans each round's
+  /// train/mask/payload work across a pool and replays submissions in
+  /// canonical owner order — bit-identical for any pool size. 0 = one per
+  /// hardware thread.
   size_t pool_threads = 0;
   /// Retain every owner's full local model per round in
   /// `BcflRunResult::per_round_locals`. Off by default: retention costs
@@ -159,13 +155,8 @@ class BcflCoordinator {
   fault::FaultInjector* fault_injector() { return injector_.get(); }
   /// Shamir threshold of the distributed recovery shares.
   size_t recovery_threshold() const { return threshold_; }
-  /// The round-engine mode actually in effect (config +
-  /// BCFL_ROUND_REFERENCE override, resolved at Create).
-  RoundEngineMode round_engine_mode() const { return engine_mode_; }
-  /// Pool threads in use (1 in serial mode / no pool).
-  size_t pool_threads_in_use() const {
-    return pool_ != nullptr ? pool_->num_threads() : 1;
-  }
+  /// Worker threads of the round engine's pool.
+  size_t pool_threads_in_use() const { return pool_->num_threads(); }
 
   /// Attaches an opened protocol ledger: Run() then appends one
   /// structured record per FL round (phase latencies, sig-cache hit
@@ -218,25 +209,12 @@ class BcflCoordinator {
  private:
   BcflCoordinator() = default;
 
-  /// Builds, signs and submits one owner's masked update for `round`.
-  Status SubmitOwnerUpdate(uint32_t owner, uint64_t round,
-                           const ml::Matrix& local_weights,
-                           const std::vector<std::vector<size_t>>& groups);
-
-  /// Submission with deadline/retry semantics: lost attempts back off
-  /// exponentially on the simulated clock until the round deadline.
-  /// Returns false when the owner missed the deadline (a dropout).
-  Result<bool> SubmitWithRetries(uint32_t owner, uint64_t round,
-                                 const ml::Matrix& local_weights,
-                                 const std::vector<std::vector<size_t>>& groups,
-                                 uint64_t deadline_us,
-                                 BcflRunResult* result);
-
-  /// Replay half of the parallel path: same deadline/retry/backoff state
-  /// machine as SubmitWithRetries, but the masked payload was prebuilt by
-  /// the round engine — only signing (which consumes the session RNG) and
-  /// submission happen here, on the coordinator thread, so the clock and
-  /// RNG sequences match the serial path exactly.
+  /// Replay half of the round: signs and submits one owner's masked
+  /// payload, prebuilt by the round engine, with deadline/retry semantics
+  /// — lost attempts back off exponentially on the simulated clock until
+  /// the round deadline. Signing consumes the session RNG, so it stays on
+  /// the coordinator thread, in canonical owner order. Returns false when
+  /// the owner missed the deadline (a dropout).
   Result<bool> SubmitPreparedWithRetries(uint32_t owner, uint64_t round,
                                          const Bytes& payload,
                                          uint64_t deadline_us,
@@ -253,13 +231,6 @@ class BcflCoordinator {
   Status RecoverMissingOwners(uint64_t round,
                               const std::set<uint32_t>& missing,
                               BcflRunResult* result);
-
-  /// Builds (but does not submit) one owner's masked submit_update
-  /// payload, byzantine perturbations included — the serial twin of the
-  /// round engine's per-slot preparation.
-  Result<Bytes> BuildSubmitPayload(
-      uint32_t owner, uint64_t round, const ml::Matrix& local_weights,
-      const std::vector<std::vector<size_t>>& groups);
 
   /// Lowest online, un-retired owner other than `excluding` — the party
   /// that signs accusation transactions (any registered owner may; the
@@ -322,9 +293,8 @@ class BcflCoordinator {
   /// Owners retired by a committed recovery, with the retirement round.
   std::map<uint32_t, uint64_t> retired_;
   obs::RoundLedger* ledger_ = nullptr;
-  /// Round-engine state (parallel mode): the pool, the engine fanning
-  /// owner work across it, and the reusable per-round scratch arena.
-  RoundEngineMode engine_mode_ = RoundEngineMode::kParallel;
+  /// Round-engine state: the pool, the engine fanning owner work across
+  /// it, and the reusable per-round scratch arena.
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<RoundEngine> round_engine_;
   RoundScratch round_scratch_;

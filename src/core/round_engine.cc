@@ -1,26 +1,13 @@
 #include "core/round_engine.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/rng.h"
 #include "common/sim_clock.h"
 #include "core/fl_contract.h"
 #include "secureagg/fixed_point.h"
 
 namespace bcfl::core {
-
-const char* RoundEngineModeName(RoundEngineMode mode) {
-  return mode == RoundEngineMode::kSerial ? "serial" : "parallel";
-}
-
-RoundEngineMode ResolveRoundEngineMode(RoundEngineMode configured) {
-  const char* env = std::getenv("BCFL_ROUND_REFERENCE");
-  if (env != nullptr && std::strlen(env) > 0 && std::strcmp(env, "0") != 0) {
-    return RoundEngineMode::kSerial;
-  }
-  return configured;
-}
 
 namespace byzantine {
 
@@ -31,7 +18,7 @@ ml::Matrix PoisonedWeights(const ml::Matrix& local, double magnitude) {
 void CorruptMaskedUpdate(uint64_t round, uint32_t owner,
                          std::vector<uint64_t>* masked) {
   // Seeded from (round, owner) only: the corruption an owner submits is a
-  // property of the owner's misbehavior, not of which engine ran it.
+  // property of the owner's misbehavior, not of which worker built it.
   SplitMix64 stream(((round + 1) * 0x9e3779b97f4a7c15ULL) ^
                     ((static_cast<uint64_t>(owner) << 32) | 0xbadc0deULL));
   for (uint64_t& word : *masked) word += stream.Next();
@@ -52,21 +39,6 @@ void RoundScratch::Reset(size_t num_owners) {
   }
 }
 
-namespace {
-
-/// Seed of owner `i`'s round stream: a SplitMix64 walk over (session
-/// seed, round, owner), so streams are decorrelated across all three
-/// axes and reproducible from the config alone.
-uint64_t DeriveStreamSeed(uint64_t session_seed, uint64_t round,
-                          uint32_t owner) {
-  SplitMix64 mix(session_seed ^ 0x9e3779b97f4a7c15ULL);
-  uint64_t a = mix.Next() ^ round;
-  SplitMix64 mix2(a);
-  return mix2.Next() ^ (static_cast<uint64_t>(owner) + 1);
-}
-
-}  // namespace
-
 Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
                                   const std::vector<std::vector<size_t>>& groups,
                                   RoundScratch* scratch,
@@ -75,8 +47,8 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
   scratch->Reset(n);
   *stats = RoundEngineStats{};
 
-  // Participation, grouping and stream seeding are decided here on the
-  // coordinator thread: the injector's per-round sets were computed by
+  // Participation and grouping are decided here on the coordinator
+  // thread: the injector's per-round sets were computed by
   // BeginRound (also coordinator thread) and are immutable during the
   // round, so these const reads are ordered-before the fan-out below.
   std::vector<uint32_t> active;
@@ -98,7 +70,6 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
       return Status::Internal("owner missing from grouping");
     }
     slot.active = true;
-    slot.stream = Xoshiro256(DeriveStreamSeed(deps_.session_seed, round, i));
     active.push_back(i);
   }
 
@@ -121,8 +92,8 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
     slot.train_us = train_timer.ElapsedSeconds() * 1e6;
     Stopwatch prepare_timer;
     // Byzantine perturbations (PR 9): a poisoning owner encodes scaled
-    // weights (slot.local stays the honest model, matching what the
-    // serial path records in per_round_locals); an inconsistent-mask
+    // weights (slot.local stays the honest model that per_round_locals
+    // records); an inconsistent-mask
     // owner corrupts the masked vector after honest masking. Injector
     // queries are const per-round sets — safe from workers.
     const double poison =
@@ -147,15 +118,15 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
     slot.payload = FlContract::EncodeSubmitUpdate(round, i, slot.masked);
     slot.prepare_us = prepare_timer.ElapsedSeconds() * 1e6;
   };
-  if (pool_ != nullptr && active.size() > 1) {
+  if (active.size() > 1) {
     pool_->ParallelFor(active.size(), prepare_one, /*grain=*/1);
   } else {
     for (size_t k = 0; k < active.size(); ++k) prepare_one(k);
   }
   stats->fanout_wall_us = fanout_timer.ElapsedSeconds() * 1e6;
 
-  // Surface the lowest-indexed owner's error — what a serial loop would
-  // hit first — and fold the per-owner walls into the ledger stats.
+  // Surface the lowest-indexed owner's error, whichever worker finished
+  // first, and fold the per-owner walls into the ledger stats.
   for (uint32_t i : active) {
     const OwnerRoundSlot& slot = scratch->slots[i];
     if (!slot.status.ok()) return slot.status;

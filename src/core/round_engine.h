@@ -7,7 +7,6 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "fault/injector.h"
 #include "fl/client.h"
@@ -16,24 +15,9 @@
 
 namespace bcfl::core {
 
-/// How the coordinator executes the per-owner phase of a round.
-enum class RoundEngineMode {
-  /// The seed-faithful interleaved loop: train owner i, submit owner i,
-  /// then owner i+1 — kept verbatim as the reference path, mirroring
-  /// `reference::` in the kernel and crypto layers.
-  kSerial,
-  /// Fan owner work (train, encode, mask, payload) across the thread
-  /// pool, then replay submissions in canonical owner order. Bit-identical
-  /// to kSerial for any pool size (see DESIGN.md §13).
-  kParallel,
-};
-
-/// "serial" / "parallel" — for flags, logs and metrics.json.
-const char* RoundEngineModeName(RoundEngineMode mode);
-
-/// Byzantine update perturbations (PR 9), shared by the serial submit
-/// path and the parallel fan-out so the two engines stay bit-identical
-/// under every fault plan. Both are pure functions of their arguments.
+/// Byzantine update perturbations, applied by the fan-out. Both are
+/// pure functions of their arguments, so a perturbed submission does not
+/// depend on the pool size or on which worker built it.
 namespace byzantine {
 
 /// The weights a poisoning owner actually encodes: its honest local
@@ -50,12 +34,6 @@ void CorruptMaskedUpdate(uint64_t round, uint32_t owner,
 
 }  // namespace byzantine
 
-/// Applies the `BCFL_ROUND_REFERENCE` escape hatch: when the environment
-/// variable is set to anything but "" or "0", the configured mode is
-/// overridden to kSerial (same convention as BCFL_KERNEL_REFERENCE /
-/// BCFL_CRYPTO_REFERENCE, but at runtime — no rebuild needed).
-RoundEngineMode ResolveRoundEngineMode(RoundEngineMode configured);
-
 /// Per-owner slot of the round scratch: everything one owner's phase work
 /// produces, plus the buffers it reuses round over round. Slots are
 /// index-addressed — worker k only ever touches slot `active[k]` — which
@@ -69,12 +47,6 @@ struct OwnerRoundSlot {
   Bytes payload;                         ///< Serialized submit_update body.
   std::vector<secureagg::OwnerId> group_members;
   secureagg::MaskScratch mask_scratch;   ///< Mask buffers, reused.
-  /// Per-owner SplitMix64-derived RNG stream. No phase consumes
-  /// randomness today (training is deterministic full-batch GD and
-  /// signing stays on the coordinator thread), but the stream is seeded
-  /// per (session, round, owner) so a future stochastic trainer draws
-  /// from isolated streams instead of racing a shared generator.
-  Xoshiro256 stream{0};
   Status status = Status::OK();
   double train_us = 0.0;                 ///< Wall time of LocalUpdate.
   double prepare_us = 0.0;               ///< Wall of encode+mask+payload.
@@ -89,9 +61,9 @@ struct RoundScratch {
 };
 
 /// Wall-time attribution of one fan-out, for the round ledger: totals are
-/// the aggregate work (what the serial path's per-phase walls measured);
-/// maxima approximate the critical path; `fanout_wall_us` is the actual
-/// barrier-to-barrier wall time (max over workers plus scheduling).
+/// the aggregate per-owner work; maxima approximate the critical path;
+/// `fanout_wall_us` is the actual barrier-to-barrier wall time (max over
+/// workers plus scheduling).
 struct RoundEngineStats {
   double fanout_wall_us = 0.0;
   double train_us_total = 0.0;
@@ -100,15 +72,16 @@ struct RoundEngineStats {
   double prepare_us_max = 0.0;
 };
 
-/// The parallel half of the coordinator's round loop: fans per-owner
+/// The per-owner half of the coordinator's round loop: fans per-owner
 /// local training, fixed-point encoding, pairwise mask expansion and
 /// payload serialization across the shared ThreadPool. Everything that
 /// orders protocol state — simulated-clock advances, injector drop
 /// draws, transaction signing (which consumes the session RNG) and chain
 /// submission — stays on the coordinator thread, replayed in canonical
 /// owner order. Since training and masking touch neither the clock nor
-/// the session RNG, the replayed sequence of protocol events is exactly
-/// the serial path's, which is the determinism argument (DESIGN.md §13).
+/// the session RNG, the replayed sequence of protocol events does not
+/// depend on the pool size, which is the determinism argument (DESIGN.md
+/// §13).
 class RoundEngine {
  public:
   /// Non-owning references into the coordinator. `injector` (nullable) is
@@ -122,24 +95,19 @@ class RoundEngine {
     const fault::FaultInjector* injector = nullptr;
     const std::map<uint32_t, uint64_t>* retired = nullptr;
     int fixed_point_bits = 24;
-    uint64_t session_seed = 0;
   };
 
-  /// `pool` may be nullptr (everything runs inline — useful for tests
-  /// that want the parallel code path without threads).
+  /// `pool` (non-owning) must outlive the engine.
   RoundEngine(Deps deps, ThreadPool* pool) : deps_(deps), pool_(pool) {}
 
   /// Trains, encodes, masks and serializes every participating owner's
   /// update for `round` into `scratch` (grain 1: one owner per pool
   /// task). Offline/retired owners get inactive slots; the caller decides
   /// dropouts during replay. On a per-owner failure the lowest-indexed
-  /// owner's error is returned — the same error a serial loop would
-  /// surface first.
+  /// owner's error is returned, whatever the pool size.
   Status PrepareOwners(uint64_t round, const ml::Matrix& global,
                        const std::vector<std::vector<size_t>>& groups,
                        RoundScratch* scratch, RoundEngineStats* stats);
-
-  ThreadPool* pool() const { return pool_; }
 
  private:
   Deps deps_;

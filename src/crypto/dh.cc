@@ -4,14 +4,6 @@ namespace bcfl::crypto {
 
 namespace {
 
-// BCFL_CRYPTO_REFERENCE pins the schemes to the seed's
-// square-and-multiply path (mirrors BCFL_KERNEL_REFERENCE in src/ml).
-#if defined(BCFL_CRYPTO_REFERENCE)
-constexpr bool kUseFastCrypto = false;
-#else
-constexpr bool kUseFastCrypto = true;
-#endif
-
 std::string LimbKey(const UInt256& v) {
   std::string key(32, '\0');
   for (int i = 0; i < 4; ++i) {
@@ -25,10 +17,6 @@ std::string LimbKey(const UInt256& v) {
 }
 
 }  // namespace
-
-std::string_view CryptoActivePath() {
-  return kUseFastCrypto ? "montgomery" : "reference";
-}
 
 GroupParams GroupParams::Default() {
   // p = 2^255 - 19, little-endian limbs.
@@ -134,21 +122,18 @@ UInt256 RandomInRange(Xoshiro256* rng, const UInt256& low,
 
 DiffieHellman::DiffieHellman(GroupParams params)
     : params_(params),
-      ctx_(kUseFastCrypto ? GroupContext::Get(params) : nullptr) {}
+      ctx_(GroupContext::Get(params)) {}
 
 DhKeyPair DiffieHellman::GenerateKeyPair(Xoshiro256* rng) const {
   UInt256 two(2);
   UInt256 max = params_.p.Sub(UInt256(2));
   UInt256 x = RandomInRange(rng, two, max);
-  UInt256 y = ctx_ != nullptr ? ctx_->PowG(x)
-                              : params_.g.ModPow(x, params_.p);
-  return DhKeyPair{x, y};
+  return DhKeyPair{x, ctx_->PowG(x)};
 }
 
 UInt256 DiffieHellman::ComputeShared(const UInt256& private_key,
                                      const UInt256& peer_public) const {
-  if (ctx_ != nullptr) return ctx_->PowBase(peer_public, private_key);
-  return peer_public.ModPow(private_key, params_.p);
+  return ctx_->PowBase(peer_public, private_key);
 }
 
 std::array<uint8_t, 32> DiffieHellman::DeriveKey(const UInt256& shared,

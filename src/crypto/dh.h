@@ -28,12 +28,6 @@ struct GroupParams {
   static GroupParams Default();
 };
 
-/// Which exponentiation path the crypto schemes compiled to:
-/// "montgomery" (fixed-base tables + CIOS) or "reference" (the seed's
-/// square-and-multiply over restoring division, selected by the
-/// BCFL_CRYPTO_REFERENCE define). Exported into bench metadata.
-std::string_view CryptoActivePath();
-
 /// Shared fast-exponentiation state for one discrete-log group: a
 /// Montgomery context for p, a fixed-base comb table for the generator
 /// g, and a bounded thread-safe cache of per-public-key tables.

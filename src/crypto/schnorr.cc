@@ -2,16 +2,6 @@
 
 namespace bcfl::crypto {
 
-namespace {
-
-#if defined(BCFL_CRYPTO_REFERENCE)
-constexpr bool kUseFastCrypto = false;
-#else
-constexpr bool kUseFastCrypto = true;
-#endif
-
-}  // namespace
-
 Bytes SchnorrSignature::ToBytes() const {
   Bytes out = r.ToBytes();
   Bytes s_bytes = s.ToBytes();
@@ -33,13 +23,11 @@ Result<SchnorrSignature> SchnorrSignature::FromBytes(const Bytes& bytes) {
 Schnorr::Schnorr(GroupParams params)
     : params_(params),
       order_(params.p.Sub(UInt256(1))),
-      ctx_(kUseFastCrypto ? GroupContext::Get(params) : nullptr) {}
+      ctx_(GroupContext::Get(params)) {}
 
 SchnorrKeyPair Schnorr::GenerateKeyPair(Xoshiro256* rng) const {
   UInt256 x = RandomInRange(rng, UInt256(2), params_.p.Sub(UInt256(2)));
-  UInt256 y = ctx_ != nullptr ? ctx_->PowG(x)
-                              : params_.g.ModPow(x, params_.p);
-  return SchnorrKeyPair{x, y};
+  return SchnorrKeyPair{x, ctx_->PowG(x)};
 }
 
 UInt256 Schnorr::Challenge(const UInt256& r, const UInt256& public_key,
@@ -58,8 +46,7 @@ UInt256 Schnorr::Challenge(const UInt256& r, const UInt256& public_key,
 SchnorrSignature Schnorr::Sign(const SchnorrKeyPair& key,
                                const Bytes& message, Xoshiro256* rng) const {
   UInt256 k = RandomInRange(rng, UInt256(2), params_.p.Sub(UInt256(2)));
-  UInt256 r = ctx_ != nullptr ? ctx_->PowG(k)
-                              : params_.g.ModPow(k, params_.p);
+  UInt256 r = ctx_->PowG(k);
   UInt256 e = Challenge(r, key.public_key, message);
   // s = k + e*x mod (p-1).
   UInt256 ex = e.ModMul(key.private_key.Mod(order_), order_);
@@ -72,12 +59,7 @@ bool Schnorr::Verify(const UInt256& public_key, const Bytes& message,
   if (sig.r.IsZero() || sig.r >= params_.p) return false;
   if (public_key.IsZero() || public_key >= params_.p) return false;
   UInt256 e = Challenge(sig.r, public_key, message);
-  if (ctx_ != nullptr) {
-    return ctx_->VerifyGsEq(sig.s, sig.r, public_key, e);
-  }
-  UInt256 lhs = params_.g.ModPow(sig.s, params_.p);
-  UInt256 rhs = sig.r.ModMul(public_key.ModPow(e, params_.p), params_.p);
-  return lhs == rhs;
+  return ctx_->VerifyGsEq(sig.s, sig.r, public_key, e);
 }
 
 namespace reference {

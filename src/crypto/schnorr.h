@@ -58,8 +58,7 @@ class Schnorr {
 
   GroupParams params_;
   UInt256 order_;  ///< p - 1, modulus for exponent arithmetic.
-  /// Shared per-group fast-exponentiation state; null under the
-  /// BCFL_CRYPTO_REFERENCE build, which pins the seed ModPow path.
+  /// Shared per-group fast-exponentiation state.
   std::shared_ptr<const GroupContext> ctx_;
 };
 

@@ -99,8 +99,7 @@ std::array<uint64_t, 8> MulWide(const UInt256& a, const UInt256& b);
 /// bit loop, and exponentiation uses a 4-bit fixed window. All results
 /// are exact modular values, so every caller is bit-identical to the
 /// ModPow/ModMul path it replaces; UInt256::ModPow itself stays as the
-/// seed-faithful reference (and the BCFL_CRYPTO_REFERENCE build keeps
-/// routing the crypto schemes through it).
+/// seed-faithful reference that tests and benches compare against.
 class Montgomery {
  public:
   /// `modulus` must be odd and > 1 (checked by assertion in debug).

@@ -768,19 +768,10 @@ void SetParallelPool(ThreadPool* pool) {
 
 ThreadPool* ParallelPool() { return g_pool.load(std::memory_order_relaxed); }
 
-const char* ActivePath() {
-#ifdef BCFL_KERNEL_REFERENCE
-  return "reference";
-#else
-  return HasAvx2() ? "avx2" : "scalar";
-#endif
-}
+const char* ActivePath() { return HasAvx2() ? "avx2" : "scalar"; }
 
 void Gemm(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
           double* out) {
-#ifdef BCFL_KERNEL_REFERENCE
-  reference::Gemm(a, ar, ac, b, bc, out);
-#else
   if (ar == 0 || bc == 0) return;
   RecordPathOnce();
   static auto& calls =
@@ -822,14 +813,10 @@ void Gemm(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
     const double s = timer.ElapsedSeconds();
     if (s > 0) gflops_gauge.Set(flops / s * 1e-9);
   }
-#endif
 }
 
 void GemmTransA(const double* a, size_t ar, size_t ac, const double* b,
                 size_t bc, double* out) {
-#ifdef BCFL_KERNEL_REFERENCE
-  reference::GemmTransA(a, ar, ac, b, bc, out);
-#else
   if (ac == 0 || bc == 0) return;
   RecordPathOnce();
   std::memset(out, 0, ac * bc * sizeof(double));
@@ -856,13 +843,9 @@ void GemmTransA(const double* a, size_t ar, size_t ac, const double* b,
   } else {
     run_cols(0, ac);
   }
-#endif
 }
 
 void Transpose(const double* a, size_t ar, size_t ac, double* out) {
-#ifdef BCFL_KERNEL_REFERENCE
-  reference::Transpose(a, ar, ac, out);
-#else
   // Cache-blocked: both the row-major reads and the column-major writes
   // stay within a 32x32 tile (8 KB), so each cache line is touched once.
   constexpr size_t kTile = 32;
@@ -876,19 +859,15 @@ void Transpose(const double* a, size_t ar, size_t ac, double* out) {
       }
     }
   }
-#endif
 }
 
 void Axpy(double alpha, const double* x, size_t n, double* y) {
-  // Element-wise: no accumulation to reorder, so one implementation
-  // serves both paths (with -ffp-contract=off keeping mul+add exact).
+  // Element-wise: no accumulation to reorder, so the reference loop is
+  // the implementation (with -ffp-contract=off keeping mul+add exact).
   reference::Axpy(alpha, x, n, y);
 }
 
 void SoftmaxRows(double* m, size_t rows, size_t cols) {
-#ifdef BCFL_KERNEL_REFERENCE
-  reference::SoftmaxRows(m, rows, cols);
-#else
   if (rows == 0 || cols == 0) return;
   // Same per-element operations as the reference, staged into three
   // passes so the max/subtract and sum/divide loops vectorize and the
@@ -906,18 +885,12 @@ void SoftmaxRows(double* m, size_t rows, size_t cols) {
     for (size_t j = 0; j < cols; ++j) sum += row[j];
     for (size_t j = 0; j < cols; ++j) row[j] /= sum;
   }
-#endif
 }
 
 double FusedSoftmaxCeStep(const double* aug, size_t rows, size_t cols,
                           const int* labels, size_t classes,
                           double learning_rate, double l2, double* weights,
                           FusedStepScratch* scratch) {
-#ifdef BCFL_KERNEL_REFERENCE
-  (void)scratch;
-  return reference::FusedSoftmaxCeStep(aug, rows, cols, labels, classes,
-                                       learning_rate, l2, weights);
-#else
   if (rows == 0) return 0.0;
   if (classes == 0 || classes > kMaxFixedBc || scratch == nullptr) {
     return reference::FusedSoftmaxCeStep(aug, rows, cols, labels, classes,
@@ -929,7 +902,6 @@ double FusedSoftmaxCeStep(const double* aug, size_t rows, size_t cols,
   return PickFused(classes)(aug, rows, cols, labels, learning_rate, l2,
                             weights, scratch->logits.data(),
                             scratch->grad.data());
-#endif
 }
 
 }  // namespace bcfl::ml::kernels

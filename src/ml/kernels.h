@@ -31,13 +31,9 @@ namespace bcfl::ml::kernels {
 //     `if (a == 0.0) continue;` branch, which is bit-neutral: the
 //     accumulator starts at +0.0 and adding a ±0.0 product leaves every
 //     finite accumulator value unchanged.
-//
-// Define BCFL_KERNEL_REFERENCE (cmake -DBCFL_KERNEL_REFERENCE=ON) to
-// route the public entry points through the reference kernels below —
-// the escape hatch for auditing and for odd platforms.
 
-/// Seed-faithful scalar kernels, always compiled (the equivalence tests
-/// and the BCFL_KERNEL_REFERENCE build both use them).
+/// Seed-faithful scalar kernels, always compiled: the equivalence tests
+/// and bench_kernels check the optimized entry points against them.
 namespace reference {
 
 /// out[i,j] = sum_k a[i,k]*b[k,j]; a is ar x ac, b is ac x bc.
@@ -104,8 +100,8 @@ double FusedSoftmaxCeStep(const double* aug, size_t rows, size_t cols,
 void SetParallelPool(ThreadPool* pool);
 ThreadPool* ParallelPool();
 
-/// "reference", "scalar", or "avx2" — the dispatch the optimized entry
-/// points select on this machine/build. Exported to metrics as
+/// "scalar" or "avx2" — the dispatch the optimized entry points select on
+/// this machine. Exported to metrics as
 /// ml.kernels.path.<name>. (An AVX-512 tier was measured and rejected:
 /// the 512-bit frequency license slows the scalar exp/softmax epilogue
 /// interleaved with the GEMM blocks, so the fused step ran ~40% slower

@@ -1,13 +1,15 @@
 // Byzantine participant hardening, end to end (PR 9): forged shares,
 // equivocation, poisoned updates and inconsistent masks are detected,
 // slashed on chain, and degrade the round exactly as a crash of the same
-// owner would — on both round engines.
+// owner would — at any round engine pool size.
 
 #include <gtest/gtest.h>
 
 #include "core/coordinator.h"
+#include "core/session_summary.h"
 #include "core/state_keys.h"
 #include "fault/fault_plan.h"
+#include "frozen_sessions.h"
 
 namespace bcfl::core {
 namespace {
@@ -30,14 +32,21 @@ BcflConfig ByzantineConfig() {
   return config;
 }
 
+/// Runs `plan` on a `pool_threads`-wide round engine; fills `summary`
+/// when given.
 Result<BcflRunResult> RunPlan(BcflConfig config, const std::string& plan,
-                              RoundEngineMode mode) {
+                              size_t pool_threads,
+                              SessionSummary* summary = nullptr) {
   config.fault_plan = *fault::FaultPlan::Parse(plan);
-  config.round_engine = mode;
-  if (mode == RoundEngineMode::kParallel) config.pool_threads = 3;
+  config.pool_threads = pool_threads;
   auto coordinator = BcflCoordinator::Create(config);
   if (!coordinator.ok()) return coordinator.status();
-  return (*coordinator)->Run();
+  auto result = (*coordinator)->Run();
+  if (result.ok() && summary != nullptr) {
+    *summary = SummarizeSession((*coordinator)->engine().CanonicalChain(),
+                                *result);
+  }
+  return result;
 }
 
 /// The PR's acceptance invariant: a slashed byzantine owner leaves the
@@ -46,10 +55,10 @@ Result<BcflRunResult> RunPlan(BcflConfig config, const std::string& plan,
 void ExpectSlashEqualsCrash(const BcflConfig& config,
                             const std::string& byzantine_plan,
                             const std::string& crash_plan,
-                            RoundEngineMode mode) {
-  auto byz = RunPlan(config, byzantine_plan, mode);
+                            size_t pool_threads) {
+  auto byz = RunPlan(config, byzantine_plan, pool_threads);
   ASSERT_TRUE(byz.ok()) << byz.status().ToString();
-  auto crash = RunPlan(config, crash_plan, mode);
+  auto crash = RunPlan(config, crash_plan, pool_threads);
   ASSERT_TRUE(crash.ok()) << crash.status().ToString();
   EXPECT_EQ(byz->per_round_sv, crash->per_round_sv);
   EXPECT_EQ(byz->total_sv, crash->total_sv);
@@ -60,8 +69,8 @@ void ExpectSlashEqualsCrash(const BcflConfig& config,
   EXPECT_FALSE(byz->slashed_at.empty());
 }
 
-class SlashEqualsCrashTest
-    : public ::testing::TestWithParam<RoundEngineMode> {};
+/// Parameterized by the round engine's pool size.
+class SlashEqualsCrashTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(SlashEqualsCrashTest, BadShareForgerDuringRecovery) {
   // Owner 1 crashes; during its recovery owner 3 reveals a forged share,
@@ -98,13 +107,10 @@ TEST_P(SlashEqualsCrashTest, InconsistentMaskCaughtByNormGate) {
                          "crash owner 0 @1", GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, SlashEqualsCrashTest,
-                         ::testing::Values(RoundEngineMode::kSerial,
-                                           RoundEngineMode::kParallel),
+INSTANTIATE_TEST_SUITE_P(PoolSizes, SlashEqualsCrashTest,
+                         ::testing::Values(size_t{1}, size_t{3}),
                          [](const auto& info) {
-                           return info.param == RoundEngineMode::kSerial
-                                      ? "Serial"
-                                      : "Parallel";
+                           return "Pool" + std::to_string(info.param);
                          });
 
 TEST(ByzantineTest, SlashIsCommittedOnChainByEveryMiner) {
@@ -150,28 +156,31 @@ TEST(ByzantineTest, SlashedOwnerRewardIsBurnedNotRedistributed) {
   EXPECT_GT(claimed, 0u);
 }
 
-TEST(ByzantineTest, MixedByzantinePlanIsEngineModeInvariant) {
-  // Equivocation at round 1 and poisoning at round 2 in one session: the
-  // parallel engine must land the identical chain.
-  BcflConfig config = ByzantineConfig();
-  auto serial = RunPlan(
-      config, "equivocate-submit owner 2 @1; poison-update owner 4 @2 *50",
-      RoundEngineMode::kSerial);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto parallel = RunPlan(
-      config, "equivocate-submit owner 2 @1; poison-update owner 4 @2 *50",
-      RoundEngineMode::kParallel);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+TEST(ByzantineTest, MixedByzantinePlanIsPoolSizeInvariant) {
+  // Equivocation at round 1 and poisoning at round 2 in one session: every
+  // pool size must land the identical chain, the one the serial round
+  // loop committed (frozen vector).
+  const BcflConfig config = ByzantineConfig();
+  const char* plan =
+      "equivocate-submit owner 2 @1; poison-update owner 4 @2 *50";
+  SessionSummary single_summary;
+  auto single = RunPlan(config, plan, 1, &single_summary);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  SessionSummary pooled_summary;
+  auto pooled = RunPlan(config, plan, 3, &pooled_summary);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
 
-  EXPECT_EQ(serial->per_round_sv, parallel->per_round_sv);
-  EXPECT_EQ(serial->total_sv, parallel->total_sv);
-  EXPECT_EQ(serial->global_weights, parallel->global_weights);
-  EXPECT_EQ(serial->round_accuracies, parallel->round_accuracies);
-  EXPECT_EQ(serial->retired_at, parallel->retired_at);
-  EXPECT_EQ(serial->slashed_at, parallel->slashed_at);
-  EXPECT_EQ(serial->slash_transactions, parallel->slash_transactions);
-  EXPECT_EQ(serial->blocks_committed, parallel->blocks_committed);
-  EXPECT_EQ(serial->total_transactions, parallel->total_transactions);
+  EXPECT_EQ(single->per_round_sv, pooled->per_round_sv);
+  EXPECT_EQ(single->total_sv, pooled->total_sv);
+  EXPECT_EQ(single->global_weights, pooled->global_weights);
+  EXPECT_EQ(single->round_accuracies, pooled->round_accuracies);
+  EXPECT_EQ(single->retired_at, pooled->retired_at);
+  EXPECT_EQ(single->slashed_at, pooled->slashed_at);
+  EXPECT_EQ(single->slash_transactions, pooled->slash_transactions);
+  EXPECT_EQ(single->blocks_committed, pooled->blocks_committed);
+  EXPECT_EQ(single->total_transactions, pooled->total_transactions);
+  EXPECT_EQ(single_summary.ToJson(), frozen::kByzantineSession);
+  EXPECT_EQ(pooled_summary.ToJson(), frozen::kByzantineSession);
 }
 
 TEST(ByzantineTest, PoisonWithoutNormBoundGoesUndetected) {
@@ -180,8 +189,7 @@ TEST(ByzantineTest, PoisonWithoutNormBoundGoesUndetected) {
   // update_norm_bound.
   BcflConfig config = ByzantineConfig();
   config.update_norm_bound = 0.0;
-  auto result =
-      RunPlan(config, "poison-update owner 4 @1 *50", RoundEngineMode::kParallel);
+  auto result = RunPlan(config, "poison-update owner 4 @1 *50", 3);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->slashed_at.empty());
   EXPECT_TRUE(result->retired_at.empty());

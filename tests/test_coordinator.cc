@@ -5,8 +5,8 @@
 #include <filesystem>
 #include <numeric>
 
+#include "chain/block_log.h"
 #include "chain/merkle.h"
-#include "chain/storage.h"
 #include "shapley/group_sv.h"
 #include "shapley/utility.h"
 
@@ -157,16 +157,32 @@ TEST(CoordinatorTest, CanonicalChainSurvivesDiskRoundTrip) {
   ASSERT_TRUE((*coordinator)->Run().ok());
   const auto& chain = (*coordinator)->engine().CanonicalChain();
 
+  // Persist through the block log every committed block goes to, then
+  // read it back from a fresh open.
   std::string path =
-      (std::filesystem::temp_directory_path() / "bcfl_coord_chain.bin")
+      (std::filesystem::temp_directory_path() / "bcfl_coord_chain.log")
           .string();
-  ASSERT_TRUE(chain::SaveChain(chain, path).ok());
-  auto loaded = chain::LoadChain(path);
   std::filesystem::remove(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->Height(), chain.Height());
-  EXPECT_EQ(loaded->Tip().header.Hash(), chain.Tip().header.Hash());
-  EXPECT_EQ(loaded->TotalTransactions(), chain.TotalTransactions());
+  {
+    auto log = chain::BlockLog::Open(path);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    for (uint64_t h = 1; h <= chain.Height(); ++h) {
+      auto block = chain.GetBlock(h);
+      ASSERT_TRUE(block.ok());
+      ASSERT_TRUE(log->Append(*block).ok());
+    }
+  }
+  auto reopened = chain::BlockLog::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  std::vector<chain::Block> loaded = reopened->TakeRecoveredBlocks();
+  reopened->Close();
+  std::filesystem::remove(path);
+  EXPECT_EQ(reopened->tip_height(), chain.Height());
+  ASSERT_EQ(loaded.size(), chain.Height());
+  EXPECT_EQ(loaded.back().header.Hash(), chain.Tip().header.Hash());
+  size_t transactions = 0;
+  for (const chain::Block& block : loaded) transactions += block.txs.size();
+  EXPECT_EQ(transactions, chain.TotalTransactions());
 }
 
 TEST(CoordinatorTest, CanonicalChainPassesFullAudit) {

@@ -8,8 +8,10 @@
 #include "chain/contract_host.h"
 #include "core/coordinator.h"
 #include "core/fl_contract.h"
+#include "core/session_summary.h"
 #include "crypto/shamir.h"
 #include "data/digits.h"
+#include "frozen_sessions.h"
 #include "secureagg/fixed_point.h"
 #include "secureagg/participant.h"
 #include "shapley/group_sv.h"
@@ -139,37 +141,43 @@ TEST(DropoutRecoveryTest, UnsafeCrashPlanIsRejectedAtSetup) {
   EXPECT_FALSE(BcflCoordinator::Create(config).ok());
 }
 
-TEST(DropoutRecoveryTest, FaultedRunIsEngineModeInvariant) {
-  // The parallel round engine must not change what lands on chain, even
-  // when the round hits the full dropout/recovery machinery: crashes,
-  // eaten submissions, retirement, SV freezes.
+TEST(DropoutRecoveryTest, FaultedRunIsPoolSizeInvariant) {
+  // The pool size must not change what lands on chain, even when the
+  // round hits the full dropout/recovery machinery: crashes, eaten
+  // submissions, retirement, SV freezes. Both runs must also land the
+  // chain the serial round loop committed (frozen vector).
   BcflConfig config = FaultableConfig();
   config.fault_plan = *fault::FaultPlan::Parse(
       "crash owner 2 @1; drop-submit owner 1 @2 x2");
-  config.round_engine = RoundEngineMode::kSerial;
-  auto serial_coord = BcflCoordinator::Create(config);
-  ASSERT_TRUE(serial_coord.ok());
-  auto serial = (*serial_coord)->Run();
-  ASSERT_TRUE(serial.ok());
+  config.pool_threads = 1;
+  auto single_coord = BcflCoordinator::Create(config);
+  ASSERT_TRUE(single_coord.ok());
+  auto single = (*single_coord)->Run();
+  ASSERT_TRUE(single.ok());
 
-  config.round_engine = RoundEngineMode::kParallel;
   config.pool_threads = 3;
-  auto parallel_coord = BcflCoordinator::Create(config);
-  ASSERT_TRUE(parallel_coord.ok());
-  auto parallel = (*parallel_coord)->Run();
-  ASSERT_TRUE(parallel.ok());
+  auto pooled_coord = BcflCoordinator::Create(config);
+  ASSERT_TRUE(pooled_coord.ok());
+  auto pooled = (*pooled_coord)->Run();
+  ASSERT_TRUE(pooled.ok());
 
-  EXPECT_EQ(serial->total_sv, parallel->total_sv);
-  EXPECT_EQ(serial->per_round_sv, parallel->per_round_sv);
-  EXPECT_EQ(serial->global_weights, parallel->global_weights);
-  EXPECT_EQ(serial->round_accuracies, parallel->round_accuracies);
-  EXPECT_EQ(serial->retired_at, parallel->retired_at);
-  EXPECT_EQ(serial->recover_transactions, parallel->recover_transactions);
-  EXPECT_EQ(serial->submission_retries, parallel->submission_retries);
-  EXPECT_EQ(serial->blocks_committed, parallel->blocks_committed);
-  EXPECT_EQ(serial->total_transactions, parallel->total_transactions);
-  EXPECT_EQ((*serial_coord)->engine().CanonicalChain().Tip().header.Hash(),
-            (*parallel_coord)->engine().CanonicalChain().Tip().header.Hash());
+  EXPECT_EQ(single->total_sv, pooled->total_sv);
+  EXPECT_EQ(single->per_round_sv, pooled->per_round_sv);
+  EXPECT_EQ(single->global_weights, pooled->global_weights);
+  EXPECT_EQ(single->round_accuracies, pooled->round_accuracies);
+  EXPECT_EQ(single->retired_at, pooled->retired_at);
+  EXPECT_EQ(single->recover_transactions, pooled->recover_transactions);
+  EXPECT_EQ(single->submission_retries, pooled->submission_retries);
+  EXPECT_EQ(single->blocks_committed, pooled->blocks_committed);
+  EXPECT_EQ(single->total_transactions, pooled->total_transactions);
+  EXPECT_EQ(
+      SummarizeSession((*single_coord)->engine().CanonicalChain(), *single)
+          .ToJson(),
+      frozen::kFaultedSession);
+  EXPECT_EQ(
+      SummarizeSession((*pooled_coord)->engine().CanonicalChain(), *pooled)
+          .ToJson(),
+      frozen::kFaultedSession);
 }
 
 // --- Contract-level recovery semantics (the old example's scenario). ---

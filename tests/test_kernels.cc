@@ -180,8 +180,7 @@ TEST(KernelPropertyTest, ParallelGemmBitIdenticalAcrossPoolSizes) {
 
 TEST(KernelPropertyTest, ActivePathIsKnown) {
   const std::string path = ActivePath();
-  EXPECT_TRUE(path == "reference" || path == "scalar" || path == "avx2")
-      << path;
+  EXPECT_TRUE(path == "scalar" || path == "avx2") << path;
 }
 
 // Regression for the overflow guard: SoftmaxRowsInPlace subtracts the

@@ -30,7 +30,7 @@ class ResumeTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
-  BcflConfig SmallConfig(RoundEngineMode mode, const std::string& plan) {
+  BcflConfig SmallConfig(const std::string& plan) {
     BcflConfig config;
     config.num_owners = 4;
     config.num_miners = 3;
@@ -40,7 +40,6 @@ class ResumeTest : public ::testing::Test {
     config.seed_e = 5;
     config.local.epochs = 1;
     config.digits.num_instances = 300;
-    config.round_engine = mode;
     if (!plan.empty()) {
       auto parsed = fault::FaultPlan::Parse(plan);
       EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -113,23 +112,24 @@ class ResumeTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(ResumeTest, SerialKillMidSessionResumesBitIdentical) {
-  BcflConfig config = SmallConfig(RoundEngineMode::kSerial, "kill @2");
+TEST_F(ResumeTest, Pool1KillMidSessionResumesBitIdentical) {
+  BcflConfig config = SmallConfig("kill @2");
+  config.pool_threads = 1;
   BcflRunResult baseline = Baseline(config);
-  BcflRunResult resumed = KillAndResume(config, StateDir("serial"), 2);
+  BcflRunResult resumed = KillAndResume(config, StateDir("pool1"), 2);
   ExpectBitIdentical(baseline, resumed);
 }
 
-TEST_F(ResumeTest, ParallelKillMidSessionResumesBitIdentical) {
-  BcflConfig config = SmallConfig(RoundEngineMode::kParallel, "kill @2");
+TEST_F(ResumeTest, Pool3KillMidSessionResumesBitIdentical) {
+  BcflConfig config = SmallConfig("kill @2");
   config.pool_threads = 3;
   BcflRunResult baseline = Baseline(config);
-  BcflRunResult resumed = KillAndResume(config, StateDir("parallel"), 2);
+  BcflRunResult resumed = KillAndResume(config, StateDir("pool3"), 2);
   ExpectBitIdentical(baseline, resumed);
 }
 
 TEST_F(ResumeTest, KillAtRoundZeroResumesFromInitialCheckpoint) {
-  BcflConfig config = SmallConfig(RoundEngineMode::kSerial, "kill @0");
+  BcflConfig config = SmallConfig("kill @0");
   BcflRunResult baseline = Baseline(config);
   BcflRunResult resumed = KillAndResume(config, StateDir("r0"), 0);
   ExpectBitIdentical(baseline, resumed);
@@ -138,7 +138,7 @@ TEST_F(ResumeTest, KillAtRoundZeroResumesFromInitialCheckpoint) {
 TEST_F(ResumeTest, SparseCheckpointsReplayTheGap) {
   // kill @3 with a checkpoint every 2 rounds: the resume restarts at round
   // 2 and re-executes rounds 2 and 3 from the replayed chain.
-  BcflConfig config = SmallConfig(RoundEngineMode::kSerial, "kill @3");
+  BcflConfig config = SmallConfig("kill @3");
   BcflRunResult baseline = Baseline(config);
   BcflRunResult resumed =
       KillAndResume(config, StateDir("sparse"), 3, /*checkpoint_every=*/2);
@@ -148,8 +148,7 @@ TEST_F(ResumeTest, SparseCheckpointsReplayTheGap) {
 TEST_F(ResumeTest, ResumeSurvivesFaultsBesidesTheKill) {
   // A dropout-recovery round before the kill: the retired roster and the
   // recover counters must survive the restart.
-  BcflConfig config =
-      SmallConfig(RoundEngineMode::kParallel, "crash owner 3 @1; kill @2");
+  BcflConfig config = SmallConfig("crash owner 3 @1; kill @2");
   BcflRunResult baseline = Baseline(config);
   BcflRunResult resumed = KillAndResume(config, StateDir("faults"), 2);
   EXPECT_FALSE(resumed.retired_at.empty());
@@ -157,7 +156,7 @@ TEST_F(ResumeTest, ResumeSurvivesFaultsBesidesTheKill) {
 }
 
 TEST_F(ResumeTest, FreshAttachRefusesUsedStateDir) {
-  BcflConfig config = SmallConfig(RoundEngineMode::kSerial, "kill @2");
+  BcflConfig config = SmallConfig("kill @2");
   PersistenceOptions persist;
   persist.state_dir = StateDir("used");
   {
@@ -174,7 +173,7 @@ TEST_F(ResumeTest, FreshAttachRefusesUsedStateDir) {
 }
 
 TEST_F(ResumeTest, ResumeRefusesDifferentConfig) {
-  BcflConfig config = SmallConfig(RoundEngineMode::kSerial, "kill @2");
+  BcflConfig config = SmallConfig("kill @2");
   PersistenceOptions persist;
   persist.state_dir = StateDir("fingerprint");
   {
@@ -194,7 +193,7 @@ TEST_F(ResumeTest, ResumeRefusesDifferentConfig) {
 }
 
 TEST_F(ResumeTest, StateDirOfAnOlderFormatFailsClosed) {
-  BcflConfig config = SmallConfig(RoundEngineMode::kSerial, "kill @2");
+  BcflConfig config = SmallConfig("kill @2");
   PersistenceOptions persist;
   persist.state_dir = StateDir("v1");
   {
@@ -225,7 +224,7 @@ TEST_F(ResumeTest, StateDirOfAnOlderFormatFailsClosed) {
 }
 
 TEST_F(ResumeTest, ResumeOnEmptyStateDirIsNotFound) {
-  BcflConfig config = SmallConfig(RoundEngineMode::kSerial, "");
+  BcflConfig config = SmallConfig("");
   PersistenceOptions persist;
   persist.state_dir = StateDir("empty");
   persist.resume = true;

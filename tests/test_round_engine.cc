@@ -1,12 +1,11 @@
-// The parallel round engine's contract: bit-identical chain content,
-// SV values and ledger counters for any pool size, a working serial
-// escape hatch, and a scratch arena that really is reusable.
+// The round engine's contract: bit-identical chain content, SV values and
+// ledger counters for any pool size, equal to the frozen vectors, and a
+// scratch arena that really is reusable.
 
 #include "core/round_engine.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -14,6 +13,8 @@
 #include <vector>
 
 #include "core/coordinator.h"
+#include "core/session_summary.h"
+#include "frozen_sessions.h"
 #include "obs/json_reader.h"
 #include "obs/round_ledger.h"
 
@@ -35,48 +36,15 @@ BcflConfig EngineConfig() {
   return config;
 }
 
-Result<BcflRunResult> RunWith(BcflConfig config, crypto::Digest* tip_hash) {
+Result<BcflRunResult> RunWith(BcflConfig config, SessionSummary* summary) {
   auto coordinator = BcflCoordinator::Create(config);
   if (!coordinator.ok()) return coordinator.status();
   auto result = (*coordinator)->Run();
-  if (result.ok() && tip_hash != nullptr) {
-    *tip_hash = (*coordinator)->engine().CanonicalChain().Tip().header.Hash();
+  if (result.ok()) {
+    *summary = SummarizeSession((*coordinator)->engine().CanonicalChain(),
+                                *result);
   }
   return result;
-}
-
-TEST(RoundEngineTest, ModeNames) {
-  EXPECT_STREQ(RoundEngineModeName(RoundEngineMode::kSerial), "serial");
-  EXPECT_STREQ(RoundEngineModeName(RoundEngineMode::kParallel), "parallel");
-}
-
-TEST(RoundEngineTest, ReferenceEnvForcesSerial) {
-  unsetenv("BCFL_ROUND_REFERENCE");
-  EXPECT_EQ(ResolveRoundEngineMode(RoundEngineMode::kParallel),
-            RoundEngineMode::kParallel);
-  setenv("BCFL_ROUND_REFERENCE", "0", 1);
-  EXPECT_EQ(ResolveRoundEngineMode(RoundEngineMode::kParallel),
-            RoundEngineMode::kParallel);
-  setenv("BCFL_ROUND_REFERENCE", "", 1);
-  EXPECT_EQ(ResolveRoundEngineMode(RoundEngineMode::kParallel),
-            RoundEngineMode::kParallel);
-  setenv("BCFL_ROUND_REFERENCE", "1", 1);
-  EXPECT_EQ(ResolveRoundEngineMode(RoundEngineMode::kParallel),
-            RoundEngineMode::kSerial);
-  EXPECT_EQ(ResolveRoundEngineMode(RoundEngineMode::kSerial),
-            RoundEngineMode::kSerial);
-  unsetenv("BCFL_ROUND_REFERENCE");
-}
-
-TEST(RoundEngineTest, ReferenceEnvAppliesAtCreate) {
-  setenv("BCFL_ROUND_REFERENCE", "1", 1);
-  auto coordinator = BcflCoordinator::Create(EngineConfig());
-  unsetenv("BCFL_ROUND_REFERENCE");
-  ASSERT_TRUE(coordinator.ok());
-  EXPECT_EQ((*coordinator)->round_engine_mode(), RoundEngineMode::kSerial);
-  EXPECT_EQ((*coordinator)->pool_threads_in_use(), 1u);
-  // And the overridden run still works end to end.
-  EXPECT_TRUE((*coordinator)->Run().ok());
 }
 
 TEST(RoundEngineTest, ScratchResetKeepsBufferStorage) {
@@ -107,35 +75,35 @@ TEST(RoundEngineTest, ScratchResetKeepsBufferStorage) {
 }
 
 TEST(RoundEngineTest, ChainContentIsPoolSizeInvariant) {
-  // The tentpole guarantee: serial and parallel-at-any-pool-size runs
-  // produce the same SV values, the same global model and the same
-  // canonical chain, block for block.
+  // The tentpole guarantee: runs at any pool size produce the same SV
+  // values, the same global model and the same canonical chain, block for
+  // block — and that chain is the one the serial round loop committed.
   BcflConfig config = EngineConfig();
-  config.round_engine = RoundEngineMode::kSerial;
-  crypto::Digest serial_tip;
-  auto serial = RunWith(config, &serial_tip);
-  ASSERT_TRUE(serial.ok());
+  config.pool_threads = 1;
+  SessionSummary single_summary;
+  auto single = RunWith(config, &single_summary);
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(single_summary.ToJson(), frozen::kCleanSession);
 
-  for (size_t threads : {1u, 2u, 8u}) {
-    BcflConfig parallel_config = EngineConfig();
-    parallel_config.round_engine = RoundEngineMode::kParallel;
-    parallel_config.pool_threads = threads;
-    crypto::Digest parallel_tip;
-    auto parallel = RunWith(parallel_config, &parallel_tip);
-    ASSERT_TRUE(parallel.ok()) << "pool_threads=" << threads;
-    EXPECT_EQ(serial->total_sv, parallel->total_sv)
+  for (size_t threads : {2u, 8u}) {
+    config.pool_threads = threads;
+    SessionSummary pooled_summary;
+    auto pooled = RunWith(config, &pooled_summary);
+    ASSERT_TRUE(pooled.ok()) << "pool_threads=" << threads;
+    EXPECT_EQ(single->total_sv, pooled->total_sv)
         << "pool_threads=" << threads;
-    EXPECT_EQ(serial->per_round_sv, parallel->per_round_sv)
+    EXPECT_EQ(single->per_round_sv, pooled->per_round_sv)
         << "pool_threads=" << threads;
-    EXPECT_EQ(serial->global_weights, parallel->global_weights)
+    EXPECT_EQ(single->global_weights, pooled->global_weights)
         << "pool_threads=" << threads;
-    EXPECT_EQ(serial->round_accuracies, parallel->round_accuracies)
+    EXPECT_EQ(single->round_accuracies, pooled->round_accuracies)
         << "pool_threads=" << threads;
-    EXPECT_EQ(serial->blocks_committed, parallel->blocks_committed)
+    EXPECT_EQ(single->blocks_committed, pooled->blocks_committed)
         << "pool_threads=" << threads;
-    EXPECT_EQ(serial->total_transactions, parallel->total_transactions)
+    EXPECT_EQ(single->total_transactions, pooled->total_transactions)
         << "pool_threads=" << threads;
-    EXPECT_EQ(serial_tip, parallel_tip) << "pool_threads=" << threads;
+    EXPECT_EQ(single_summary.ToJson(), pooled_summary.ToJson())
+        << "pool_threads=" << threads;
   }
 }
 
@@ -163,30 +131,27 @@ Result<BcflRunResult> RunWithLedger(BcflConfig config,
 }
 
 TEST(RoundEngineTest, LedgerCountersArePoolSizeInvariant) {
-  // Phase *timings* differ by construction (the parallel ledger carries
-  // the extra owner_fanout wall); every protocol-visible counter — the
-  // SV vector, dropouts, recoveries, fault events, sig-cache lookups,
-  // blocks, transactions — must not.
+  // Phase *timings* differ by construction; every protocol-visible
+  // counter — the SV vector, dropouts, recoveries, fault events,
+  // sig-cache lookups, blocks, transactions — must not.
   const auto dir = std::filesystem::temp_directory_path();
-  const std::string serial_path = (dir / "bcfl_re_ledger_serial.jsonl").string();
-  const std::string parallel_path =
-      (dir / "bcfl_re_ledger_parallel.jsonl").string();
+  const std::string single_path = (dir / "bcfl_re_ledger_pool1.jsonl").string();
+  const std::string pooled_path = (dir / "bcfl_re_ledger_pool4.jsonl").string();
 
   BcflConfig config = EngineConfig();
   config.rounds = 3;
   config.fault_plan = *fault::FaultPlan::Parse("crash owner 2 @1");
-  config.round_engine = RoundEngineMode::kSerial;
-  ASSERT_TRUE(RunWithLedger(config, serial_path).ok());
-  config.round_engine = RoundEngineMode::kParallel;
+  config.pool_threads = 1;
+  ASSERT_TRUE(RunWithLedger(config, single_path).ok());
   config.pool_threads = 4;
-  ASSERT_TRUE(RunWithLedger(config, parallel_path).ok());
+  ASSERT_TRUE(RunWithLedger(config, pooled_path).ok());
 
-  auto serial = ReadLedger(serial_path);
-  auto parallel = ReadLedger(parallel_path);
-  std::filesystem::remove(serial_path);
-  std::filesystem::remove(parallel_path);
-  ASSERT_EQ(serial.size(), 3u);
-  ASSERT_EQ(parallel.size(), 3u);
+  auto single = ReadLedger(single_path);
+  auto pooled = ReadLedger(pooled_path);
+  std::filesystem::remove(single_path);
+  std::filesystem::remove(pooled_path);
+  ASSERT_EQ(single.size(), 3u);
+  ASSERT_EQ(pooled.size(), 3u);
 
   auto render = [](const obs::JsonValue& v) {
     std::ostringstream out;
@@ -206,36 +171,31 @@ TEST(RoundEngineTest, LedgerCountersArePoolSizeInvariant) {
     for (const char* key : {"round", "sv", "dropouts", "recovered",
                             "fault_events", "sig_cache_lookups", "accuracy",
                             "blocks_committed", "transactions"}) {
-      const auto* lhs = serial[r].Find(key);
-      const auto* rhs = parallel[r].Find(key);
+      const auto* lhs = single[r].Find(key);
+      const auto* rhs = pooled[r].Find(key);
       ASSERT_NE(lhs, nullptr) << key;
       ASSERT_NE(rhs, nullptr) << key;
       EXPECT_EQ(render(*lhs), render(*rhs)) << "round " << r << " " << key;
     }
-    // Both modes report the aggregate train wall under the same key; the
-    // fan-out wall is a parallel-only addition.
-    const auto* serial_phases = serial[r].Find("phase_us");
-    const auto* parallel_phases = parallel[r].Find("phase_us");
-    ASSERT_NE(serial_phases, nullptr);
-    ASSERT_NE(parallel_phases, nullptr);
-    EXPECT_NE(serial_phases->Find("train"), nullptr);
-    EXPECT_NE(parallel_phases->Find("train"), nullptr);
-    EXPECT_EQ(serial_phases->Find("owner_fanout"), nullptr);
-    EXPECT_NE(parallel_phases->Find("owner_fanout"), nullptr);
+    // Both report the aggregate train wall and the fan-out wall.
+    for (const auto& record : {single[r], pooled[r]}) {
+      const auto* phases = record.Find("phase_us");
+      ASSERT_NE(phases, nullptr);
+      EXPECT_NE(phases->Find("train"), nullptr);
+      EXPECT_NE(phases->Find("owner_fanout"), nullptr);
+    }
   }
 }
 
 TEST(RoundEngineTest, DefaultConfigUsesParallelEngine) {
-  unsetenv("BCFL_ROUND_REFERENCE");
   BcflConfig config = EngineConfig();
   config.pool_threads = 2;
   auto coordinator = BcflCoordinator::Create(config);
   ASSERT_TRUE(coordinator.ok());
-  EXPECT_EQ((*coordinator)->round_engine_mode(), RoundEngineMode::kParallel);
   EXPECT_EQ((*coordinator)->pool_threads_in_use(), 2u);
   auto result = (*coordinator)->Run();
   ASSERT_TRUE(result.ok());
-  // Local-model retention stays opt-in on the parallel path too.
+  // Local-model retention stays opt-in.
   EXPECT_TRUE(result->per_round_locals.empty());
 }
 

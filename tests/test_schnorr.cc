@@ -116,11 +116,6 @@ TEST_F(SchnorrTest, ReferenceVerifyAgreesWithOptimizedPath) {
   }
 }
 
-TEST_F(SchnorrTest, ActivePathIsNamed) {
-  std::string_view path = CryptoActivePath();
-  EXPECT_TRUE(path == "montgomery" || path == "reference") << path;
-}
-
 class SchnorrManyKeysTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SchnorrManyKeysTest, CrossVerificationMatrix) {

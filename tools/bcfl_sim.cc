@@ -15,16 +15,18 @@
 // fault-seed .. fault-seed+N-1), exiting non-zero if any fails to
 // converge. The executed fault schedule is exported into metrics.json.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
-#include "common/bytes.h"
 #include "core/adversary.h"
 #include "common/logging.h"
 #include "core/coordinator.h"
-#include "crypto/sha256.h"
+#include "core/session_summary.h"
 #include "fault/fault_plan.h"
 #include "obs/exporter.h"
 #include "obs/http_exporter.h"
@@ -72,10 +74,8 @@ void PrintUsage(const char* argv0) {
       "  --seed N        master seed (default 42)\n"
       "  --reward N      reward pool to distribute on chain (default 0)\n"
       "  --byzantine K   make the first K miners fraudulent leaders\n"
-      "  --round-engine M serial|parallel round execution (default parallel;\n"
-      "                  bit-identical results either way, see DESIGN.md §13;\n"
-      "                  BCFL_ROUND_REFERENCE=1 also forces serial)\n"
-      "  --pool-threads N round-engine worker threads (default: hardware)\n"
+      "  --pool-threads N round engine worker threads (default: hardware;\n"
+      "                  bit-identical results for any N, see DESIGN.md §13)\n"
       "  --fault-plan S  chaos DSL document (e.g. 'crash owner 2 @1')\n"
       "  --fault-seed N  random fault plan within the safety envelope\n"
       "  --chaos-sweep N run N random-plan sessions; non-zero exit on any\n"
@@ -105,6 +105,41 @@ void PrintUsage(const char* argv0) {
       argv0);
 }
 
+/// Parses `text` as a whole-string, non-negative integer no larger than
+/// `max` (sign, spaces and trailing characters all refused). Prints why
+/// and returns false otherwise.
+template <typename T>
+bool ParseCount(const char* flag, const char* text, T* out,
+                T max = std::numeric_limits<T>::max()) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value > max) {
+    std::fprintf(stderr, "%s takes an integer in [0, %llu], got '%s'\n", flag,
+                 static_cast<unsigned long long>(max), text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// ParseCount for real-valued flags: a whole-string finite number in
+/// [0, max].
+bool ParseReal(const char* flag, const char* text, double* out,
+               double max = std::numeric_limits<double>::infinity()) {
+  const char* end = text + std::strlen(text);
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0.0 || value > max) {
+    std::fprintf(stderr, "%s takes a finite number in [0, %g], got '%s'\n",
+                 flag, max, text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -115,97 +150,67 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       }
       return argv[++i];
     };
+    auto count = [&](const char* flag, auto* out) {
+      const char* v = next_value(flag);
+      return v != nullptr && ParseCount(flag, v, out);
+    };
+    auto real = [&](const char* flag, double* out) {
+      const char* v = next_value(flag);
+      return v != nullptr && ParseReal(flag, v, out);
+    };
     if (arg == "--help") {
       PrintUsage(argv[0]);
       std::exit(0);
     } else if (arg == "--verbose") {
       options->verbose = true;
     } else if (arg == "--owners") {
-      const char* v = next_value("--owners");
-      if (v == nullptr) return false;
-      options->config.num_owners = static_cast<uint32_t>(std::atoi(v));
+      if (!count("--owners", &options->config.num_owners)) return false;
     } else if (arg == "--miners") {
-      const char* v = next_value("--miners");
-      if (v == nullptr) return false;
-      options->config.num_miners = static_cast<size_t>(std::atoi(v));
+      if (!count("--miners", &options->config.num_miners)) return false;
     } else if (arg == "--rounds") {
-      const char* v = next_value("--rounds");
-      if (v == nullptr) return false;
-      options->config.rounds = static_cast<uint32_t>(std::atoi(v));
+      if (!count("--rounds", &options->config.rounds)) return false;
     } else if (arg == "--groups") {
-      const char* v = next_value("--groups");
-      if (v == nullptr) return false;
-      options->config.num_groups = static_cast<uint32_t>(std::atoi(v));
+      if (!count("--groups", &options->config.num_groups)) return false;
     } else if (arg == "--sigma") {
-      const char* v = next_value("--sigma");
-      if (v == nullptr) return false;
-      options->config.sigma = std::atof(v);
+      if (!real("--sigma", &options->config.sigma)) return false;
     } else if (arg == "--instances") {
-      const char* v = next_value("--instances");
-      if (v == nullptr) return false;
-      options->config.digits.num_instances =
-          static_cast<size_t>(std::atol(v));
-    } else if (arg == "--seed") {
-      const char* v = next_value("--seed");
-      if (v == nullptr) return false;
-      options->config.seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (arg == "--reward") {
-      const char* v = next_value("--reward");
-      if (v == nullptr) return false;
-      options->config.reward_pool = static_cast<uint64_t>(std::atoll(v));
-    } else if (arg == "--byzantine") {
-      const char* v = next_value("--byzantine");
-      if (v == nullptr) return false;
-      options->byzantine = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--round-engine") {
-      const char* v = next_value("--round-engine");
-      if (v == nullptr) return false;
-      std::string mode = v;
-      if (mode == "serial") {
-        options->config.round_engine = bcfl::core::RoundEngineMode::kSerial;
-      } else if (mode == "parallel") {
-        options->config.round_engine = bcfl::core::RoundEngineMode::kParallel;
-      } else {
-        std::fprintf(stderr, "--round-engine takes serial|parallel, got '%s'\n",
-                     mode.c_str());
+      if (!count("--instances", &options->config.digits.num_instances)) {
         return false;
       }
+    } else if (arg == "--seed") {
+      if (!count("--seed", &options->config.seed)) return false;
+    } else if (arg == "--reward") {
+      if (!count("--reward", &options->config.reward_pool)) return false;
+    } else if (arg == "--byzantine") {
+      if (!count("--byzantine", &options->byzantine)) return false;
     } else if (arg == "--pool-threads") {
-      const char* v = next_value("--pool-threads");
-      if (v == nullptr) return false;
-      options->config.pool_threads = static_cast<size_t>(std::atol(v));
+      if (!count("--pool-threads", &options->config.pool_threads)) {
+        return false;
+      }
     } else if (arg == "--fault-plan") {
       const char* v = next_value("--fault-plan");
       if (v == nullptr) return false;
       options->fault_plan_spec = v;
     } else if (arg == "--fault-seed") {
-      const char* v = next_value("--fault-seed");
-      if (v == nullptr) return false;
-      options->fault_seed = static_cast<uint64_t>(std::atoll(v));
+      if (!count("--fault-seed", &options->fault_seed)) return false;
       options->have_fault_seed = true;
     } else if (arg == "--chaos-sweep") {
-      const char* v = next_value("--chaos-sweep");
-      if (v == nullptr) return false;
-      options->chaos_sweep = static_cast<size_t>(std::atol(v));
+      if (!count("--chaos-sweep", &options->chaos_sweep)) return false;
     } else if (arg == "--chaos-byzantine") {
       const char* v = next_value("--chaos-byzantine");
-      if (v == nullptr) return false;
-      options->chaos_byzantine_rate = std::atof(v);
-      if (options->chaos_byzantine_rate < 0.0 ||
-          options->chaos_byzantine_rate > 1.0) {
-        std::fprintf(stderr, "--chaos-byzantine must be in [0, 1]\n");
+      if (v == nullptr ||
+          !ParseReal("--chaos-byzantine", v, &options->chaos_byzantine_rate,
+                     1.0)) {
         return false;
       }
     } else if (arg == "--norm-bound") {
-      const char* v = next_value("--norm-bound");
-      if (v == nullptr) return false;
-      options->config.update_norm_bound = std::atof(v);
+      if (!real("--norm-bound", &options->config.update_norm_bound)) {
+        return false;
+      }
     } else if (arg == "--metrics-port") {
       const char* v = next_value("--metrics-port");
-      if (v == nullptr) return false;
-      int port = std::atoi(v);
-      if (port < 0 || port > 65535) {
-        std::fprintf(stderr, "--metrics-port must be in [0, 65535]\n");
+      uint16_t port = 0;
+      if (v == nullptr || !ParseCount("--metrics-port", v, &port)) {
         return false;
       }
       options->metrics_port = port;
@@ -218,9 +223,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       if (v == nullptr) return false;
       options->state_dir = v;
     } else if (arg == "--checkpoint-every") {
-      const char* v = next_value("--checkpoint-every");
-      if (v == nullptr) return false;
-      options->checkpoint_every = static_cast<uint64_t>(std::atoll(v));
+      if (!count("--checkpoint-every", &options->checkpoint_every)) {
+        return false;
+      }
     } else if (arg == "--resume") {
       options->resume = true;
     } else if (arg == "--ignore-kill-faults") {
@@ -416,9 +421,7 @@ int main(int argc, char** argv) {
                  coordinator.status().ToString().c_str());
     return 1;
   }
-  std::printf("round engine: %s (%zu pool threads)\n",
-              bcfl::core::RoundEngineModeName(
-                  (*coordinator)->round_engine_mode()),
+  std::printf("round engine: %zu pool threads\n",
               (*coordinator)->pool_threads_in_use());
   // Spans recorded from here on also carry simulated network time.
   bcfl::obs::Tracer::Global().AttachSimClock(
@@ -541,13 +544,7 @@ int main(int argc, char** argv) {
   bcfl::obs::ExportPaths paths;
   paths.metrics_json = options.metrics_out == "-" ? "" : options.metrics_out;
   paths.trace_json = options.trace_out == "-" ? "" : options.trace_out;
-  // The active round-execution path, next to CryptoActivePath()-style
-  // reporting: which engine actually ran (config + BCFL_ROUND_REFERENCE)
-  // and how wide its pool was.
-  paths.metrics_extra["round_engine"] =
-      std::string("\"") +
-      bcfl::core::RoundEngineModeName((*coordinator)->round_engine_mode()) +
-      "\"";
+  // How wide the round engine's pool was.
   paths.metrics_extra["round_engine_pool_threads"] =
       std::to_string((*coordinator)->pool_threads_in_use());
   if (auto* injector = (*coordinator)->fault_injector(); injector != nullptr) {
@@ -578,46 +575,13 @@ int main(int argc, char** argv) {
     slashed_json.EndObject();
     paths.metrics_extra["slashed_at"] = slashed_json.str();
   }
-  // Deterministic end-of-session fingerprint: everything here is a pure
-  // function of the protocol run (no wall clock, no process-local counter
-  // baselines), so the crash-restart CI stage diffs this object between a
-  // killed+resumed session and the uninterrupted baseline byte for byte.
-  {
-    const bcfl::chain::Blockchain& chain =
-        (*coordinator)->engine().CanonicalChain();
-    bcfl::ByteWriter sv_bits;
-    for (double v : result->total_sv) sv_bits.WriteDouble(v);
-    for (const auto& round_sv : result->per_round_sv) {
-      for (double v : round_sv) sv_bits.WriteDouble(v);
-    }
-    bcfl::ByteWriter weight_bits;
-    result->global_weights.Serialize(&weight_bits);
-    bcfl::ByteWriter accuracy_bits;
-    for (double acc : result->round_accuracies) {
-      accuracy_bits.WriteDouble(acc);
-    }
-    bcfl::obs::JsonWriter summary;
-    summary.BeginObject();
-    summary.Field("chain_tip_height", static_cast<size_t>(chain.Height()));
-    summary.Field("chain_tip_hash",
-                  bcfl::crypto::DigestToHex(chain.Tip().header.Hash()));
-    summary.Field("blocks_committed", result->blocks_committed);
-    summary.Field("transactions", result->total_transactions);
-    summary.Field("recover_transactions", result->recover_transactions);
-    summary.Field("submission_retries", result->submission_retries);
-    summary.Field("slash_transactions", result->slash_transactions);
-    summary.Field("sv_digest", bcfl::crypto::DigestToHex(
-                                   bcfl::crypto::Sha256::Hash(
-                                       sv_bits.buffer())));
-    summary.Field("weights_digest", bcfl::crypto::DigestToHex(
-                                        bcfl::crypto::Sha256::Hash(
-                                            weight_bits.buffer())));
-    summary.Field("accuracy_digest", bcfl::crypto::DigestToHex(
-                                         bcfl::crypto::Sha256::Hash(
-                                             accuracy_bits.buffer())));
-    summary.EndObject();
-    paths.metrics_extra["session_summary"] = summary.str();
-  }
+  // Deterministic end-of-session fingerprint; the crash-restart CI stage
+  // diffs it between a killed+resumed session and the uninterrupted
+  // baseline byte for byte.
+  paths.metrics_extra["session_summary"] =
+      bcfl::core::SummarizeSession((*coordinator)->engine().CanonicalChain(),
+                                   *result)
+          .ToJson();
   bcfl::Status exported = bcfl::obs::ExportGlobal(paths);
   if (!exported.ok()) {
     std::fprintf(stderr, "export failed: %s\n",
