@@ -2,7 +2,9 @@
 # One-shot CI gate: configure, build, run the full ctest suite, then run
 # a small end-to-end bcfl_sim session and assert the observability
 # artifacts it emits are valid — metrics.json parses and carries the
-# expected per-round counters, trace.json parses as Chrome trace_event.
+# expected per-round counters, trace.json parses as Chrome trace_event,
+# and every phase key of the round ledger is a metrics.json histogram
+# whose sum covers the ledgered time.
 # A telemetry stage gates the fresh quick chain bench against the
 # committed BENCH_chain.json baseline with tools/bench_diff (and proves
 # the gate bites on an injected 2x regression), then runs the
@@ -113,20 +115,37 @@ assert counters["contract.round_evals"] > 0, counters
 assert counters["chain.block.committed"] > 0, counters
 assert counters["shapley.coalitions_scored"] > 0, counters
 assert "fl.round_accuracy" in metrics["gauges"], metrics["gauges"]
-assert metrics["histograms"]["chain.consensus.round_us"]["count"] > 0
+histograms = metrics["histograms"]
+assert histograms["span.chain.block_commit_us"]["count"] > 0
 
 ledger = [json.loads(line)
           for line in open(f"{artifact_dir}/ledger.jsonl") if line.strip()]
 assert len(ledger) == rounds, f"{len(ledger)} ledger records, want {rounds}"
 for record in ledger:
-    for phase in ("train", "tx_admission", "secureagg_mask", "consensus",
-                  "sv_eval", "owner_fanout"):
-        # owner_fanout: bcfl_sim defaults to the parallel round engine.
-        assert record["phase_us"][phase] >= 0, record["phase_us"]
+    for phase in ("span.fl.train_us", "span.fl.owner_fanout_us",
+                  "span.fl.tx_admission_us", "span.fl.local_update_us",
+                  "span.fl.eval_us", "secureagg.mask_us",
+                  "span.chain.block_commit_us",
+                  "span.contract.round_eval_us"):
+        assert record["phase_us"][phase] > 0, record["phase_us"]
     assert len(record["sv"]) == 6, record["sv"]
     assert len(record["sv_volatility"]) == 6, record["sv_volatility"]
     assert 0.0 <= record["sig_cache_hit_rate"] <= 1.0, record
 assert ledger[-1]["round"] == rounds - 1, ledger[-1]
+
+# The ledger and /metrics agree: each phase key is a histogram and each
+# record holds that histogram's growth during its round, so the records
+# together hold at most the histogram's sum (setup-time spans and the
+# time after a record is written fall outside every record). Values are
+# printed with %.6f, hence the rounding allowance.
+ledgered = {}
+for record in ledger:
+    for phase, us in record["phase_us"].items():
+        ledgered[phase] = ledgered.get(phase, 0.0) + us
+for phase, total in ledgered.items():
+    assert phase in histograms, f"ledger phase {phase} is not a histogram"
+    assert total <= histograms[phase]["sum"] + 1e-6 * len(ledger), \
+        (phase, total, histograms[phase]["sum"])
 
 trace = json.load(open(f"{artifact_dir}/trace.json"))
 categories = {event["cat"] for event in trace["traceEvents"]}
@@ -168,7 +187,7 @@ assert metrics["round_engine_pool_threads"] >= 1, metrics
 
 print(f"artifacts OK: {len(counters)} counters, "
       f"{len(trace['traceEvents'])} spans, categories {sorted(categories)}, "
-      f"{len(ledger)} ledger records, "
+      f"{len(ledger)} ledger records over {len(ledgered)} histograms, "
       f"kernel path {kernels['kernel_path']}, "
       f"{speedup:.0f}x schnorr verify, "
       f"{e2e_speedup:.2f}x training-heavy fan-out")
@@ -294,7 +313,7 @@ records = [json.loads(line)
 assert len(records) == 3 * seeds, \
     f"{len(records)} chaos ledger records, want {3 * seeds}"
 for record in records:
-    assert record["phase_us"]["consensus"] >= 0, record
+    assert record["phase_us"]["span.chain.block_commit_us"] > 0, record
     assert len(record["sv"]) == 6, record
 faulted = sum(1 for r in records if r["fault_events"])
 dropped = sum(len(r["dropouts"]) for r in records)

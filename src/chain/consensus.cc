@@ -302,10 +302,7 @@ Result<CommitResult> ConsensusEngine::RunRound() {
       obs::MetricsRegistry::Global().GetCounter("chain.consensus.rounds");
   static auto& retries_total =
       obs::MetricsRegistry::Global().GetCounter("chain.consensus.retries");
-  static auto& round_us = obs::MetricsRegistry::Global().GetHistogram(
-      "chain.consensus.round_us");
   obs::ScopedSpan span(obs::Tracer::Global(), "block_commit", "chain");
-  obs::ScopedLatency latency(round_us);
   rounds.Add();
   CatchUpLaggards();
   uint64_t height = CanonicalChain().Height() + 1;

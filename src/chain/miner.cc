@@ -28,10 +28,7 @@ Miner::Miner(uint32_t id, std::shared_ptr<const ContractHost> host)
 Result<Block> Miner::ProposeBlock(uint64_t timestamp_us, size_t max_txs) {
   static auto& proposed =
       obs::MetricsRegistry::Global().GetCounter("chain.block.proposed");
-  static auto& propose_us =
-      obs::MetricsRegistry::Global().GetHistogram("chain.propose_us");
   obs::ScopedSpan span(obs::Tracer::Global(), "block_build", "chain");
-  obs::ScopedLatency latency(propose_us);
   proposed.Add();
   Block block;
   block.txs = mempool_.Peek(max_txs);
@@ -61,10 +58,7 @@ Result<bool> Miner::ValidateProposal(const Block& block) {
       obs::MetricsRegistry::Global().GetCounter("chain.proposal.accepted");
   static auto& rejected =
       obs::MetricsRegistry::Global().GetCounter("chain.proposal.rejected");
-  static auto& validate_us =
-      obs::MetricsRegistry::Global().GetHistogram("chain.validate_us");
   obs::ScopedSpan span(obs::Tracer::Global(), "proposal_reexec", "chain");
-  obs::ScopedLatency latency(validate_us);
   if (behavior_.always_reject) {
     rejected.Add();
     return false;

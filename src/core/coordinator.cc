@@ -1,6 +1,5 @@
 #include "core/coordinator.h"
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 
@@ -45,21 +44,6 @@ uint64_t SlashNonce(uint64_t round, uint32_t offender, uint64_t num_owners) {
   return (round + 1) * RoundNonceStride(num_owners) + 2 * num_owners +
          offender;
 }
-
-/// Wall-clock stopwatch for the ledger's phase attribution (the
-/// simulated clock tracks protocol time; operators watch wall time).
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  double ElapsedUs() const {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace
 
@@ -723,8 +707,6 @@ Status BcflCoordinator::AuditFlaggedGroups(uint64_t round,
 Result<BcflRunResult> BcflCoordinator::Run() {
   static auto& rounds_counter =
       obs::MetricsRegistry::Global().GetCounter("fl.rounds");
-  static auto& round_us =
-      obs::MetricsRegistry::Global().GetHistogram("fl.round_us");
   static auto& accuracy_gauge =
       obs::MetricsRegistry::Global().GetGauge("fl.round_accuracy");
   // A resumed session starts from the checkpointed accumulators and
@@ -737,23 +719,20 @@ Result<BcflRunResult> BcflCoordinator::Run() {
                           ? std::move(seeded_global_)
                           : ml::Matrix(params_.weight_rows, params_.weight_cols);
 
-  // Ledger probes: the phase latencies a round ledgers are per-round
-  // deltas of the same live instruments the exposition endpoint serves,
-  // so a ledger line and a concurrent /metrics scrape tell one story.
+  // Ledger probes: a record's phases are the round's growth of the live
+  // latency histograms the exposition endpoint serves, keyed by their
+  // names, so a ledger line, a /metrics scrape and trace.json tell one
+  // story in one vocabulary.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::Histogram& mask_us_hist = registry.GetHistogram("secureagg.mask_us");
-  obs::Histogram& sv_eval_us_hist =
-      registry.GetHistogram("contract.round_eval_us");
   obs::Counter& sig_hits = registry.GetCounter("chain.sigcache.hits");
   obs::Counter& sig_misses = registry.GetCounter("chain.sigcache.misses");
   // Held back for the final round when a reward phase follows, so the
-  // reward latency lands on that round's (still one-per-round) record.
+  // reward phase lands on that round's (still one-per-round) record.
   obs::RoundRecord pending_final_record;
   bool have_pending_final_record = false;
 
   for (uint64_t round = start_round_; round < config_.rounds; ++round) {
     obs::ScopedSpan round_span(obs::Tracer::Global(), "round", "fl");
-    obs::ScopedLatency round_latency(round_us);
     rounds_counter.Add();
     if (injector_ != nullptr) injector_->BeginRound(round);
     // Process-kill fault (PR 10): fires at the start of its round, after
@@ -772,8 +751,8 @@ Result<BcflRunResult> BcflCoordinator::Run() {
       return Status::FailedPrecondition("killed by fault plan at round " +
                                         std::to_string(round));
     }
-    const double mask_us0 = mask_us_hist.Sum();
-    const double sv_eval_us0 = sv_eval_us_hist.Sum();
+    const obs::MetricsSnapshot phases0 =
+        ledger_ != nullptr ? registry.Snapshot() : obs::MetricsSnapshot{};
     const uint64_t sig_hits0 = sig_hits.Value();
     const uint64_t sig_misses0 = sig_misses.Value();
     const size_t fault_log0 =
@@ -781,10 +760,6 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     const size_t blocks0 = result.blocks_committed;
     const size_t txs0 = result.total_transactions;
     const size_t slash_txs0 = result.slash_transactions;
-    double train_wall_us = 0.0;
-    double submit_wall_us = 0.0;
-    double consensus_wall_us = 0.0;
-    double recover_wall_us = 0.0;
     // Owners derive the round's grouping locally from the agreed seed.
     // Retired owners stay in the grouping (survivors keep masking against
     // them; the contract cancels those masks from the on-chain keys).
@@ -800,7 +775,6 @@ Result<BcflRunResult> BcflCoordinator::Run() {
         engine_->mutable_network().clock().NowMicros() +
         config_.submit_deadline_us;
     std::set<uint32_t> missing;
-    double fanout_wall_us = 0.0;
     {
       // Fan the per-owner work (train, encode, mask, payload) across the
       // pool, then replay submissions in canonical owner order on this
@@ -809,11 +783,10 @@ Result<BcflRunResult> BcflCoordinator::Run() {
       // clock advances, injector drop draws, signing nonces, chain
       // submissions — does not depend on the pool size.
       obs::ScopedSpan span(obs::Tracer::Global(), "train", "fl");
-      RoundEngineStats stats;
-      BCFL_RETURN_IF_ERROR(round_engine_->PrepareOwners(
-          round, global, groups, &round_scratch_, &stats));
-      fanout_wall_us = stats.fanout_wall_us;
-      train_wall_us = stats.train_us_total;
+      BCFL_RETURN_IF_ERROR(round_engine_->PrepareOwners(round, global, groups,
+                                                        &round_scratch_));
+      obs::ScopedSpan admission_span(obs::Tracer::Global(), "tx_admission",
+                                     "fl");
       for (uint32_t i = 0; i < n; ++i) {
         if (retired_.count(i) > 0) continue;
         if (injector_ != nullptr && injector_->OwnerOffline(i)) {
@@ -826,54 +799,44 @@ Result<BcflRunResult> BcflCoordinator::Run() {
         // exactly like a crash, and needs no recovery (the slash reveals
         // its key).
         if (injector_ != nullptr && injector_->OwnerEquivocates(i)) {
-          WallTimer submit_timer;
           BCFL_RETURN_IF_ERROR(SlashEquivocator(
               i, round, round_scratch_.slots[i].payload, &result));
-          submit_wall_us += submit_timer.ElapsedUs();
           continue;
         }
-        WallTimer submit_timer;
         BCFL_ASSIGN_OR_RETURN(
             bool submitted,
             SubmitPreparedWithRetries(i, round,
                                       round_scratch_.slots[i].payload,
                                       deadline_us, &result));
-        submit_wall_us += submit_timer.ElapsedUs();
         if (!submitted) missing.insert(i);
       }
-      if (config_.keep_local_models) {
-        std::vector<ml::Matrix> locals(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          if (round_scratch_.slots[i].active) {
-            locals[i] = std::move(round_scratch_.slots[i].local);
-          }
+    }
+    if (config_.keep_local_models) {
+      std::vector<ml::Matrix> locals(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        if (round_scratch_.slots[i].active) {
+          locals[i] = std::move(round_scratch_.slots[i].local);
         }
-        result.per_round_locals.push_back(std::move(locals));
       }
+      result.per_round_locals.push_back(std::move(locals));
     }
 
     // Consensus drains the submissions; if owners missed the deadline the
     // survivors then drive the on-chain Shamir recovery, which completes
     // the round with the dropped owners scored zero.
-    WallTimer consensus_timer;
     BCFL_ASSIGN_OR_RETURN(auto commits, engine_->RunUntilDrained());
-    consensus_wall_us = consensus_timer.ElapsedUs();
-    WallTimer recover_timer;
     BCFL_RETURN_IF_ERROR(RecoverMissingOwners(round, missing, &result));
     if (!missing.empty()) {
       BCFL_ASSIGN_OR_RETURN(auto recovery_commits, engine_->RunUntilDrained());
       commits.insert(commits.end(), recovery_commits.begin(),
                      recovery_commits.end());
     }
-    recover_wall_us = recover_timer.ElapsedUs();
     // Norm-gate audit (PR 9): a round held open by `flagged/` markers
     // means some group's decoded aggregate broke the agreed bound. The
     // audit convicts the violating submitters; their slashes convert them
     // into this round's dropouts and the re-evaluation completes clean.
-    double audit_wall_us = 0.0;
     if (config_.update_norm_bound > 0 &&
         !engine_->CanonicalState().Has(keys::RoundComplete(round))) {
-      WallTimer audit_timer;
       const size_t slashes_before = result.slash_transactions;
       BCFL_RETURN_IF_ERROR(AuditFlaggedGroups(round, &result));
       if (result.slash_transactions > slashes_before) {
@@ -881,7 +844,6 @@ Result<BcflRunResult> BcflCoordinator::Run() {
         commits.insert(commits.end(), audit_commits.begin(),
                        audit_commits.end());
       }
-      audit_wall_us = audit_timer.ElapsedUs();
     }
     for (const auto& commit : commits) {
       if (!commit.committed) {
@@ -908,32 +870,20 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     }
     result.per_round_sv.push_back(std::move(round_sv));
 
-    obs::ScopedSpan eval_span(obs::Tracer::Global(), "eval", "fl");
-    BCFL_ASSIGN_OR_RETURN(ml::LogisticRegression model,
-                          ml::LogisticRegression::FromWeights(global));
-    BCFL_ASSIGN_OR_RETURN(double acc, model.Accuracy(test_set_));
+    double acc = 0.0;
+    {
+      obs::ScopedSpan eval_span(obs::Tracer::Global(), "eval", "fl");
+      BCFL_ASSIGN_OR_RETURN(ml::LogisticRegression model,
+                            ml::LogisticRegression::FromWeights(global));
+      BCFL_ASSIGN_OR_RETURN(acc, model.Accuracy(test_set_));
+    }
     accuracy_gauge.Set(acc);
     result.round_accuracies.push_back(acc);
 
     if (ledger_ != nullptr) {
       obs::RoundRecord record;
       record.round = round;
-      // Masking and SV evaluation run inside other phases' walls;
-      // attribute them via instrument deltas. Masking happens inside the
-      // fan-out, whose barrier-to-barrier wall — the max-over-workers
-      // critical path — lands on `owner_fanout`, while `train` is the
-      // aggregate per-owner sum.
-      const double mask_us = mask_us_hist.Sum() - mask_us0;
-      const double sv_eval_us = sv_eval_us_hist.Sum() - sv_eval_us0;
-      record.phase_us["train"] = train_wall_us;
-      record.phase_us["tx_admission"] = submit_wall_us;
-      record.phase_us["owner_fanout"] = fanout_wall_us;
-      record.phase_us["secureagg_mask"] = mask_us;
-      record.phase_us["consensus"] = consensus_wall_us;
-      if (!missing.empty()) {
-        record.phase_us["secureagg_recover"] = recover_wall_us;
-      }
-      record.phase_us["sv_eval"] = sv_eval_us;
+      obs::AddPhaseDeltas(phases0, registry.Snapshot(), &record.phase_us);
       const uint64_t hits = sig_hits.Value() - sig_hits0;
       const uint64_t misses = sig_misses.Value() - sig_misses0;
       record.sig_cache_lookups = hits + misses;
@@ -948,9 +898,6 @@ Result<BcflRunResult> BcflCoordinator::Run() {
           record.fault_events.push_back(
               "round " + std::to_string(log[k].round) + ": " + log[k].what);
         }
-      }
-      if (audit_wall_us > 0.0) {
-        record.phase_us["norm_audit"] = audit_wall_us;
       }
       record.dropouts.assign(missing.begin(), missing.end());
       for (const auto& [owner, retired_round] : retired_) {
@@ -998,12 +945,15 @@ Result<BcflRunResult> BcflCoordinator::Run() {
   result.global_weights = std::move(global);
 
   // Optional incentive phase: fund -> distribute -> per-owner claims,
-  // all as on-chain transactions.
+  // all as on-chain transactions. The held-back final record gets it as a
+  // second window, which leaves out the final round span's own close.
+  const obs::MetricsSnapshot reward0 = have_pending_final_record
+                                           ? registry.Snapshot()
+                                           : obs::MetricsSnapshot{};
+  const size_t reward_blocks0 = result.blocks_committed;
+  const size_t reward_txs0 = result.total_transactions;
   if (config_.reward_pool > 0) {
     obs::ScopedSpan reward_span(obs::Tracer::Global(), "reward_phase", "fl");
-    WallTimer reward_timer;
-    const size_t reward_blocks0 = result.blocks_committed;
-    const size_t reward_txs0 = result.total_transactions;
     chain::Transaction fund;
     fund.contract = "reward";
     fund.method = "fund";
@@ -1043,15 +993,14 @@ Result<BcflRunResult> BcflCoordinator::Run() {
       result.rewards[i] = ReadU64OrZero(state, RewardContract::ClaimedKey(i));
     }
     result.reward_burned = ReadU64OrZero(state, RewardContract::BurnedKey());
-    if (have_pending_final_record) {
-      pending_final_record.phase_us["reward"] = reward_timer.ElapsedUs();
-      pending_final_record.blocks_committed +=
-          result.blocks_committed - reward_blocks0;
-      pending_final_record.transactions +=
-          result.total_transactions - reward_txs0;
-    }
   }
   if (have_pending_final_record) {
+    obs::AddPhaseDeltas(reward0, registry.Snapshot(),
+                        &pending_final_record.phase_us);
+    pending_final_record.blocks_committed +=
+        result.blocks_committed - reward_blocks0;
+    pending_final_record.transactions +=
+        result.total_transactions - reward_txs0;
     BCFL_RETURN_IF_ERROR(ledger_->Append(pending_final_record));
   }
   result.retired_at = retired_;

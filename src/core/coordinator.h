@@ -159,10 +159,13 @@ class BcflCoordinator {
   size_t pool_threads_in_use() const { return pool_->num_threads(); }
 
   /// Attaches an opened protocol ledger: Run() then appends one
-  /// structured record per FL round (phase latencies, sig-cache hit
-  /// rate, fault events, dropouts/recoveries, the round's SV vector with
-  /// rolling volatility). Non-owning; the ledger must outlive Run().
-  /// nullptr (the default) disables ledger emission.
+  /// structured record per FL round (what every latency histogram gained
+  /// during the round, keyed by histogram name; sig-cache hit rate, fault
+  /// events, dropouts/recoveries, the round's SV vector with rolling
+  /// volatility). The phases are deltas of the global registry, so they
+  /// hold only while one ledgered coordinator runs at a time in the
+  /// process. Non-owning; the ledger must outlive Run(). nullptr (the
+  /// default) disables ledger emission.
   void set_round_ledger(obs::RoundLedger* ledger) { ledger_ = ledger; }
 
   // --- Durability & restart (PR 10). -----------------------------------

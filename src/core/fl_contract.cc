@@ -267,10 +267,7 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
                                  chain::ContractState* state) {
   static auto& round_evals =
       obs::MetricsRegistry::Global().GetCounter("contract.round_evals");
-  static auto& eval_us = obs::MetricsRegistry::Global().GetHistogram(
-      "contract.round_eval_us");
   obs::ScopedSpan span(obs::Tracer::Global(), "round_eval", "contract");
-  obs::ScopedLatency latency(eval_us);
   round_evals.Add();
   const size_t n = params.num_owners;
   const size_t rows = params.weight_rows;

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "common/sim_clock.h"
 #include "core/fl_contract.h"
+#include "obs/trace.h"
 #include "secureagg/fixed_point.h"
 
 namespace bcfl::core {
@@ -32,8 +32,6 @@ void RoundScratch::Reset(size_t num_owners) {
     slot.active = false;
     slot.group_members.clear();
     slot.status = Status::OK();
-    slot.train_us = 0.0;
-    slot.prepare_us = 0.0;
     // local/encoded/masked/payload/mask_scratch keep their storage; every
     // active phase overwrites them before they are read again.
   }
@@ -41,11 +39,9 @@ void RoundScratch::Reset(size_t num_owners) {
 
 Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
                                   const std::vector<std::vector<size_t>>& groups,
-                                  RoundScratch* scratch,
-                                  RoundEngineStats* stats) {
+                                  RoundScratch* scratch) {
   const size_t n = deps_.clients->size();
   scratch->Reset(n);
-  *stats = RoundEngineStats{};
 
   // Participation and grouping are decided here on the coordinator
   // thread: the injector's per-round sets were computed by
@@ -74,7 +70,6 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
   }
 
   const secureagg::FixedPointCodec codec(deps_.fixed_point_bits);
-  Stopwatch fanout_timer;
   // One owner per task (grain 1): training dominates and owner costs are
   // uneven (different partition sizes, different group fan-ins), so fine
   // chunks load-balance. Worker k writes only slot active[k] — disjoint
@@ -82,15 +77,15 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
   auto prepare_one = [&](size_t k) {
     const uint32_t i = active[k];
     OwnerRoundSlot& slot = scratch->slots[i];
-    Stopwatch train_timer;
-    auto local = (*deps_.clients)[i].LocalUpdate(global);
+    auto local = [&] {
+      obs::ScopedSpan span(obs::Tracer::Global(), "local_update", "fl");
+      return (*deps_.clients)[i].LocalUpdate(global);
+    }();
     if (!local.ok()) {
       slot.status = local.status();
       return;
     }
     slot.local = std::move(local).value();
-    slot.train_us = train_timer.ElapsedSeconds() * 1e6;
-    Stopwatch prepare_timer;
     // Byzantine perturbations (PR 9): a poisoning owner encodes scaled
     // weights (slot.local stays the honest model that per_round_locals
     // records); an inconsistent-mask
@@ -116,24 +111,21 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
       byzantine::CorruptMaskedUpdate(round, i, &slot.masked);
     }
     slot.payload = FlContract::EncodeSubmitUpdate(round, i, slot.masked);
-    slot.prepare_us = prepare_timer.ElapsedSeconds() * 1e6;
   };
-  if (active.size() > 1) {
-    pool_->ParallelFor(active.size(), prepare_one, /*grain=*/1);
-  } else {
-    for (size_t k = 0; k < active.size(); ++k) prepare_one(k);
+  {
+    obs::ScopedSpan span(obs::Tracer::Global(), "owner_fanout", "fl");
+    if (active.size() > 1) {
+      pool_->ParallelFor(active.size(), prepare_one, /*grain=*/1);
+    } else {
+      for (size_t k = 0; k < active.size(); ++k) prepare_one(k);
+    }
   }
-  stats->fanout_wall_us = fanout_timer.ElapsedSeconds() * 1e6;
 
   // Surface the lowest-indexed owner's error, whichever worker finished
-  // first, and fold the per-owner walls into the ledger stats.
+  // first.
   for (uint32_t i : active) {
     const OwnerRoundSlot& slot = scratch->slots[i];
     if (!slot.status.ok()) return slot.status;
-    stats->train_us_total += slot.train_us;
-    stats->train_us_max = std::max(stats->train_us_max, slot.train_us);
-    stats->prepare_us_total += slot.prepare_us;
-    stats->prepare_us_max = std::max(stats->prepare_us_max, slot.prepare_us);
   }
   return Status::OK();
 }

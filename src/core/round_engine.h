@@ -48,8 +48,6 @@ struct OwnerRoundSlot {
   std::vector<secureagg::OwnerId> group_members;
   secureagg::MaskScratch mask_scratch;   ///< Mask buffers, reused.
   Status status = Status::OK();
-  double train_us = 0.0;                 ///< Wall time of LocalUpdate.
-  double prepare_us = 0.0;               ///< Wall of encode+mask+payload.
 };
 
 /// Reusable arena for the per-owner fan-out. `Reset` clears per-round
@@ -58,18 +56,6 @@ struct OwnerRoundSlot {
 struct RoundScratch {
   std::vector<OwnerRoundSlot> slots;
   void Reset(size_t num_owners);
-};
-
-/// Wall-time attribution of one fan-out, for the round ledger: totals are
-/// the aggregate per-owner work; maxima approximate the critical path;
-/// `fanout_wall_us` is the actual barrier-to-barrier wall time (max over
-/// workers plus scheduling).
-struct RoundEngineStats {
-  double fanout_wall_us = 0.0;
-  double train_us_total = 0.0;
-  double train_us_max = 0.0;
-  double prepare_us_total = 0.0;
-  double prepare_us_max = 0.0;
 };
 
 /// The per-owner half of the coordinator's round loop: fans per-owner
@@ -104,10 +90,12 @@ class RoundEngine {
   /// update for `round` into `scratch` (grain 1: one owner per pool
   /// task). Offline/retired owners get inactive slots; the caller decides
   /// dropouts during replay. On a per-owner failure the lowest-indexed
-  /// owner's error is returned, whatever the pool size.
+  /// owner's error is returned, whatever the pool size. Traced as one
+  /// `fl/owner_fanout` span (barrier to barrier) with one
+  /// `fl/local_update` span per owner on the worker that trained it.
   Status PrepareOwners(uint64_t round, const ml::Matrix& global,
                        const std::vector<std::vector<size_t>>& groups,
-                       RoundScratch* scratch, RoundEngineStats* stats);
+                       RoundScratch* scratch);
 
  private:
   Deps deps_;

@@ -34,10 +34,6 @@ Result<FlRunResult> FederatedTrainer::RunFrom(const ml::Matrix& initial,
 
   static auto& local_updates =
       obs::MetricsRegistry::Global().GetCounter("fl.local_updates");
-  static auto& train_us =
-      obs::MetricsRegistry::Global().GetHistogram("fl.train_round_us");
-  static auto& aggregate_us =
-      obs::MetricsRegistry::Global().GetHistogram("fl.aggregate_us");
 
   for (size_t round = 0; round < config_.rounds; ++round) {
     obs::ScopedSpan round_span(obs::Tracer::Global(), "fl_round", "fl");
@@ -52,8 +48,7 @@ Result<FlRunResult> FederatedTrainer::RunFrom(const ml::Matrix& initial,
       }
     };
     {
-      obs::ScopedSpan span(obs::Tracer::Global(), "train", "fl");
-      obs::ScopedLatency latency(train_us);
+      obs::ScopedSpan span(obs::Tracer::Global(), "fedavg_train", "fl");
       if (pool != nullptr) {
         pool->ParallelFor(clients_.size(), train_one);
       } else {
@@ -66,7 +61,6 @@ Result<FlRunResult> FederatedTrainer::RunFrom(const ml::Matrix& initial,
     }
 
     obs::ScopedSpan agg_span(obs::Tracer::Global(), "aggregate", "fl");
-    obs::ScopedLatency agg_latency(aggregate_us);
     Result<ml::Matrix> aggregated = Status::Internal("unset");
     if (config_.weighted_aggregation) {
       std::vector<size_t> counts(clients_.size());

@@ -12,9 +12,6 @@ Status ExportTo(const MetricsRegistry& registry, const Tracer& tracer,
       !tracer.WriteChromeTraceFile(paths.trace_json)) {
     return Status::Internal("cannot write trace to " + paths.trace_json);
   }
-  if (!paths.trace_csv.empty() && !tracer.WriteCsvFile(paths.trace_csv)) {
-    return Status::Internal("cannot write trace CSV to " + paths.trace_csv);
-  }
   return Status::OK();
 }
 

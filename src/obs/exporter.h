@@ -14,7 +14,6 @@ namespace bcfl::obs {
 struct ExportPaths {
   std::string metrics_json = "metrics.json";
   std::string trace_json = "trace.json";
-  std::string trace_csv;  ///< Off by default.
   /// Extra top-level fields spliced into metrics.json verbatim
   /// (key -> raw JSON value), e.g. a chaos run's executed fault schedule.
   std::map<std::string, std::string> metrics_extra;

@@ -41,6 +41,20 @@ std::vector<double> RollingSvVolatility(
   return volatility;
 }
 
+void AddPhaseDeltas(const MetricsSnapshot& before, const MetricsSnapshot& after,
+                    std::map<std::string, double>* phase_us) {
+  std::map<std::string, double> start;
+  for (const auto& h : before.histograms) start.emplace(h.name, h.sum);
+  for (const auto& h : after.histograms) {
+    if (h.name.size() < 3 || h.name.compare(h.name.size() - 3, 3, "_us") != 0) {
+      continue;
+    }
+    const auto it = start.find(h.name);
+    const double grown = h.sum - (it != start.end() ? it->second : 0.0);
+    if (grown > 0.0) (*phase_us)[h.name] += grown;
+  }
+}
+
 RoundLedger::~RoundLedger() { Close(); }
 
 Status RoundLedger::Open(const std::string& path) {

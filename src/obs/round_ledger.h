@@ -2,7 +2,7 @@
 
 // Per-round protocol ledger: the auditable runtime record the paper's
 // transparency story asks for. BcflCoordinator emits one RoundRecord per
-// FL round — phase latencies correlated across the protocol stack, the
+// FL round — the round's share of every phase-latency histogram, the
 // signature-cache hit rate, the fault events that actually fired, the
 // dropout/recovery roster and the round's per-owner SV vector — and the
 // ledger appends it to a JSONL file (one self-contained JSON object per
@@ -17,16 +17,19 @@
 #include <vector>
 
 #include "common/result.h"
+#include "obs/metrics.h"
 
 namespace bcfl::obs {
 
-/// Everything one FL round contributed to the ledger. All latencies are
-/// wall microseconds; phase keys are stable snake_case identifiers
-/// ("train", "tx_admission", "consensus", "secureagg_mask",
-/// "secureagg_recover", "sv_eval", "reward" — absent phases are simply
-/// not listed).
+/// Everything one FL round contributed to the ledger.
 struct RoundRecord {
   uint64_t round = 0;
+  /// Wall microseconds each latency histogram gained during the round,
+  /// keyed by the histogram's name (see AddPhaseDeltas): a span's
+  /// `span.<category>.<name>_us` ("span.fl.train_us",
+  /// "span.chain.block_commit_us", ...) or a scope no span covers
+  /// ("secureagg.mask_us", "chain.commit_us"). Phases that did not run
+  /// are absent; with observability off nothing moves and it is empty.
   std::map<std::string, double> phase_us;
   /// Signature-cache hit rate over the verifications this round (0 when
   /// none ran).
@@ -48,6 +51,13 @@ struct RoundRecord {
   uint64_t blocks_committed = 0;
   uint64_t transactions = 0;
 };
+
+/// Adds one ledger window to `phase_us`: for every `_us` histogram whose
+/// sum grew from `before` to `after` (two snapshots of one registry), the
+/// growth, keyed by the histogram's name. Windows add up, so a record can
+/// span several.
+void AddPhaseDeltas(const MetricsSnapshot& before, const MetricsSnapshot& after,
+                    std::map<std::string, double>* phase_us);
 
 /// Rolling per-owner volatility of the appended SV vectors: the sample
 /// standard deviation of each owner's last `window` round scores

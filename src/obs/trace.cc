@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include <cstdio>
-
 #include "obs/metrics.h"  // internal::EnabledFlag for the BCFL_OBS gate.
 
 namespace bcfl::obs {
@@ -194,45 +192,6 @@ bool Tracer::WriteChromeTraceFile(const std::string& path) const {
   JsonWriter json;
   WriteChromeTrace(&json);
   return json.WriteFile(path);
-}
-
-std::string Tracer::ToCsv() const {
-  const std::vector<SpanRecord> spans = Snapshot();
-  std::string out =
-      "name,category,id,parent_id,thread,depth,start_us,duration_us,"
-      "sim_start_us,sim_duration_us\n";
-  char buf[160];
-  for (const SpanRecord& span : spans) {
-    out += span.name;
-    out += ',';
-    out += span.category;
-    std::snprintf(buf, sizeof(buf),
-                  ",%llu,%llu,%u,%u,%.3f,%.3f,",
-                  static_cast<unsigned long long>(span.id),
-                  static_cast<unsigned long long>(span.parent_id),
-                  span.thread_index, span.depth,
-                  static_cast<double>(span.start_ns) / 1000.0,
-                  static_cast<double>(span.duration_ns) / 1000.0);
-    out += buf;
-    if (span.has_sim_time) {
-      std::snprintf(buf, sizeof(buf), "%llu,%llu",
-                    static_cast<unsigned long long>(span.sim_start_us),
-                    static_cast<unsigned long long>(span.sim_duration_us));
-      out += buf;
-    } else {
-      out += ',';
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-bool Tracer::WriteCsvFile(const std::string& path) const {
-  const std::string csv = ToCsv();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(csv.data(), 1, csv.size(), f) == csv.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace bcfl::obs

@@ -92,10 +92,6 @@ class Tracer {
   std::string ToChromeTraceJson() const;
   bool WriteChromeTraceFile(const std::string& path) const;
 
-  /// Flat CSV, one row per span, for notebook/awk consumption.
-  std::string ToCsv() const;
-  bool WriteCsvFile(const std::string& path) const;
-
  private:
   uint64_t NowNs() const;
 

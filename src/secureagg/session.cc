@@ -9,12 +9,6 @@ namespace bcfl::secureagg {
 
 Result<SecureAggSession> SecureAggSession::Create(size_t num_owners,
                                                   SessionConfig config) {
-  static auto& keygen_us =
-      obs::MetricsRegistry::Global().GetHistogram("secureagg.keygen_us");
-  static auto& agreement_us = obs::MetricsRegistry::Global().GetHistogram(
-      "secureagg.key_agreement_us");
-  static auto& share_us = obs::MetricsRegistry::Global().GetHistogram(
-      "secureagg.share_secrets_us");
   obs::ScopedSpan setup_span(obs::Tracer::Global(), "secureagg_setup",
                              "secureagg");
   if (num_owners < 2) {
@@ -33,7 +27,6 @@ Result<SecureAggSession> SecureAggSession::Create(size_t num_owners,
   // Phase 1: key generation + broadcast.
   {
     obs::ScopedSpan span(obs::Tracer::Global(), "keygen", "secureagg");
-    obs::ScopedLatency latency(keygen_us);
     session.participants_.reserve(num_owners);
     for (size_t i = 0; i < num_owners; ++i) {
       session.participants_.push_back(std::make_unique<SecureAggParticipant>(
@@ -45,7 +38,6 @@ Result<SecureAggSession> SecureAggSession::Create(size_t num_owners,
   std::map<OwnerId, crypto::UInt256> roster;
   {
     obs::ScopedSpan span(obs::Tracer::Global(), "key_agreement", "secureagg");
-    obs::ScopedLatency latency(agreement_us);
     for (const auto& p : session.participants_) {
       roster[p->id()] = p->public_key();
     }
@@ -60,7 +52,6 @@ Result<SecureAggSession> SecureAggSession::Create(size_t num_owners,
   // Phase 3: secret-share recovery material.
   {
     obs::ScopedSpan span(obs::Tracer::Global(), "share_secrets", "secureagg");
-    obs::ScopedLatency latency(share_us);
     session.recovery_shares_.reserve(num_owners);
     for (auto& p : session.participants_) {
       BCFL_ASSIGN_OR_RETURN(
@@ -172,10 +163,7 @@ Result<std::vector<double>> SecureAggSession::AggregateGroupMean(
     uint64_t round, const std::vector<OwnerId>& group,
     const std::map<OwnerId, std::vector<uint64_t>>& submissions,
     const std::set<OwnerId>& dropped) {
-  static auto& unmask_us =
-      obs::MetricsRegistry::Global().GetHistogram("secureagg.unmask_us");
   obs::ScopedSpan span(obs::Tracer::Global(), "mask_round", "secureagg");
-  obs::ScopedLatency latency(unmask_us);
   for (OwnerId id : group) {
     // Unique owners, not calls: aggregating two groups (or retrying one)
     // with the same dropout must count it once.

@@ -53,10 +53,7 @@ CoalitionEngine::CoalitionEngine(UtilityFunction* utility,
 
 Result<std::vector<double>> CoalitionEngine::EvaluateMeanCoalitions(
     const std::vector<ml::Matrix>& player_models) {
-  static auto& eval_us = obs::MetricsRegistry::Global().GetHistogram(
-      "shapley.coalition_eval_us");
   obs::ScopedSpan span(obs::Tracer::Global(), "coalition_eval", "shapley");
-  obs::ScopedLatency latency(eval_us);
   stats_ = CoalitionEngineStats{};
   const size_t m = player_models.size();
   if (m == 0 || m > 20) {
@@ -209,10 +206,7 @@ Result<std::vector<double>> CoalitionEngine::MeanCoalitionsGrayCode(
 
 Result<std::vector<double>> CoalitionEngine::EvaluateModelTable(
     const std::vector<ml::Matrix>& models) {
-  static auto& eval_us = obs::MetricsRegistry::Global().GetHistogram(
-      "shapley.model_table_eval_us");
   obs::ScopedSpan span(obs::Tracer::Global(), "model_table_eval", "shapley");
-  obs::ScopedLatency latency(eval_us);
   stats_ = CoalitionEngineStats{};
   if (models.empty()) {
     return Status::InvalidArgument("empty model table");

@@ -67,8 +67,6 @@ Result<NativeShapleyResult> NativeShapley::Compute(
     // so dispatch with grain 1 for the best load balance; slots are
     // index-addressed and training is RNG-free, keeping the output
     // bit-identical for any pool size.
-    static auto& retrain_us = obs::MetricsRegistry::Global().GetHistogram(
-        "shapley.native.retrain_stage_us");
     static auto& retrains = obs::MetricsRegistry::Global().GetCounter(
         "shapley.native.coalition_retrains");
     retrains.Add(full);
@@ -77,7 +75,6 @@ Result<NativeShapleyResult> NativeShapley::Compute(
     {
       obs::ScopedSpan retrain_span(obs::Tracer::Global(), "coalition_retrain",
                                    "shapley");
-      obs::ScopedLatency retrain_latency(retrain_us);
       auto build_model = [&](size_t mask) {
         std::vector<size_t> members;
         for (size_t i = 0; i < n; ++i) {

@@ -2,9 +2,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "core/coordinator.h"
 #include "fault/fault_plan.h"
+#include "obs/trace.h"
 
 namespace bcfl::core {
 namespace {
@@ -153,6 +155,37 @@ TEST_F(ResumeTest, ResumeSurvivesFaultsBesidesTheKill) {
   BcflRunResult resumed = KillAndResume(config, StateDir("faults"), 2);
   EXPECT_FALSE(resumed.retired_at.empty());
   ExpectBitIdentical(baseline, resumed);
+}
+
+TEST_F(ResumeTest, CheckpointsAreChildrenOfTheirRoundNotOfEval) {
+  // Each round's `eval` span covers the accuracy computation only; the
+  // checkpoint written at the round boundary is a direct child of the
+  // round, next to `eval`, not inside it.
+  BcflConfig config = SmallConfig("");
+  PersistenceOptions persist;
+  persist.state_dir = StateDir("spans");
+  auto coordinator = BcflCoordinator::Create(config);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  ASSERT_TRUE((*coordinator)->AttachPersistence(persist).ok());
+  obs::Tracer::Global().Reset();  // Keep only the spans Run() opens.
+  ASSERT_TRUE((*coordinator)->Run().ok());
+
+  const std::vector<obs::SpanRecord> spans = obs::Tracer::Global().Snapshot();
+  std::map<uint64_t, const obs::SpanRecord*> by_id;
+  for (const auto& span : spans) by_id[span.id] = &span;
+  size_t checkpoints = 0;
+  for (const auto& span : spans) {
+    const auto parent = by_id.find(span.parent_id);
+    const std::string parent_name =
+        parent != by_id.end() ? parent->second->name : "";
+    EXPECT_NE(parent_name, "eval") << span.name << " nested inside eval";
+    if (span.name == "checkpoint") {
+      ++checkpoints;
+      EXPECT_EQ(parent_name, "round");
+    }
+  }
+  // Rounds 0..2 checkpoint; the final round never does.
+  EXPECT_EQ(checkpoints, config.rounds - 1);
 }
 
 TEST_F(ResumeTest, FreshAttachRefusesUsedStateDir) {

@@ -56,7 +56,6 @@ TEST(RoundEngineTest, ScratchResetKeepsBufferStorage) {
   scratch.slots[1].masked.assign(650, 9);
   scratch.slots[1].payload.assign(5000, 1);
   scratch.slots[1].group_members = {0, 1};
-  scratch.slots[1].train_us = 123.0;
   const size_t encoded_cap = scratch.slots[1].encoded.capacity();
   const size_t masked_cap = scratch.slots[1].masked.capacity();
   const size_t payload_cap = scratch.slots[1].payload.capacity();
@@ -66,7 +65,6 @@ TEST(RoundEngineTest, ScratchResetKeepsBufferStorage) {
   // Per-round state cleared...
   EXPECT_FALSE(scratch.slots[1].active);
   EXPECT_TRUE(scratch.slots[1].group_members.empty());
-  EXPECT_EQ(scratch.slots[1].train_us, 0.0);
   // ...but the buffers keep their storage: no churn from round 2 on.
   EXPECT_GE(scratch.slots[1].encoded.capacity(), encoded_cap);
   EXPECT_GE(scratch.slots[1].masked.capacity(), masked_cap);
@@ -177,12 +175,12 @@ TEST(RoundEngineTest, LedgerCountersArePoolSizeInvariant) {
       ASSERT_NE(rhs, nullptr) << key;
       EXPECT_EQ(render(*lhs), render(*rhs)) << "round " << r << " " << key;
     }
-    // Both report the aggregate train wall and the fan-out wall.
+    // Both report the per-owner training spans and the fan-out wall.
     for (const auto& record : {single[r], pooled[r]}) {
       const auto* phases = record.Find("phase_us");
       ASSERT_NE(phases, nullptr);
-      EXPECT_NE(phases->Find("train"), nullptr);
-      EXPECT_NE(phases->Find("owner_fanout"), nullptr);
+      EXPECT_NE(phases->Find("span.fl.local_update_us"), nullptr);
+      EXPECT_NE(phases->Find("span.fl.owner_fanout_us"), nullptr);
     }
   }
 }

@@ -144,21 +144,6 @@ TEST(TracerTest, ChromeTraceJsonShape) {
   EXPECT_NE(json.find("\"sim_ts_us\""), std::string::npos);
 }
 
-TEST(TracerTest, CsvHasHeaderAndOneRowPerSpan) {
-  Tracer tracer;
-  { ScopedSpan a(tracer, "a", "test"); }
-  { ScopedSpan b(tracer, "b", "test"); }
-  std::string csv = tracer.ToCsv();
-  EXPECT_EQ(csv.find("name,category,id,parent_id,thread,depth,start_us,"
-                     "duration_us,sim_start_us,sim_duration_us"),
-            0u);
-  size_t lines = 0;
-  for (char c : csv) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 3u);  // Header + two spans.
-}
-
 TEST(TracerTest, ConcurrentSpansUnderThreadPool) {
   Tracer tracer;
   ThreadPool pool(8);

@@ -99,7 +99,8 @@ void PrintUsage(const char* argv0) {
       "  --ignore-kill-faults  disarm `kill` events in the fault plan (the\n"
       "                  uninterrupted baseline of the crash-restart check)\n"
       "  --obs MODE      on|off: off disables metrics + tracing for this\n"
-      "                  process (same as BCFL_OBS=off)\n"
+      "                  process (same as BCFL_OBS=off), so ledger records\n"
+      "                  carry an empty phase_us\n"
       "  --verbose       INFO-level protocol logging\n"
       "  --help          this message\n",
       argv0);
