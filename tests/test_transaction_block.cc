@@ -175,6 +175,57 @@ TEST(BlockHeaderTest, HashCoversEveryField) {
   EXPECT_NE(hash(h6), hash(base));
 }
 
+// Conformance vectors for the tx and block wire formats: fixed inputs in,
+// pinned digests out. A change to what a tx or block encodes, signs or
+// hashes fails here as an explicit vector diff.
+constexpr uint64_t kVectorKeySeed = 0x5eed7c;
+
+Transaction VectorTx(const crypto::Schnorr& scheme,
+                     const crypto::SchnorrKeyPair& key, uint64_t nonce,
+                     size_t payload_bytes, Xoshiro256* rng) {
+  Transaction tx;
+  tx.contract = "bcfl";
+  tx.method = "submit_update";
+  tx.payload.resize(payload_bytes);
+  for (size_t i = 0; i < payload_bytes; ++i) {
+    tx.payload[i] = static_cast<uint8_t>(i * 31 + nonce);
+  }
+  tx.nonce = nonce;
+  tx.Sign(scheme, key, rng);
+  return tx;
+}
+
+TEST(FormatVectorTest, TransactionWireBytesAndId) {
+  crypto::Schnorr scheme;
+  Xoshiro256 rng(kVectorKeySeed);
+  crypto::SchnorrKeyPair key = scheme.GenerateKeyPair(&rng);
+  Transaction tx = VectorTx(scheme, key, 42, 5200, &rng);
+  EXPECT_EQ(crypto::DigestToHex(crypto::Sha256::Hash(tx.Serialize())),
+            "84c137605c060605411590992584173f94c817777c61cecbd6c7f76be3ba5e9f");
+  EXPECT_EQ(crypto::DigestToHex(tx.Hash()),
+            "65cbefbc6afbfba11496db3af71a70466bccfe200fc7057b1df258ad2bcb35ad");
+}
+
+TEST(FormatVectorTest, BlockMerkleRootAndId) {
+  crypto::Schnorr scheme;
+  Xoshiro256 rng(kVectorKeySeed);
+  crypto::SchnorrKeyPair key = scheme.GenerateKeyPair(&rng);
+  Block block;
+  block.header.height = 7;
+  block.header.prev_hash.fill(0x11);
+  block.header.state_root.fill(0x22);
+  block.header.timestamp_us = 1'700'000;
+  block.header.proposer = 3;
+  for (uint64_t nonce = 1; nonce <= 3; ++nonce) {
+    block.txs.push_back(VectorTx(scheme, key, nonce, 100 * nonce, &rng));
+  }
+  block.header.merkle_root = block.ComputeMerkleRoot();
+  EXPECT_EQ(crypto::DigestToHex(block.header.merkle_root),
+            "dec6c8d31f7d377c8739b4d4de0825ef13a4d6798d93e1b8e005f363736f5df9");
+  EXPECT_EQ(crypto::DigestToHex(block.header.Hash()),
+            "919786e32b4f9da211a630d779d25e4ce464db2bff4abef93c563ff736f9a657");
+}
+
 TEST(GenesisTest, IsDeterministic) {
   Block g1 = MakeGenesisBlock();
   Block g2 = MakeGenesisBlock();
