@@ -5,16 +5,12 @@
 // message complexity (leader broadcast + validator votes), while the
 // wall-clock column reflects re-execution cost.
 //
-// Since the chain-throughput-engine PR this binary is also the
-// equivalence gate for the optimized chain/crypto paths, in the same
-// mold as bench_kernels: Montgomery Schnorr verification must agree
-// with the seed's reference::SchnorrVerify, incremental / pooled Merkle
-// builds must be bit-identical to the batch build, the mempool's
-// promoted root must match a from-scratch block root, and a consensus
-// run must commit identical block hashes with and without a chain pool.
-// Any mismatch makes the process exit non-zero. It drops
-// BENCH_chain.json in the working directory, including a Schnorr-verify
-// microbench (optimized vs reference) that CI asserts on.
+// This binary is also the equivalence gate for the optimized Schnorr
+// path, in the same mold as bench_kernels: Montgomery Schnorr
+// verification must agree with the seed's reference::SchnorrVerify, or
+// the process exits non-zero. It drops BENCH_chain.json in the working
+// directory, including a Schnorr-verify microbench (optimized vs
+// reference) that CI asserts on.
 //
 // Flags: --quick  lower repetition counts and a reduced sweep (CI smoke
 // mode).
@@ -27,11 +23,7 @@
 #include <vector>
 
 #include "chain/consensus.h"
-#include "chain/mempool.h"
-#include "chain/merkle.h"
-#include "chain/sig_cache.h"
 #include "common/sim_clock.h"
-#include "common/thread_pool.h"
 #include "crypto/schnorr.h"
 #include "obs/exporter.h"
 #include "obs/json_writer.h"
@@ -48,7 +40,7 @@ class BlobContract : public SmartContract {
  public:
   std::string name() const override { return "blob"; }
   Status Execute(const Transaction& tx, ContractState* state) override {
-    state->Put("blob/" + std::to_string(tx.nonce), tx.payload);
+    state->Put("blob/" + std::to_string(tx.nonce()), tx.payload());
     return Status::OK();
   }
 };
@@ -59,7 +51,6 @@ struct RunStats {
   size_t blocks;
   size_t txs;
   uint64_t messages;
-  crypto::Digest tip_hash;
 };
 
 RunStats RunWorkload(size_t miners, size_t num_txs, size_t payload_bytes,
@@ -79,13 +70,12 @@ RunStats RunWorkload(size_t miners, size_t num_txs, size_t payload_bytes,
   ConsensusEngine engine(miners, host, config);
 
   for (size_t i = 0; i < num_txs; ++i) {
-    Transaction tx;
-    tx.contract = "blob";
-    tx.method = "put";
-    tx.payload = Bytes(payload_bytes, static_cast<uint8_t>(i));
-    tx.nonce = i;
-    tx.Sign(scheme, key, &rng);
-    (void)engine.SubmitTransaction(tx);
+    (void)engine.SubmitTransaction(Transaction::Sign(
+        {.contract = "blob",
+         .method = "put",
+         .payload = Bytes(payload_bytes, static_cast<uint8_t>(i)),
+         .nonce = i},
+        scheme, key, &rng));
   }
 
   Stopwatch timer;
@@ -96,7 +86,6 @@ RunStats RunWorkload(size_t miners, size_t num_txs, size_t payload_bytes,
   stats.blocks = results.size();
   stats.txs = engine.CanonicalChain().TotalTransactions();
   stats.messages = engine.network().stats().messages_sent;
-  stats.tip_hash = engine.CanonicalChain().Tip().header.Hash();
   return stats;
 }
 
@@ -142,80 +131,6 @@ bool CheckSchnorrReferenceEquivalence(Xoshiro256* rng) {
   return true;
 }
 
-/// Batch, incremental (Append) and pooled Merkle builds must produce the
-/// same root for every pool size, including odd leaf counts and counts
-/// crossing the parallel-chunking threshold.
-bool CheckMerkleEquivalence(Xoshiro256* rng) {
-  for (size_t n : {0u, 1u, 2u, 3u, 7u, 255u, 256u, 257u, 1000u}) {
-    std::vector<crypto::Digest> leaves(n);
-    for (auto& leaf : leaves) {
-      for (auto& byte : leaf) byte = static_cast<uint8_t>(rng->Next());
-    }
-    MerkleTree batch(leaves);
-    MerkleTree incremental({});
-    for (const auto& leaf : leaves) incremental.Append(leaf);
-    if (incremental.root() != batch.root()) {
-      std::printf("  !! incremental root diverged at n=%zu\n", n);
-      return false;
-    }
-    for (size_t threads : {1u, 2u}) {
-      ThreadPool pool(threads);
-      SetChainPool(&pool);
-      MerkleTree pooled(leaves);
-      SetChainPool(nullptr);
-      if (pooled.root() != batch.root()) {
-        std::printf("  !! pooled root diverged at n=%zu threads=%zu\n", n,
-                    threads);
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-/// The mempool's incrementally maintained root (what a full-pool
-/// proposal promotes into the header) must equal the block's
-/// from-scratch Merkle root.
-bool CheckMempoolPromotion(Xoshiro256* rng) {
-  crypto::Schnorr scheme;
-  auto key = scheme.GenerateKeyPair(rng);
-  Mempool pool;
-  for (uint64_t n = 0; n < 7; ++n) {
-    Transaction tx;
-    tx.contract = "blob";
-    tx.method = "put";
-    tx.payload = Bytes(128, static_cast<uint8_t>(n));
-    tx.nonce = n;
-    tx.Sign(scheme, key, rng);
-    if (!pool.Add(tx).ok()) return false;
-    Block block;
-    block.txs = pool.Peek(0);
-    if (pool.PendingRoot() != block.ComputeMerkleRoot()) {
-      std::printf("  !! promoted root diverged after %llu adds\n",
-                  static_cast<unsigned long long>(n + 1));
-      return false;
-    }
-  }
-  return true;
-}
-
-/// A consensus run must commit identical blocks with and without a
-/// chain pool installed: the chunk partition may never leak into a
-/// digest.
-bool CheckChainPoolDeterminism() {
-  RunStats serial = RunWorkload(3, 12, 2048, 5);
-  ThreadPool pool(2);
-  SetChainPool(&pool);
-  RunStats pooled = RunWorkload(3, 12, 2048, 5);
-  SetChainPool(nullptr);
-  if (serial.tip_hash != pooled.tip_hash || serial.blocks != pooled.blocks ||
-      serial.txs != pooled.txs) {
-    std::printf("  !! chain run diverged with a pool installed\n");
-    return false;
-  }
-  return true;
-}
-
 // ---- Sweeps --------------------------------------------------------------
 
 void SweepRow(JsonWriter* json, size_t miners, size_t payload,
@@ -255,9 +170,6 @@ int main(int argc, char** argv) {
       std::max<size_t>(1, std::thread::hardware_concurrency());
 
   std::printf("Ablation B: blockchain throughput and consensus latency\n");
-  std::printf("(sha256 batch path: %s%s)\n",
-              std::string(crypto::Sha256BatchActivePath()).c_str(),
-              quick ? ", quick" : "");
 
   // ---- Equivalence gate -------------------------------------------------
   Xoshiro256 rng(11);
@@ -267,9 +179,6 @@ int main(int argc, char** argv) {
   };
   const NamedCheck checks[] = {
       {"schnorr_reference", CheckSchnorrReferenceEquivalence(&rng)},
-      {"merkle_incremental_batch_parallel", CheckMerkleEquivalence(&rng)},
-      {"mempool_promotion", CheckMempoolPromotion(&rng)},
-      {"chain_pool_determinism", CheckChainPoolDeterminism()},
   };
   bool all_ok = true;
   std::printf("equivalence vs reference:");
@@ -283,10 +192,7 @@ int main(int argc, char** argv) {
   json.BeginObject();
   json.Field("bench", "chain_throughput");
   json.Field("quick", quick);
-  json.Field("sha256_batch_path",
-             std::string(crypto::Sha256BatchActivePath()));
   json.Field("hardware_threads", hw_threads);
-  json.Field("pool_threads", hw_threads);
   json.BeginObject("equivalence");
   for (const NamedCheck& c : checks) json.Field(c.name, c.ok);
   json.EndObject();
@@ -337,10 +243,6 @@ int main(int argc, char** argv) {
   }
 
   // ---- Throughput sweeps ------------------------------------------------
-  // All sweeps run with the chain pool installed, as bcfl_sim would.
-  ThreadPool chain_pool(hw_threads);
-  SetChainPool(&chain_pool);
-
   std::printf("\n(50 transactions, 10 txs/block, 5.2KB payload = one masked "
               "65x10 update)\n");
   std::printf("%-8s %-8s %-10s %-14s %-14s %-10s\n", "miners", "blocks",
@@ -399,7 +301,6 @@ int main(int argc, char** argv) {
     }
     json.EndArray();
   }
-  SetChainPool(nullptr);
   json.EndObject();
 
   std::printf("\nShape: message count grows linearly with miner count (one\n"

@@ -31,9 +31,11 @@
 # Right after ctest, an AddressSanitizer stage rebuilds the suites that
 # drive in-place block execution and its undo-journal rollback
 # (proposals, validations, failed transactions and commits, byzantine
-# leaders, replay on resume, block-log recovery) with
-# -DBCFL_SANITIZE=address in their own build dir (<build-dir>-asan), so
-# a dangling journal entry or a use-after-rollback fails CI.
+# leaders, replay on resume, block-log recovery) and the immutable
+# transaction type (signing, moves, the parts constructor and every tx
+# decoder) with -DBCFL_SANITIZE=address in their own build dir
+# (<build-dir>-asan), so a dangling journal entry, a use-after-rollback
+# or a use-after-move fails CI.
 #
 # Usage: scripts/ci_check.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -49,10 +51,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # AddressSanitizer stage: in-place execution means every trial execution
 # writes the live state and undoes it from the journal; ASan checks those
-# paths for use-after-free and out-of-bounds access.
+# paths, and the transaction type's moves and decoders, for
+# use-after-free and out-of-bounds access.
 ASAN_DIR="${BUILD_DIR}-asan"
 ASAN_SUITES=(test_state_contract test_consensus test_adversary test_byzantine
-             test_resume test_block_log)
+             test_resume test_block_log test_transaction_block test_merkle
+             test_sig_cache test_serialization_fuzz test_blockchain
+             test_fl_contract test_slash_contract)
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBCFL_SANITIZE=address \
@@ -85,10 +90,7 @@ BENCH_KERNELS="$(cd "$BUILD_DIR" && pwd)/bench/bench_kernels"
 (cd "$ARTIFACT_DIR" && "$BENCH_KERNELS" --quick)
 
 # Chain-equivalence smoke: bench_chain_throughput exits non-zero unless
-# the Montgomery Schnorr path agrees with the seed reference verifier,
-# incremental/pooled Merkle builds are bit-identical to the batch build,
-# the mempool's promoted root matches a from-scratch block root, and a
-# consensus run commits identical blocks with and without a chain pool.
+# the Montgomery Schnorr path agrees with the seed reference verifier.
 # It drops BENCH_chain.json in the working directory.
 BENCH_CHAIN="$(cd "$BUILD_DIR" && pwd)/bench/bench_chain_throughput"
 (cd "$ARTIFACT_DIR" && "$BENCH_CHAIN" --quick)
@@ -162,9 +164,7 @@ assert kernels["kernel_path"] in {"scalar", "avx2"}, kernels
 
 chain = json.load(open(f"{artifact_dir}/BENCH_chain.json"))
 assert chain["all_equivalent"] is True, chain["equivalence"]
-missing = {"schnorr_reference", "merkle_incremental_batch_parallel",
-           "mempool_promotion", "chain_pool_determinism"} \
-    - set(chain["equivalence"])
+missing = {"schnorr_reference"} - set(chain["equivalence"])
 assert not missing, f"missing chain equivalence checks: {missing}"
 speedup = chain["schnorr_verify"]["speedup"]
 assert speedup >= 4.0, \

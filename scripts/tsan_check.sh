@@ -10,10 +10,9 @@
 # against the reference path with a pool attached, under TSan.
 # test_fault and a reduced test_chaos sweep run the full faulted
 # protocol (fault injection, recovery, view changes) under TSan too.
-# Since the chain-throughput-engine PR the sweep also covers the sharded
-# signature-verify cache, the pooled Merkle/mempool builds (test_sig_cache,
-# test_merkle) and bench_chain_throughput --quick, whose pre-verification
-# fan-out and chain pool run hot under TSan.
+# test_sig_cache, test_merkle and bench_chain_throughput --quick cover
+# the sharded, mutex-guarded signature-verify cache that every miner
+# shares; the chain layer itself runs on its caller's thread.
 # Since the telemetry-plane PR it also covers the HTTP exporter (scrape
 # threads racing a live coordinator round) and the round ledger's
 # coordinator wiring, plus the snapshot-vs-Reset stress in test_metrics.

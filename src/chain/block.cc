@@ -34,7 +34,10 @@ crypto::Digest BlockHeader::Hash() const {
 }
 
 crypto::Digest Block::ComputeMerkleRoot() const {
-  return MerkleTree(HashTransactions(txs)).root();
+  std::vector<crypto::Digest> leaves;
+  leaves.reserve(txs.size());
+  for (const Transaction& tx : txs) leaves.push_back(tx.Hash());
+  return MerkleTree(leaves).root();
 }
 
 bool Block::MerkleRootMatchesBody() const {

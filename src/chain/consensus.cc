@@ -53,10 +53,10 @@ ConsensusEngine::ConsensusEngine(size_t num_miners,
         if (!block_bytes.ok()) return;
         auto block = Block::Deserialize(*block_bytes);
         if (!block.ok()) return;
-        // Warm the shared verification cache before re-execution —
-        // chunked across the chain pool when one is installed. The
-        // first validator pays each modexp once; every later replica
-        // (and the commit path) hits the cache.
+        // Decoding computed each tx id once; warm the shared
+        // verification cache with them before re-execution. The first
+        // validator pays each modexp once; every later replica (and the
+        // commit path) hits the cache.
         host_->PreVerifySignatures(block->txs);
         auto verdict = miners_[id]->ValidateProposal(*block);
         bool accept = verdict.ok() && *verdict;

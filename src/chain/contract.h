@@ -22,7 +22,7 @@ class SmartContract {
  public:
   virtual ~SmartContract() = default;
 
-  /// Routing name; transactions with `tx.contract == name()` dispatch
+  /// Routing name; transactions with `tx.contract() == name()` dispatch
   /// here.
   virtual std::string name() const = 0;
 

@@ -21,56 +21,35 @@ bool ContractHost::HasContract(const std::string& name) const {
   return contracts_.count(name) > 0;
 }
 
-bool ContractHost::VerifyCached(const Transaction& tx,
-                                const crypto::Digest& hash) const {
-  if (sig_cache_.Contains(hash)) return true;
+bool ContractHost::VerifyCached(const Transaction& tx) const {
+  if (sig_cache_.Contains(tx.Hash())) return true;
   if (!tx.VerifySignature(scheme_)) return false;
-  sig_cache_.Insert(hash);
+  sig_cache_.Insert(tx.Hash());
   return true;
 }
 
 void ContractHost::PreVerifySignatures(
     const std::vector<Transaction>& txs) const {
-  PreVerifySignatures(txs, HashTransactions(txs));
-}
-
-void ContractHost::PreVerifySignatures(
-    const std::vector<Transaction>& txs,
-    const std::vector<crypto::Digest>& hashes) const {
   // VerifyCached both skips known-good signatures and records fresh
   // successes; failures are left uncached for the execution loop to
   // re-establish (fail-closed).
-  ThreadPool* pool = ChainPool();
-  if (pool == nullptr || txs.size() < 2) {
-    for (size_t i = 0; i < txs.size(); ++i) {
-      (void)VerifyCached(txs[i], hashes[i]);
-    }
-    return;
-  }
-  pool->ParallelFor(txs.size(),
-                    [&](size_t i) { (void)VerifyCached(txs[i], hashes[i]); });
+  for (const Transaction& tx : txs) (void)VerifyCached(tx);
 }
 
 Result<TxReceipt> ContractHost::ExecuteTransaction(const Transaction& tx,
-                                                   ContractState* state) const {
-  return ExecuteTransaction(tx, tx.Hash(), state);
-}
-
-Result<TxReceipt> ContractHost::ExecuteTransaction(const Transaction& tx,
-                                                   const crypto::Digest& tx_hash,
                                                    ContractState* state) const {
   TxReceipt receipt;
-  receipt.tx_hash = tx_hash;
+  receipt.tx_hash = tx.Hash();
 
-  if (!VerifyCached(tx, receipt.tx_hash)) {
+  if (!VerifyCached(tx)) {
     receipt.success = false;
     receipt.error = "invalid signature";
     return receipt;
   }
-  auto it = contracts_.find(tx.contract);
+  auto it = contracts_.find(tx.contract());
   if (it == contracts_.end()) {
     receipt.success = false;
-    receipt.error = "unknown contract: " + tx.contract;
+    receipt.error = "unknown contract: " + tx.contract();
     return receipt;
   }
 
@@ -90,16 +69,11 @@ Result<TxReceipt> ContractHost::ExecuteTransaction(const Transaction& tx,
 
 Result<std::vector<TxReceipt>> ContractHost::ExecuteBlock(
     const std::vector<Transaction>& txs, ContractState* state) const {
-  // One batched hash pass covers both the pre-verification cache lookups
-  // and the receipts — large payloads are hashed once per execution, not
-  // once per stage.
-  std::vector<crypto::Digest> hashes = HashTransactions(txs);
-  PreVerifySignatures(txs, hashes);
+  PreVerifySignatures(txs);
   std::vector<TxReceipt> receipts;
   receipts.reserve(txs.size());
-  for (size_t i = 0; i < txs.size(); ++i) {
-    BCFL_ASSIGN_OR_RETURN(TxReceipt receipt,
-                          ExecuteTransaction(txs[i], hashes[i], state));
+  for (const Transaction& tx : txs) {
+    BCFL_ASSIGN_OR_RETURN(TxReceipt receipt, ExecuteTransaction(tx, state));
     receipts.push_back(std::move(receipt));
   }
   return receipts;

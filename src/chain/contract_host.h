@@ -24,11 +24,12 @@ struct TxReceipt {
 /// Deterministic smart-contract execution environment.
 ///
 /// Dispatches transactions to registered contracts, enforcing signature
-/// validity first. Failed transactions are recorded in receipts but do
-/// not mutate state (execution runs in place under a
-/// `ContractState::Scope` that is kept only on success), so a block
-/// containing a bad transaction still yields the same post-state on
-/// every honest miner.
+/// validity first. Verdicts are cached by tx id, which each tx carries
+/// from when it was signed or decoded, so execution never re-hashes a
+/// body. Failed transactions are recorded in receipts but do not mutate
+/// state (execution runs in place under a `ContractState::Scope` that is
+/// kept only on success), so a block containing a bad transaction still
+/// yields the same post-state on every honest miner.
 class ContractHost {
  public:
   explicit ContractHost(crypto::Schnorr scheme = crypto::Schnorr());
@@ -42,23 +43,14 @@ class ContractHost {
   Result<TxReceipt> ExecuteTransaction(const Transaction& tx,
                                        ContractState* state) const;
 
-  /// Same, with the transaction hash already computed — block execution
-  /// hashes the whole body once through the batched SHA path instead of
-  /// re-hashing large payloads per transaction.
-  Result<TxReceipt> ExecuteTransaction(const Transaction& tx,
-                                       const crypto::Digest& tx_hash,
-                                       ContractState* state) const;
-
   /// Executes a full block body in order; returns one receipt per tx.
   Result<std::vector<TxReceipt>> ExecuteBlock(
       const std::vector<Transaction>& txs, ContractState* state) const;
 
-  /// Verifies the signatures of `txs` up front — chunked across the
-  /// chain pool when one is installed, inline otherwise — and warms the
-  /// shared verification cache so the serial re-execution loop never
-  /// pays a modexp for a signature any replica already checked.
-  /// Verdicts are not returned: execution re-asks the cache per tx, so
-  /// outcomes are bit-identical for any pool size (including none).
+  /// Verifies the signatures of `txs` up front, in order, and warms the
+  /// shared verification cache so the re-execution loop never pays a
+  /// modexp for a signature any replica already checked. Verdicts are
+  /// not returned: execution re-asks the cache per tx by its id.
   void PreVerifySignatures(const std::vector<Transaction>& txs) const;
 
   const crypto::Schnorr& scheme() const { return scheme_; }
@@ -66,12 +58,9 @@ class ContractHost {
   const SigVerifyCache& sig_cache() const { return sig_cache_; }
 
  private:
-  /// Cache-first signature check; inserts on success (fail-closed).
-  bool VerifyCached(const Transaction& tx, const crypto::Digest& hash) const;
-
-  /// PreVerifySignatures with the body's hashes already computed.
-  void PreVerifySignatures(const std::vector<Transaction>& txs,
-                           const std::vector<crypto::Digest>& hashes) const;
+  /// Cache-first signature check keyed by the tx id; inserts on success
+  /// (fail-closed).
+  bool VerifyCached(const Transaction& tx) const;
 
   crypto::Schnorr scheme_;
   std::map<std::string, std::shared_ptr<SmartContract>> contracts_;

@@ -7,14 +7,14 @@ namespace bcfl::chain {
 namespace {
 
 std::pair<std::string, uint64_t> SenderNonceOf(const Transaction& tx) {
-  Bytes sender = tx.sender.ToBytes();
-  return {std::string(sender.begin(), sender.end()), tx.nonce};
+  Bytes sender = tx.sender().ToBytes();
+  return {std::string(sender.begin(), sender.end()), tx.nonce()};
 }
 
 }  // namespace
 
 std::string Mempool::KeyOf(const Transaction& tx) {
-  crypto::Digest digest = tx.Hash();
+  const crypto::Digest& digest = tx.Hash();
   return std::string(digest.begin(), digest.end());
 }
 
@@ -25,8 +25,7 @@ Status Mempool::Add(Transaction tx) {
       "chain.mempool.rejected_duplicate");
   static auto& nonce_replays = obs::MetricsRegistry::Global().GetCounter(
       "chain.mempool.rejected_nonce");
-  crypto::Digest digest = tx.Hash();
-  std::string key(digest.begin(), digest.end());
+  std::string key = KeyOf(tx);
   if (seen_.count(key) > 0) {
     duplicates.Add();
     return Status::AlreadyExists("transaction already in mempool");
@@ -40,8 +39,6 @@ Status Mempool::Add(Transaction tx) {
   }
   seen_.insert(std::move(key));
   admitted.Add();
-  pending_tree_.Append(digest);
-  pending_digests_.push_back(digest);
   pending_.push_back(std::move(tx));
   return Status::OK();
 }
@@ -49,20 +46,6 @@ Status Mempool::Add(Transaction tx) {
 void Mempool::NoteCommitted(const Transaction& tx) {
   seen_.insert(KeyOf(tx));
   seen_sender_nonce_.insert(SenderNonceOf(tx));
-}
-
-std::vector<Transaction> Mempool::Take(size_t max_count) {
-  size_t count = max_count == 0 ? pending_.size()
-                                : std::min(max_count, pending_.size());
-  std::vector<Transaction> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    out.push_back(std::move(pending_.front()));
-    pending_.pop_front();
-    pending_digests_.pop_front();
-  }
-  if (count > 0) RebuildPendingTree();
-  return out;
 }
 
 std::vector<Transaction> Mempool::Peek(size_t max_count) const {
@@ -74,27 +57,12 @@ std::vector<Transaction> Mempool::Peek(size_t max_count) const {
 
 void Mempool::RemoveCommitted(const std::vector<Transaction>& txs) {
   std::set<crypto::Digest> committed;
-  std::vector<crypto::Digest> hashes = HashTransactions(txs);
-  for (const auto& digest : hashes) committed.insert(digest);
+  for (const Transaction& tx : txs) committed.insert(tx.Hash());
   std::deque<Transaction> kept;
-  std::deque<crypto::Digest> kept_digests;
-  bool changed = false;
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    if (committed.count(pending_digests_[i]) == 0) {
-      kept.push_back(std::move(pending_[i]));
-      kept_digests.push_back(pending_digests_[i]);
-    } else {
-      changed = true;
-    }
+  for (Transaction& tx : pending_) {
+    if (committed.count(tx.Hash()) == 0) kept.push_back(std::move(tx));
   }
   pending_ = std::move(kept);
-  pending_digests_ = std::move(kept_digests);
-  if (changed) RebuildPendingTree();
-}
-
-void Mempool::RebuildPendingTree() {
-  pending_tree_ = MerkleTree(std::vector<crypto::Digest>(
-      pending_digests_.begin(), pending_digests_.end()));
 }
 
 }  // namespace bcfl::chain

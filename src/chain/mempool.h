@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "chain/merkle.h"
 #include "chain/transaction.h"
 #include "common/result.h"
 
@@ -16,12 +15,9 @@ namespace bcfl::chain {
 /// Leaders draw block bodies from here. The pool remembers every hash it
 /// has ever admitted so a re-gossiped transaction is not proposed twice,
 /// and every (sender, nonce) pair so a re-signed replay cannot occupy a
-/// second block slot before contract-level replay checks fire.
-///
-/// It also maintains an incremental Merkle tree over the pending
-/// transactions in arrival order: admission appends a leaf in O(log n),
-/// and a leader that proposes the full pool promotes PendingRoot()
-/// straight into the block header instead of rebuilding the tree.
+/// second block slot before contract-level replay checks fire. Every
+/// lookup uses the tx id each transaction carries, so admission and
+/// eviction never re-hash a payload.
 class Mempool {
  public:
   Mempool() = default;
@@ -29,10 +25,6 @@ class Mempool {
   /// Admits `tx`; AlreadyExists for duplicates (by hash, or by an
   /// already-admitted (sender, nonce) pair).
   Status Add(Transaction tx);
-
-  /// Removes and returns up to `max_count` transactions in arrival order
-  /// (0 = all pending).
-  std::vector<Transaction> Take(size_t max_count = 0);
 
   /// Copies up to `max_count` pending transactions without removing them
   /// (0 = all). Leaders peek so that a rejected proposal leaves the pool
@@ -53,24 +45,12 @@ class Mempool {
   size_t size() const { return pending_.size(); }
   bool empty() const { return pending_.empty(); }
 
-  /// Merkle root over all pending transactions in arrival order —
-  /// bit-identical to Block::ComputeMerkleRoot() of a block carrying
-  /// exactly the pending list.
-  const crypto::Digest& PendingRoot() const { return pending_tree_.root(); }
-
  private:
   static std::string KeyOf(const Transaction& tx);
 
-  /// Batch-rebuilds the pending tree after eviction, from the cached
-  /// digests — pending payloads are never re-hashed.
-  void RebuildPendingTree();
-
   std::deque<Transaction> pending_;
-  /// Hash of pending_[i], computed once at admission.
-  std::deque<crypto::Digest> pending_digests_;
   std::set<std::string> seen_;
   std::set<std::pair<std::string, uint64_t>> seen_sender_nonce_;
-  MerkleTree pending_tree_{{}};
 };
 
 }  // namespace bcfl::chain

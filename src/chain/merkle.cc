@@ -1,82 +1,6 @@
 #include "chain/merkle.h"
 
-#include <algorithm>
-#include <cstring>
-#include <functional>
-
-#include "chain/sig_cache.h"
-
 namespace bcfl::chain {
-
-namespace {
-
-/// Minimum hashes per chunk before the pool is worth waking.
-constexpr size_t kMerkleGrain = 128;
-
-/// Runs fn(begin, end) over [0, count) — in one inline call, or chunked
-/// across the chain pool for large counts. The chunk partition only
-/// decides which thread computes which output slot, never a digest.
-void ForEachChunk(size_t count,
-                  const std::function<void(size_t, size_t)>& fn) {
-  ThreadPool* pool = ChainPool();
-  if (pool == nullptr || count < 2 * kMerkleGrain ||
-      ThreadPool::InWorkerThread()) {
-    fn(0, count);
-    return;
-  }
-  size_t nchunks = (count + kMerkleGrain - 1) / kMerkleGrain;
-  pool->ParallelFor(
-      nchunks,
-      [&](size_t c) {
-        size_t begin = c * kMerkleGrain;
-        size_t end = std::min(count, begin + kMerkleGrain);
-        fn(begin, end);
-      },
-      1);
-}
-
-/// out[i] = LeafHash(leaves[i]) via the batched SHA-256 path.
-void HashLeafLevel(const std::vector<crypto::Digest>& leaves,
-                   std::vector<crypto::Digest>* out) {
-  size_t n = leaves.size();
-  out->resize(n);
-  ForEachChunk(n, [&](size_t begin, size_t end) {
-    size_t cnt = end - begin;
-    std::vector<uint8_t> pre(cnt * 33);
-    std::vector<const uint8_t*> ptrs(cnt);
-    for (size_t i = 0; i < cnt; ++i) {
-      uint8_t* p = pre.data() + i * 33;
-      p[0] = 0x00;
-      std::memcpy(p + 1, leaves[begin + i].data(), 32);
-      ptrs[i] = p;
-    }
-    crypto::Sha256Batch(ptrs.data(), 33, cnt, out->data() + begin);
-  });
-}
-
-/// next[i] = NodeHash(prev[2i], prev[2i+1] or duplicated last node).
-void HashNodeLevel(const std::vector<crypto::Digest>& prev,
-                   std::vector<crypto::Digest>* next) {
-  size_t n = (prev.size() + 1) / 2;
-  next->resize(n);
-  ForEachChunk(n, [&](size_t begin, size_t end) {
-    size_t cnt = end - begin;
-    std::vector<uint8_t> pre(cnt * 65);
-    std::vector<const uint8_t*> ptrs(cnt);
-    for (size_t i = 0; i < cnt; ++i) {
-      size_t left = 2 * (begin + i);
-      size_t right = left + 1 < prev.size() ? left + 1 : left;
-      uint8_t* p = pre.data() + i * 65;
-      p[0] = 0x01;
-      std::memcpy(p + 1, prev[left].data(), 32);
-      std::memcpy(p + 33, prev[right].data(), 32);
-      ptrs[i] = p;
-    }
-    crypto::Sha256Batch(ptrs.data(), 65, cnt, next->data() + begin);
-  });
-}
-
-}  // namespace
 
 crypto::Digest MerkleTree::LeafHash(const crypto::Digest& data) {
   crypto::Sha256 hasher;
@@ -102,43 +26,19 @@ MerkleTree::MerkleTree(const std::vector<crypto::Digest>& leaves)
   if (leaves.empty()) return;
 
   std::vector<crypto::Digest> level;
-  HashLeafLevel(leaves, &level);
+  level.reserve(leaves.size());
+  for (const auto& leaf : leaves) level.push_back(LeafHash(leaf));
   levels_.push_back(std::move(level));
 
   while (levels_.back().size() > 1) {
+    const std::vector<crypto::Digest>& prev = levels_.back();
     std::vector<crypto::Digest> next;
-    HashNodeLevel(levels_.back(), &next);
+    next.reserve((prev.size() + 1) / 2);
+    for (size_t left = 0; left < prev.size(); left += 2) {
+      size_t right = left + 1 < prev.size() ? left + 1 : left;
+      next.push_back(NodeHash(prev[left], prev[right]));
+    }
     levels_.push_back(std::move(next));
-  }
-  root_ = levels_.back()[0];
-}
-
-void MerkleTree::Append(const crypto::Digest& leaf) {
-  if (num_leaves_ == 0) {
-    levels_.assign(1, {LeafHash(leaf)});
-    num_leaves_ = 1;
-    root_ = levels_[0][0];
-    return;
-  }
-  ++num_leaves_;
-  levels_[0].push_back(LeafHash(leaf));
-  // Only the last node of each level depends on the appended leaf (the
-  // previous last parent either gains a real right child where it used
-  // to duplicate, or a new parent appears). Walk the right edge up.
-  size_t depth = 0;
-  while (levels_[depth].size() > 1) {
-    size_t prev_size = levels_[depth].size();
-    size_t parent_count = (prev_size + 1) / 2;
-    // May reallocate levels_ itself: take references only afterwards.
-    if (depth + 1 == levels_.size()) levels_.emplace_back();
-    const auto& prev = levels_[depth];
-    auto& parents = levels_[depth + 1];
-    parents.resize(parent_count);
-    size_t last = parent_count - 1;
-    size_t left = 2 * last;
-    size_t right = left + 1 < prev_size ? left + 1 : left;
-    parents[last] = NodeHash(prev[left], prev[right]);
-    ++depth;
   }
   root_ = levels_.back()[0];
 }

@@ -22,20 +22,9 @@ struct MerkleProofStep {
 /// preimage splicing between levels.
 class MerkleTree {
  public:
-  /// Builds the tree; an empty leaf set yields the all-zero root.
-  ///
-  /// Level hashing goes through the batched SHA-256 path and, when a
-  /// chain pool is installed (SetChainPool) and the level is large
-  /// enough, is chunked across it. Chunk boundaries never influence any
-  /// digest, so the tree is bit-identical for every pool size.
+  /// Builds the tree, one LeafHash per leaf and one NodeHash per
+  /// interior node; an empty leaf set yields the all-zero root.
   explicit MerkleTree(const std::vector<crypto::Digest>& leaves);
-
-  /// Appends one leaf, recomputing only the right edge: O(log n) hashes
-  /// instead of a full rebuild. The resulting tree (levels, proofs and
-  /// root) is bit-identical to constructing from the extended leaf
-  /// vector — the mempool grows its pending tree this way on admission
-  /// and promotes the root straight into a block header.
-  void Append(const crypto::Digest& leaf);
 
   const crypto::Digest& root() const { return root_; }
   size_t num_leaves() const { return num_leaves_; }

@@ -36,12 +36,7 @@ Result<Block> Miner::ProposeBlock(uint64_t timestamp_us, size_t max_txs) {
   block.header.prev_hash = chain_.Tip().header.Hash();
   block.header.timestamp_us = timestamp_us;
   block.header.proposer = id_;
-  // Proposing the whole pool promotes the mempool's incrementally
-  // maintained root (bit-identical to a rebuild); a partial block still
-  // hashes its own prefix.
-  block.header.merkle_root = block.txs.size() == mempool_.size()
-                                 ? mempool_.PendingRoot()
-                                 : block.ComputeMerkleRoot();
+  block.header.merkle_root = block.ComputeMerkleRoot();
 
   // Trial execution in place; the scope always rolls it back.
   ContractState::Scope trial(&state_);

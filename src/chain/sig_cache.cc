@@ -1,7 +1,5 @@
 #include "chain/sig_cache.h"
 
-#include <atomic>
-
 #include "obs/metrics.h"
 
 namespace bcfl::chain {
@@ -11,8 +9,6 @@ namespace {
 std::string DigestKey(const crypto::Digest& d) {
   return std::string(d.begin(), d.end());
 }
-
-std::atomic<ThreadPool*> g_chain_pool{nullptr};
 
 }  // namespace
 
@@ -56,14 +52,6 @@ void SigVerifyCache::Clear() {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.entries.clear();
   }
-}
-
-void SetChainPool(ThreadPool* pool) {
-  g_chain_pool.store(pool, std::memory_order_relaxed);
-}
-
-ThreadPool* ChainPool() {
-  return g_chain_pool.load(std::memory_order_relaxed);
 }
 
 }  // namespace bcfl::chain

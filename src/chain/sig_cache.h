@@ -6,7 +6,6 @@
 #include <string>
 #include <unordered_set>
 
-#include "common/thread_pool.h"
 #include "crypto/sha256.h"
 
 namespace bcfl::chain {
@@ -14,7 +13,9 @@ namespace bcfl::chain {
 /// Thread-safe sharded cache of *successful* signature verifications,
 /// keyed by transaction hash (SHA-256 over the canonical signing bytes
 /// plus the signature, so the key commits to contract, method, payload,
-/// sender, nonce AND the signature itself).
+/// sender, nonce AND the signature itself). The key is
+/// `Transaction::Hash()`, computed once when the immutable tx is built,
+/// so any tx that differs in a single byte carries a different key.
 ///
 /// Honest-majority consensus re-executes every block on every miner; the
 /// miners share one ContractHost, so one cache turns N identical modexp
@@ -57,12 +58,5 @@ class SigVerifyCache {
 
   mutable std::array<Shard, kShards> shards_;
 };
-
-/// Thread pool consulted by the chain layer's parallel paths (signature
-/// pre-verification, level-parallel Merkle builds). Null — the default —
-/// means every path runs inline on the caller, bit-identical by
-/// construction. Mirrors ml::kernels::SetParallelPool.
-void SetChainPool(ThreadPool* pool);
-ThreadPool* ChainPool();
 
 }  // namespace bcfl::chain

@@ -1,92 +1,75 @@
 #include "chain/transaction.h"
 
-#include <map>
-
 namespace bcfl::chain {
+
+namespace {
+
+/// Writes the signed fields in wire order. The wire encoding appends the
+/// length-prefixed signature; the tx id hashes the raw signature after
+/// these bytes.
+void WriteSignedFields(const TxBody& body, const crypto::UInt256& sender,
+                       ByteWriter* writer) {
+  writer->WriteString(body.contract);
+  writer->WriteString(body.method);
+  writer->WriteBytes(body.payload);
+  writer->WriteBytes(sender.ToBytes());
+  writer->WriteU64(body.nonce);
+}
+
+}  // namespace
+
+Transaction Transaction::Sign(TxBody body, const crypto::Schnorr& scheme,
+                              const crypto::SchnorrKeyPair& key,
+                              Xoshiro256* rng) {
+  ByteWriter signing;
+  WriteSignedFields(body, key.public_key, &signing);
+  crypto::SchnorrSignature signature = scheme.Sign(key, signing.Take(), rng);
+  return Transaction(std::move(body), key.public_key, signature);
+}
+
+Transaction::Transaction(TxBody body, const crypto::UInt256& sender,
+                         const crypto::SchnorrSignature& signature)
+    : body_(std::move(body)), sender_(sender), signature_(signature) {
+  crypto::Sha256 hasher;
+  hasher.Update(SigningBytes());
+  hasher.Update(signature_.ToBytes());
+  hash_ = hasher.Finish();
+}
 
 Bytes Transaction::SigningBytes() const {
   ByteWriter writer;
-  writer.WriteString(contract);
-  writer.WriteString(method);
-  writer.WriteBytes(payload);
-  writer.WriteBytes(sender.ToBytes());
-  writer.WriteU64(nonce);
+  WriteSignedFields(body_, sender_, &writer);
   return writer.Take();
 }
 
-crypto::Digest Transaction::Hash() const {
-  crypto::Sha256 hasher;
-  hasher.Update(SigningBytes());
-  hasher.Update(signature.ToBytes());
-  return hasher.Finish();
-}
-
-void Transaction::Sign(const crypto::Schnorr& scheme,
-                       const crypto::SchnorrKeyPair& key, Xoshiro256* rng) {
-  sender = key.public_key;
-  signature = scheme.Sign(key, SigningBytes(), rng);
-}
-
 bool Transaction::VerifySignature(const crypto::Schnorr& scheme) const {
-  return scheme.Verify(sender, SigningBytes(), signature);
+  return scheme.Verify(sender_, SigningBytes(), signature_);
 }
 
 Bytes Transaction::Serialize() const {
   ByteWriter writer;
-  writer.WriteString(contract);
-  writer.WriteString(method);
-  writer.WriteBytes(payload);
-  writer.WriteBytes(sender.ToBytes());
-  writer.WriteU64(nonce);
-  writer.WriteBytes(signature.ToBytes());
+  WriteSignedFields(body_, sender_, &writer);
+  writer.WriteBytes(signature_.ToBytes());
   return writer.Take();
 }
 
 Result<Transaction> Transaction::Deserialize(const Bytes& bytes) {
   ByteReader reader(bytes);
-  Transaction tx;
-  BCFL_ASSIGN_OR_RETURN(tx.contract, reader.ReadString());
-  BCFL_ASSIGN_OR_RETURN(tx.method, reader.ReadString());
-  BCFL_ASSIGN_OR_RETURN(tx.payload, reader.ReadBytes());
+  TxBody body;
+  BCFL_ASSIGN_OR_RETURN(body.contract, reader.ReadString());
+  BCFL_ASSIGN_OR_RETURN(body.method, reader.ReadString());
+  BCFL_ASSIGN_OR_RETURN(body.payload, reader.ReadBytes());
   BCFL_ASSIGN_OR_RETURN(Bytes sender_bytes, reader.ReadBytes());
-  BCFL_ASSIGN_OR_RETURN(tx.sender, crypto::UInt256::FromBytes(sender_bytes));
-  BCFL_ASSIGN_OR_RETURN(tx.nonce, reader.ReadU64());
+  BCFL_ASSIGN_OR_RETURN(crypto::UInt256 sender,
+                        crypto::UInt256::FromBytes(sender_bytes));
+  BCFL_ASSIGN_OR_RETURN(body.nonce, reader.ReadU64());
   BCFL_ASSIGN_OR_RETURN(Bytes sig_bytes, reader.ReadBytes());
-  BCFL_ASSIGN_OR_RETURN(tx.signature,
+  BCFL_ASSIGN_OR_RETURN(crypto::SchnorrSignature signature,
                         crypto::SchnorrSignature::FromBytes(sig_bytes));
   if (!reader.exhausted()) {
     return Status::Corruption("trailing bytes after transaction");
   }
-  return tx;
-}
-
-bool Transaction::operator==(const Transaction& other) const {
-  return Hash() == other.Hash();
-}
-
-std::vector<crypto::Digest> HashTransactions(
-    const std::vector<Transaction>& txs) {
-  std::vector<crypto::Digest> out(txs.size());
-  // Materialise each preimage (signing bytes || signature), then group
-  // equal lengths so the 8-lane SHA path gets full batches.
-  std::vector<Bytes> preimages(txs.size());
-  std::map<size_t, std::vector<size_t>> by_len;
-  for (size_t i = 0; i < txs.size(); ++i) {
-    preimages[i] = txs[i].SigningBytes();
-    Bytes sig = txs[i].signature.ToBytes();
-    preimages[i].insert(preimages[i].end(), sig.begin(), sig.end());
-    by_len[preimages[i].size()].push_back(i);
-  }
-  std::vector<const uint8_t*> ptrs;
-  std::vector<crypto::Digest> group_out;
-  for (const auto& [len, indices] : by_len) {
-    ptrs.clear();
-    for (size_t i : indices) ptrs.push_back(preimages[i].data());
-    group_out.resize(indices.size());
-    crypto::Sha256Batch(ptrs.data(), len, indices.size(), group_out.data());
-    for (size_t j = 0; j < indices.size(); ++j) out[indices[j]] = group_out[j];
-  }
-  return out;
+  return Transaction(std::move(body), sender, signature);
 }
 
 }  // namespace bcfl::chain

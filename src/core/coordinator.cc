@@ -159,12 +159,12 @@ Result<std::unique_ptr<BcflCoordinator>> BcflCoordinator::Create(
     coord->engine_->set_fault_injector(coord->injector_.get());
   }
 
-  chain::Transaction setup_tx;
-  setup_tx.contract = "bcfl";
-  setup_tx.method = "setup";
-  setup_tx.payload = params.Serialize();
-  setup_tx.nonce = kSetupNonce;
-  setup_tx.Sign(coord->schnorr_, coord->schnorr_keys_[0], &rng);
+  const chain::Transaction setup_tx = chain::Transaction::Sign(
+      {.contract = "bcfl",
+       .method = "setup",
+       .payload = params.Serialize(),
+       .nonce = kSetupNonce},
+      coord->schnorr_, coord->schnorr_keys_[0], &rng);
   BCFL_RETURN_IF_ERROR(coord->engine_->SubmitTransaction(setup_tx));
   BCFL_ASSIGN_OR_RETURN(auto commits, coord->engine_->RunUntilDrained());
   if (commits.empty() || !commits.back().committed) {
@@ -448,12 +448,12 @@ Status BcflCoordinator::SubmitSlash(uint64_t round, uint32_t offender,
                                     const char* what, BcflRunResult* result) {
   static auto& slashes =
       obs::MetricsRegistry::Global().GetCounter("fl.slashes");
-  chain::Transaction tx;
-  tx.contract = "slash";
-  tx.method = "slash";
-  tx.payload = payload;
-  tx.nonce = SlashNonce(round, offender, config_.num_owners);
-  tx.Sign(schnorr_, schnorr_keys_[reporter], rng_.get());
+  const chain::Transaction tx = chain::Transaction::Sign(
+      {.contract = "slash",
+       .method = "slash",
+       .payload = payload,
+       .nonce = SlashNonce(round, offender, config_.num_owners)},
+      schnorr_, schnorr_keys_[reporter], rng_.get());
   BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(tx));
   slashes.Add();
   result->slash_transactions++;
@@ -476,16 +476,17 @@ Status BcflCoordinator::SlashEquivocator(uint32_t owner, uint64_t round,
   // either alone would be valid, together they convict. The second is a
   // tampered twin of the first (one masked word flipped) — any two
   // differing payloads equivocate.
-  chain::Transaction first;
-  first.contract = "bcfl";
-  first.method = "submit_update";
-  first.payload = payload;
-  first.nonce = SubmitNonce(round, owner, config_.num_owners);
-  first.Sign(schnorr_, schnorr_keys_[owner], rng_.get());
+  const chain::Transaction first = chain::Transaction::Sign(
+      {.contract = "bcfl",
+       .method = "submit_update",
+       .payload = payload,
+       .nonce = SubmitNonce(round, owner, config_.num_owners)},
+      schnorr_, schnorr_keys_[owner], rng_.get());
 
-  chain::Transaction second = first;
-  second.payload.back() ^= 1;
-  second.Sign(schnorr_, schnorr_keys_[owner], rng_.get());
+  chain::TxBody twin = first.body();
+  twin.payload.back() ^= 1;
+  const chain::Transaction second = chain::Transaction::Sign(
+      std::move(twin), schnorr_, schnorr_keys_[owner], rng_.get());
 
   BCFL_ASSIGN_OR_RETURN(uint32_t reporter, FindReporter(owner));
   const Bytes evidence = SlashContract::EncodeEquivocation(
@@ -514,12 +515,12 @@ Result<bool> BcflCoordinator::SubmitPreparedWithRetries(
       backoff *= 2;
       continue;
     }
-    chain::Transaction tx;
-    tx.contract = "bcfl";
-    tx.method = "submit_update";
-    tx.payload = payload;
-    tx.nonce = SubmitNonce(round, owner, config_.num_owners);
-    tx.Sign(schnorr_, schnorr_keys_[owner], rng_.get());
+    const chain::Transaction tx = chain::Transaction::Sign(
+        {.contract = "bcfl",
+         .method = "submit_update",
+         .payload = payload,
+         .nonce = SubmitNonce(round, owner, config_.num_owners)},
+        schnorr_, schnorr_keys_[owner], rng_.get());
     BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(tx));
     return true;
   }
@@ -641,12 +642,12 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
     BCFL_ASSIGN_OR_RETURN(crypto::UInt256 dh_key,
                           crypto::UInt256::FromBytes(secret_bytes));
 
-    chain::Transaction tx;
-    tx.contract = "bcfl";
-    tx.method = "recover";
-    tx.payload = FlContract::EncodeRecover(round, u, dh_key);
-    tx.nonce = RecoverNonce(round, u, config_.num_owners);
-    tx.Sign(schnorr_, schnorr_keys_[reporter], rng_.get());
+    const chain::Transaction tx = chain::Transaction::Sign(
+        {.contract = "bcfl",
+         .method = "recover",
+         .payload = FlContract::EncodeRecover(round, u, dh_key),
+         .nonce = RecoverNonce(round, u, config_.num_owners)},
+        schnorr_, schnorr_keys_[reporter], rng_.get());
     BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(tx));
     recoveries.Add();
     result->recover_transactions++;
@@ -954,30 +955,26 @@ Result<BcflRunResult> BcflCoordinator::Run() {
   const size_t reward_txs0 = result.total_transactions;
   if (config_.reward_pool > 0) {
     obs::ScopedSpan reward_span(obs::Tracer::Global(), "reward_phase", "fl");
-    chain::Transaction fund;
-    fund.contract = "reward";
-    fund.method = "fund";
-    fund.payload = RewardContract::EncodeFund(config_.reward_pool);
-    fund.nonce = kFundNonce;
-    fund.Sign(schnorr_, schnorr_keys_[0], rng_.get());
-    BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(fund));
-
-    chain::Transaction distribute;
-    distribute.contract = "reward";
-    distribute.method = "distribute";
-    distribute.nonce = kDistributeNonce;
-    distribute.Sign(schnorr_, schnorr_keys_[0], rng_.get());
-    BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(distribute));
+    BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(chain::Transaction::Sign(
+        {.contract = "reward",
+         .method = "fund",
+         .payload = RewardContract::EncodeFund(config_.reward_pool),
+         .nonce = kFundNonce},
+        schnorr_, schnorr_keys_[0], rng_.get())));
+    BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(chain::Transaction::Sign(
+        {.contract = "reward",
+         .method = "distribute",
+         .nonce = kDistributeNonce},
+        schnorr_, schnorr_keys_[0], rng_.get())));
 
     for (uint32_t i = 0; i < n; ++i) {
       if (retired_.count(i) > 0) continue;  // Retired owners cannot claim.
-      chain::Transaction claim;
-      claim.contract = "reward";
-      claim.method = "claim";
-      claim.payload = RewardContract::EncodeClaim(i);
-      claim.nonce = kClaimNonceBase + i;
-      claim.Sign(schnorr_, schnorr_keys_[i], rng_.get());
-      BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(claim));
+      BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(chain::Transaction::Sign(
+          {.contract = "reward",
+           .method = "claim",
+           .payload = RewardContract::EncodeClaim(i),
+           .nonce = kClaimNonceBase + i},
+          schnorr_, schnorr_keys_[i], rng_.get())));
     }
     BCFL_ASSIGN_OR_RETURN(auto commits, engine_->RunUntilDrained());
     for (const auto& commit : commits) {

@@ -41,25 +41,25 @@ Status FlContract::Execute(const chain::Transaction& tx,
   // Executions are counted per miner re-execution, not per unique tx:
   // the same transaction runs once during proposal validation on each
   // validator and once at commit on each replica.
-  if (tx.method == "setup") {
+  if (tx.method() == "setup") {
     static auto& setups =
         obs::MetricsRegistry::Global().GetCounter("contract.setup_execs");
     setups.Add();
     return ExecuteSetup(tx, state);
   }
-  if (tx.method == "submit_update") {
+  if (tx.method() == "submit_update") {
     static auto& submits = obs::MetricsRegistry::Global().GetCounter(
         "contract.submit_update_execs");
     submits.Add();
     return ExecuteSubmitUpdate(tx, state);
   }
-  if (tx.method == "recover") {
+  if (tx.method() == "recover") {
     static auto& recovers =
         obs::MetricsRegistry::Global().GetCounter("contract.recover_execs");
     recovers.Add();
     return ExecuteRecover(tx, state);
   }
-  return Status::Unimplemented("unknown method: " + tx.method);
+  return Status::Unimplemented("unknown method: " + tx.method());
 }
 
 Status FlContract::ExecuteSetup(const chain::Transaction& tx,
@@ -67,16 +67,16 @@ Status FlContract::ExecuteSetup(const chain::Transaction& tx,
   if (state->Has(keys::SetupParams())) {
     return Status::AlreadyExists("setup already executed");
   }
-  auto params = SetupParams::Deserialize(tx.payload);
+  auto params = SetupParams::Deserialize(tx.payload());
   if (!params.ok()) {
     return params.status().WithContext("bad setup payload");
   }
   // The initiator (owner 0) must sign the setup transaction.
   if (params->schnorr_public_keys.empty() ||
-      tx.sender != params->schnorr_public_keys[0]) {
+      tx.sender() != params->schnorr_public_keys[0]) {
     return Status::PermissionDenied("setup must be signed by owner 0");
   }
-  state->Put(keys::SetupParams(), tx.payload);
+  state->Put(keys::SetupParams(), tx.payload());
   return Status::OK();
 }
 
@@ -89,7 +89,7 @@ Status FlContract::ExecuteSubmitUpdate(const chain::Transaction& tx,
   BCFL_ASSIGN_OR_RETURN(SetupParams params,
                         SetupParams::Deserialize(*params_bytes));
 
-  ByteReader reader(tx.payload);
+  ByteReader reader(tx.payload());
   BCFL_ASSIGN_OR_RETURN(uint64_t round, reader.ReadU64());
   BCFL_ASSIGN_OR_RETURN(uint32_t owner, reader.ReadU32());
   BCFL_ASSIGN_OR_RETURN(std::vector<uint64_t> masked, reader.ReadU64Vector());
@@ -105,7 +105,7 @@ Status FlContract::ExecuteSubmitUpdate(const chain::Transaction& tx,
   }
   // Authentication: the tx must be signed with the owner's key published
   // at setup (the host already checked the signature itself).
-  if (tx.sender != params.schnorr_public_keys[owner]) {
+  if (tx.sender() != params.schnorr_public_keys[owner]) {
     return Status::PermissionDenied(
         "submission signed with a key not registered for owner " +
         std::to_string(owner));
@@ -142,7 +142,7 @@ Status FlContract::ExecuteRecover(const chain::Transaction& tx,
   BCFL_ASSIGN_OR_RETURN(SetupParams params,
                         SetupParams::Deserialize(*params_bytes));
 
-  ByteReader reader(tx.payload);
+  ByteReader reader(tx.payload());
   BCFL_ASSIGN_OR_RETURN(uint64_t round, reader.ReadU64());
   BCFL_ASSIGN_OR_RETURN(uint32_t dropped, reader.ReadU32());
   BCFL_ASSIGN_OR_RETURN(Bytes key_bytes, reader.ReadRaw(32));
@@ -159,7 +159,7 @@ Status FlContract::ExecuteRecover(const chain::Transaction& tx,
   // of a threshold of share reveals, not one party's secret).
   bool sender_registered = false;
   for (const auto& key : params.schnorr_public_keys) {
-    if (tx.sender == key) {
+    if (tx.sender() == key) {
       sender_registered = true;
       break;
     }

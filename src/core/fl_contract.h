@@ -14,7 +14,7 @@ namespace bcfl::core {
 /// The BCFL smart contract — "Smart contract builds the FL model and
 /// evaluates the contribution" (Sect. III).
 ///
-/// Methods (dispatched on tx.method):
+/// Methods (dispatched on tx.method()):
 ///  - "setup": publishes the agreed `SetupParams`; must be the first tx,
 ///    signed by owner 0 (the session initiator).
 ///  - "recover": payload = (round, dropped owner id, that owner's DH

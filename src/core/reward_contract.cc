@@ -54,10 +54,10 @@ Bytes RewardContract::EncodeClaim(uint32_t owner) {
 
 Status RewardContract::Execute(const chain::Transaction& tx,
                                chain::ContractState* state) {
-  if (tx.method == "fund") return ExecuteFund(tx, state);
-  if (tx.method == "distribute") return ExecuteDistribute(state);
-  if (tx.method == "claim") return ExecuteClaim(tx, state);
-  return Status::Unimplemented("unknown method: " + tx.method);
+  if (tx.method() == "fund") return ExecuteFund(tx, state);
+  if (tx.method() == "distribute") return ExecuteDistribute(state);
+  if (tx.method() == "claim") return ExecuteClaim(tx, state);
+  return Status::Unimplemented("unknown method: " + tx.method());
 }
 
 Status RewardContract::ExecuteFund(const chain::Transaction& tx,
@@ -65,7 +65,7 @@ Status RewardContract::ExecuteFund(const chain::Transaction& tx,
   if (state->Has(DistributedKey())) {
     return Status::FailedPrecondition("pool already distributed");
   }
-  ByteReader reader(tx.payload);
+  ByteReader reader(tx.payload());
   BCFL_ASSIGN_OR_RETURN(uint64_t amount, reader.ReadU64());
   if (!reader.exhausted()) {
     return Status::Corruption("trailing bytes in fund payload");
@@ -164,7 +164,7 @@ Status RewardContract::ExecuteClaim(const chain::Transaction& tx,
   if (!state->Has(DistributedKey())) {
     return Status::FailedPrecondition("rewards not yet distributed");
   }
-  ByteReader reader(tx.payload);
+  ByteReader reader(tx.payload());
   BCFL_ASSIGN_OR_RETURN(uint32_t owner, reader.ReadU32());
   if (!reader.exhausted()) {
     return Status::Corruption("trailing bytes in claim payload");
@@ -175,7 +175,7 @@ Status RewardContract::ExecuteClaim(const chain::Transaction& tx,
   if (owner >= params.num_owners) {
     return Status::InvalidArgument("unknown owner id");
   }
-  if (tx.sender != params.schnorr_public_keys[owner]) {
+  if (tx.sender() != params.schnorr_public_keys[owner]) {
     return Status::PermissionDenied(
         "claim signed with a key not registered for owner " +
         std::to_string(owner));

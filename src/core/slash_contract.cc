@@ -93,8 +93,8 @@ Status SlashContract::Execute(const chain::Transaction& tx,
   static auto& slash_execs =
       obs::MetricsRegistry::Global().GetCounter("contract.slash_execs");
   slash_execs.Add();
-  if (tx.method != "slash") {
-    return Status::Unimplemented("unknown method: " + tx.method);
+  if (tx.method() != "slash") {
+    return Status::Unimplemented("unknown method: " + tx.method());
   }
   auto params_bytes = state->Get(keys::SetupParams());
   if (!params_bytes.ok()) {
@@ -103,7 +103,7 @@ Status SlashContract::Execute(const chain::Transaction& tx,
   BCFL_ASSIGN_OR_RETURN(SetupParams params,
                         SetupParams::Deserialize(*params_bytes));
 
-  ByteReader reader(tx.payload);
+  ByteReader reader(tx.payload());
   BCFL_ASSIGN_OR_RETURN(uint64_t round, reader.ReadU64());
   BCFL_ASSIGN_OR_RETURN(uint32_t offender, reader.ReadU32());
   BCFL_ASSIGN_OR_RETURN(uint8_t kind_raw, reader.ReadU8());
@@ -119,7 +119,7 @@ Status SlashContract::Execute(const chain::Transaction& tx,
   // coordinator acting as the reporting watchdog).
   bool sender_registered = false;
   for (const auto& key : params.schnorr_public_keys) {
-    if (tx.sender == key) {
+    if (tx.sender() == key) {
       sender_registered = true;
       break;
     }
@@ -235,18 +235,18 @@ Status SlashContract::VerifyEquivocation(const SetupParams& params,
   BCFL_ASSIGN_OR_RETURN(chain::Transaction second,
                         chain::Transaction::Deserialize(second_bytes));
   for (const chain::Transaction* tx : {&first, &second}) {
-    if (tx->contract != fl_->name() || tx->method != "submit_update") {
+    if (tx->contract() != fl_->name() || tx->method() != "submit_update") {
       return Status::InvalidArgument(
           "equivocation evidence must be submit_update transactions");
     }
-    if (tx->sender != params.schnorr_public_keys[offender]) {
+    if (tx->sender() != params.schnorr_public_keys[offender]) {
       return Status::PermissionDenied(
           "evidence transaction not signed by the offender");
     }
     if (!tx->VerifySignature(schnorr_)) {
       return Status::PermissionDenied("evidence transaction badly signed");
     }
-    ByteReader payload(tx->payload);
+    ByteReader payload(tx->payload());
     BCFL_ASSIGN_OR_RETURN(uint64_t tx_round, payload.ReadU64());
     BCFL_ASSIGN_OR_RETURN(uint32_t tx_owner, payload.ReadU32());
     if (tx_round != round || tx_owner != offender) {
@@ -254,7 +254,7 @@ Status SlashContract::VerifyEquivocation(const SetupParams& params,
           "evidence transaction targets a different round or owner");
     }
   }
-  if (first.payload == second.payload) {
+  if (first.payload() == second.payload()) {
     return Status::InvalidArgument(
         "evidence transactions agree; no equivocation");
   }

@@ -1,16 +1,7 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
-#include <vector>
-
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-#define BCFL_SHA256_HAVE_AVX2 1
-#define BCFL_SHA256_TARGET_AVX2 __attribute__((target("avx2")))
-#include <immintrin.h>
-#else
-#define BCFL_SHA256_HAVE_AVX2 0
-#define BCFL_SHA256_TARGET_AVX2
-#endif
 
 namespace bcfl::crypto {
 
@@ -148,161 +139,6 @@ std::string DigestToHex(const Digest& digest) {
 
 Bytes DigestToBytes(const Digest& digest) {
   return Bytes(digest.begin(), digest.end());
-}
-
-// -- batched hashing -------------------------------------------------------
-
-namespace {
-
-/// Number of 64-byte blocks a `len`-byte message occupies once padded.
-[[maybe_unused]] size_t PaddedBlocks(size_t len) {
-  return (len + 9 + 63) / 64;
-}
-
-/// Standard SHA-256 padding of `msg` into `out` (PaddedBlocks(len)*64
-/// bytes): 0x80, zeros, 64-bit big-endian bit length.
-[[maybe_unused]] void PadMessage(const uint8_t* msg, size_t len,
-                                 uint8_t* out) {
-  size_t total = PaddedBlocks(len) * 64;
-  std::memcpy(out, msg, len);
-  out[len] = 0x80;
-  std::memset(out + len + 1, 0, total - len - 9);
-  uint64_t bit_len = static_cast<uint64_t>(len) * 8;
-  for (int i = 0; i < 8; ++i) {
-    out[total - 8 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-}
-
-#if BCFL_SHA256_HAVE_AVX2
-
-BCFL_SHA256_TARGET_AVX2 inline __m256i Rotr8x32(__m256i x, int n) {
-  return _mm256_or_si256(_mm256_srli_epi32(x, n),
-                         _mm256_slli_epi32(x, 32 - n));
-}
-
-/// Compresses eight already-padded messages of `nblocks` blocks each:
-/// lane l of every vector register carries message l. The round function
-/// is the scalar one transliterated to epi32 ops, so every lane computes
-/// exactly the standard digest.
-BCFL_SHA256_TARGET_AVX2 void Sha256x8Avx2(const uint8_t* const lanes[8],
-                                          size_t nblocks, Digest* out) {
-  __m256i s[8];
-  for (int i = 0; i < 8; ++i) {
-    s[i] = _mm256_set1_epi32(static_cast<int>(kInitialState[i]));
-  }
-  for (size_t blk = 0; blk < nblocks; ++blk) {
-    __m256i w[64];
-    alignas(32) uint32_t tmp[8];
-    for (int t = 0; t < 16; ++t) {
-      for (int l = 0; l < 8; ++l) {
-        const uint8_t* p = lanes[l] + blk * 64 + static_cast<size_t>(t) * 4;
-        tmp[l] = static_cast<uint32_t>(p[0]) << 24 |
-                 static_cast<uint32_t>(p[1]) << 16 |
-                 static_cast<uint32_t>(p[2]) << 8 | static_cast<uint32_t>(p[3]);
-      }
-      w[t] = _mm256_load_si256(reinterpret_cast<const __m256i*>(tmp));
-    }
-    for (int t = 16; t < 64; ++t) {
-      __m256i x15 = w[t - 15];
-      __m256i x2 = w[t - 2];
-      __m256i s0 = _mm256_xor_si256(
-          _mm256_xor_si256(Rotr8x32(x15, 7), Rotr8x32(x15, 18)),
-          _mm256_srli_epi32(x15, 3));
-      __m256i s1 = _mm256_xor_si256(
-          _mm256_xor_si256(Rotr8x32(x2, 17), Rotr8x32(x2, 19)),
-          _mm256_srli_epi32(x2, 10));
-      w[t] = _mm256_add_epi32(_mm256_add_epi32(w[t - 16], s0),
-                              _mm256_add_epi32(w[t - 7], s1));
-    }
-
-    __m256i a = s[0], b = s[1], c = s[2], d = s[3];
-    __m256i e = s[4], f = s[5], g = s[6], h = s[7];
-    for (int t = 0; t < 64; ++t) {
-      __m256i s1 = _mm256_xor_si256(
-          _mm256_xor_si256(Rotr8x32(e, 6), Rotr8x32(e, 11)), Rotr8x32(e, 25));
-      __m256i ch = _mm256_xor_si256(_mm256_and_si256(e, f),
-                                    _mm256_andnot_si256(e, g));
-      __m256i temp1 = _mm256_add_epi32(
-          _mm256_add_epi32(_mm256_add_epi32(h, s1),
-                           _mm256_add_epi32(ch, w[t])),
-          _mm256_set1_epi32(static_cast<int>(kRoundConstants[t])));
-      __m256i s0 = _mm256_xor_si256(
-          _mm256_xor_si256(Rotr8x32(a, 2), Rotr8x32(a, 13)), Rotr8x32(a, 22));
-      __m256i maj = _mm256_xor_si256(
-          _mm256_xor_si256(_mm256_and_si256(a, b), _mm256_and_si256(a, c)),
-          _mm256_and_si256(b, c));
-      __m256i temp2 = _mm256_add_epi32(s0, maj);
-      h = g;
-      g = f;
-      f = e;
-      e = _mm256_add_epi32(d, temp1);
-      d = c;
-      c = b;
-      b = a;
-      a = _mm256_add_epi32(temp1, temp2);
-    }
-    s[0] = _mm256_add_epi32(s[0], a);
-    s[1] = _mm256_add_epi32(s[1], b);
-    s[2] = _mm256_add_epi32(s[2], c);
-    s[3] = _mm256_add_epi32(s[3], d);
-    s[4] = _mm256_add_epi32(s[4], e);
-    s[5] = _mm256_add_epi32(s[5], f);
-    s[6] = _mm256_add_epi32(s[6], g);
-    s[7] = _mm256_add_epi32(s[7], h);
-  }
-  alignas(32) uint32_t words[8][8];  // words[state index][lane]
-  for (int i = 0; i < 8; ++i) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words[i]), s[i]);
-  }
-  for (int l = 0; l < 8; ++l) {
-    for (int i = 0; i < 8; ++i) {
-      uint32_t v = words[i][l];
-      out[l][4 * i + 0] = static_cast<uint8_t>(v >> 24);
-      out[l][4 * i + 1] = static_cast<uint8_t>(v >> 16);
-      out[l][4 * i + 2] = static_cast<uint8_t>(v >> 8);
-      out[l][4 * i + 3] = static_cast<uint8_t>(v);
-    }
-  }
-}
-
-bool HasAvx2() {
-  static const bool supported = __builtin_cpu_supports("avx2") != 0;
-  return supported;
-}
-
-#else
-
-bool HasAvx2() { return false; }
-
-#endif  // BCFL_SHA256_HAVE_AVX2
-
-}  // namespace
-
-std::string_view Sha256BatchActivePath() {
-  return HasAvx2() ? "avx2x8" : "scalar";
-}
-
-void Sha256Batch(const uint8_t* const* msgs, size_t len, size_t count,
-                 Digest* out) {
-#if BCFL_SHA256_HAVE_AVX2
-  if (HasAvx2() && count >= 8) {
-    size_t nblocks = PaddedBlocks(len);
-    std::vector<uint8_t> padded(8 * nblocks * 64);
-    size_t i = 0;
-    for (; i + 8 <= count; i += 8) {
-      const uint8_t* lanes[8];
-      for (int l = 0; l < 8; ++l) {
-        uint8_t* dst = padded.data() + static_cast<size_t>(l) * nblocks * 64;
-        PadMessage(msgs[i + static_cast<size_t>(l)], len, dst);
-        lanes[l] = dst;
-      }
-      Sha256x8Avx2(lanes, nblocks, out + i);
-    }
-    for (; i < count; ++i) out[i] = Sha256::Hash(msgs[i], len);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < count; ++i) out[i] = Sha256::Hash(msgs[i], len);
 }
 
 }  // namespace bcfl::crypto

@@ -56,20 +56,4 @@ std::string DigestToHex(const Digest& digest);
 /// Converts a digest to a Bytes vector.
 Bytes DigestToBytes(const Digest& digest);
 
-/// Hashes `count` equal-length messages in one call: out[i] =
-/// SHA-256(msgs[i], len). Dispatches at runtime to an 8-way interleaved
-/// AVX2 compression (eight independent messages per vector register,
-/// one 32-bit lane each) with a scalar tail/fallback. Lane order never
-/// affects results — each digest is the standard one-message SHA-256,
-/// bit-identical to Sha256::Hash.
-///
-/// Merkle levels (33-byte leaf / 65-byte node preimages) and batch
-/// transaction hashing are the intended callers.
-void Sha256Batch(const uint8_t* const* msgs, size_t len, size_t count,
-                 Digest* out);
-
-/// Which implementation Sha256Batch dispatches to on this machine:
-/// "avx2x8" or "scalar".
-std::string_view Sha256BatchActivePath();
-
 }  // namespace bcfl::crypto

@@ -40,12 +40,8 @@ class BlockLogTest : public ::testing::Test {
       block.header.height = chain.Height() + 1;
       block.header.prev_hash = chain.Tip().header.Hash();
       block.header.timestamp_us = (b + 1) * 1000;
-      Transaction tx;
-      tx.contract = "c";
-      tx.method = "m";
-      tx.nonce = b;
-      tx.Sign(scheme, key, &rng);
-      block.txs.push_back(tx);
+      block.txs.push_back(Transaction::Sign(
+          {.contract = "c", .method = "m", .nonce = b}, scheme, key, &rng));
       block.header.merkle_root = block.ComputeMerkleRoot();
       EXPECT_TRUE(chain.Append(block).ok());
       blocks.push_back(std::move(block));

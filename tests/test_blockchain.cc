@@ -75,11 +75,8 @@ TEST(BlockchainTest, FindTransactionLocatesByHash) {
   auto key = scheme.GenerateKeyPair(&rng);
 
   Block block = NextBlock(chain);
-  Transaction tx;
-  tx.contract = "c";
-  tx.method = "m";
-  tx.nonce = 7;
-  tx.Sign(scheme, key, &rng);
+  Transaction tx = Transaction::Sign(
+      {.contract = "c", .method = "m", .nonce = 7}, scheme, key, &rng);
   block.txs.push_back(tx);
   block.header.merkle_root = block.ComputeMerkleRoot();
   ASSERT_TRUE(chain.Append(block).ok());

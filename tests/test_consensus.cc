@@ -10,8 +10,8 @@ class CounterContract : public SmartContract {
  public:
   std::string name() const override { return "counter"; }
   Status Execute(const Transaction& tx, ContractState* state) override {
-    if (tx.method != "inc") return Status::Unimplemented(tx.method);
-    std::string key = "count/" + tx.sender.ToHex();
+    if (tx.method() != "inc") return Status::Unimplemented(tx.method());
+    std::string key = "count/" + tx.sender().ToHex();
     uint64_t value = 0;
     auto existing = state->Get(key);
     if (existing.ok()) {
@@ -39,12 +39,9 @@ class ConsensusFixture : public ::testing::Test {
   }
 
   Transaction IncTx(uint64_t nonce) {
-    Transaction tx;
-    tx.contract = "counter";
-    tx.method = "inc";
-    tx.nonce = nonce;
-    tx.Sign(scheme_, key_, &rng_);
-    return tx;
+    return Transaction::Sign(
+        {.contract = "counter", .method = "inc", .nonce = nonce},
+        scheme_, key_, &rng_);
   }
 
   crypto::Schnorr scheme_;
@@ -248,8 +245,11 @@ TEST_F(ConsensusFixture, BadSignatureTxCommitsAsFailedReceiptDeterministically) 
   // A transaction with an invalid signature still enters a block; every
   // replica marks it failed identically, so consensus is unaffected.
   auto engine = MakeEngine(3);
-  Transaction bad = IncTx(1);
-  bad.payload = {9};  // Breaks the signature.
+  Transaction signed_tx = IncTx(1);
+  TxBody body = signed_tx.body();
+  body.payload = {9};  // Breaks the signature.
+  const Transaction bad(std::move(body), signed_tx.sender(),
+                        signed_tx.signature());
   ASSERT_TRUE(engine->SubmitTransaction(bad).ok());
   auto result = engine->RunRound();
   ASSERT_TRUE(result.ok());

@@ -218,11 +218,11 @@ class RecoverContractTest : public ::testing::Test {
       params.schnorr_public_keys.push_back(sign_keys_[i].public_key);
       params.dh_public_keys.push_back(owners_[i]->public_key());
     }
-    chain::Transaction setup;
-    setup.contract = "bcfl";
-    setup.method = "setup";
-    setup.payload = params.Serialize();
-    setup.Sign(schnorr_, sign_keys_[0], &rng_);
+    chain::Transaction setup = chain::Transaction::Sign(
+        {.contract = "bcfl",
+         .method = "setup",
+         .payload = params.Serialize()},
+        schnorr_, sign_keys_[0], &rng_);
     EXPECT_TRUE(host_.ExecuteTransaction(setup, &state_)->success);
     params_ = params;
   }
@@ -247,23 +247,23 @@ class RecoverContractTest : public ::testing::Test {
     auto masked =
         owners_[i]->MaskUpdate(round, members, codec.EncodeMatrix(local));
     EXPECT_TRUE(masked.ok());
-    chain::Transaction tx;
-    tx.contract = "bcfl";
-    tx.method = "submit_update";
-    tx.payload = FlContract::EncodeSubmitUpdate(round, i, *masked);
-    tx.nonce = nonce;
-    tx.Sign(schnorr_, sign_keys_[i], &rng_);
+    chain::Transaction tx = chain::Transaction::Sign(
+        {.contract = "bcfl",
+         .method = "submit_update",
+         .payload = FlContract::EncodeSubmitUpdate(round, i, *masked),
+         .nonce = nonce},
+        schnorr_, sign_keys_[i], &rng_);
     return host_.ExecuteTransaction(tx, &state_)->success;
   }
 
   chain::TxReceipt Recover(uint64_t round, const crypto::UInt256& key,
                            uint64_t nonce) {
-    chain::Transaction tx;
-    tx.contract = "bcfl";
-    tx.method = "recover";
-    tx.payload = FlContract::EncodeRecover(round, kDropped, key);
-    tx.nonce = nonce;
-    tx.Sign(schnorr_, sign_keys_[0], &rng_);
+    chain::Transaction tx = chain::Transaction::Sign(
+        {.contract = "bcfl",
+         .method = "recover",
+         .payload = FlContract::EncodeRecover(round, kDropped, key),
+         .nonce = nonce},
+        schnorr_, sign_keys_[0], &rng_);
     return *host_.ExecuteTransaction(tx, &state_);
   }
 

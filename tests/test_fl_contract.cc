@@ -67,13 +67,12 @@ class FlContractFixture : public ::testing::Test {
   }
 
   chain::Transaction SetupTx(uint32_t signer = 0) {
-    chain::Transaction tx;
-    tx.contract = "bcfl";
-    tx.method = "setup";
-    tx.payload = params_.Serialize();
-    tx.nonce = 0;
-    tx.Sign(schnorr_, schnorr_keys_[signer], &rng_);
-    return tx;
+    return chain::Transaction::Sign(
+        {.contract = "bcfl",
+         .method = "setup",
+         .payload = params_.Serialize(),
+         .nonce = 0},
+        schnorr_, schnorr_keys_[signer], &rng_);
   }
 
   /// Builds a masked submission for `owner` at `round` from its plain
@@ -93,13 +92,12 @@ class FlContractFixture : public ::testing::Test {
     auto masked = participants_[owner]->MaskUpdate(
         round, members, codec.EncodeMatrix(weights));
     EXPECT_TRUE(masked.ok());
-    chain::Transaction tx;
-    tx.contract = "bcfl";
-    tx.method = "submit_update";
-    tx.payload = FlContract::EncodeSubmitUpdate(round, owner, *masked);
-    tx.nonce = round * 100 + owner + 1;
-    tx.Sign(schnorr_, schnorr_keys_[owner], &rng_);
-    return tx;
+    return chain::Transaction::Sign(
+        {.contract = "bcfl",
+         .method = "submit_update",
+         .payload = FlContract::EncodeSubmitUpdate(round, owner, *masked),
+         .nonce = round * 100 + owner + 1},
+        schnorr_, schnorr_keys_[owner], &rng_);
   }
 
   std::vector<std::vector<size_t>> CurrentGroups(uint64_t round) const {
@@ -204,8 +202,8 @@ TEST_F(FlContractFixture, ImpersonationRejected) {
   ASSERT_TRUE(host_->ExecuteTransaction(SetupTx(), &state)->success);
   // Owner 2 signs a payload claiming to be owner 1.
   auto locals = RandomLocals(4);
-  chain::Transaction tx = SubmitTx(1, 0, locals[1]);
-  tx.Sign(schnorr_, schnorr_keys_[2], &rng_);  // Re-sign with wrong key.
+  chain::Transaction tx = chain::Transaction::Sign(
+      SubmitTx(1, 0, locals[1]).body(), schnorr_, schnorr_keys_[2], &rng_);
   auto receipt = host_->ExecuteTransaction(tx, &state);
   ASSERT_TRUE(receipt.ok());
   EXPECT_FALSE(receipt->success);
@@ -216,13 +214,13 @@ TEST_F(FlContractFixture, RejectsWrongDimensionOrHorizon) {
   chain::ContractState state;
   ASSERT_TRUE(host_->ExecuteTransaction(SetupTx(), &state)->success);
 
-  chain::Transaction bad_dim;
-  bad_dim.contract = "bcfl";
-  bad_dim.method = "submit_update";
-  bad_dim.payload =
-      FlContract::EncodeSubmitUpdate(0, 0, std::vector<uint64_t>(7));
-  bad_dim.nonce = 1;
-  bad_dim.Sign(schnorr_, schnorr_keys_[0], &rng_);
+  chain::Transaction bad_dim = chain::Transaction::Sign(
+      {.contract = "bcfl",
+       .method = "submit_update",
+       .payload =
+           FlContract::EncodeSubmitUpdate(0, 0, std::vector<uint64_t>(7)),
+       .nonce = 1},
+      schnorr_, schnorr_keys_[0], &rng_);
   EXPECT_FALSE(host_->ExecuteTransaction(bad_dim, &state)->success);
 
   auto locals = RandomLocals(5);
@@ -232,11 +230,9 @@ TEST_F(FlContractFixture, RejectsWrongDimensionOrHorizon) {
 
 TEST_F(FlContractFixture, UnknownMethodFails) {
   chain::ContractState state;
-  chain::Transaction tx;
-  tx.contract = "bcfl";
-  tx.method = "withdraw";
-  tx.nonce = 1;
-  tx.Sign(schnorr_, schnorr_keys_[0], &rng_);
+  chain::Transaction tx = chain::Transaction::Sign(
+      {.contract = "bcfl", .method = "withdraw", .nonce = 1},
+      schnorr_, schnorr_keys_[0], &rng_);
   auto receipt = host_->ExecuteTransaction(tx, &state);
   ASSERT_TRUE(receipt.ok());
   EXPECT_FALSE(receipt->success);
@@ -279,13 +275,13 @@ TEST_F(FlContractFixture, DropoutRecoveryCompletesRound) {
   EXPECT_FALSE(state.Has(keys::RoundComplete(0)));
 
   // Share-reveal: owner 0 posts owner 2's reconstructed DH private key.
-  chain::Transaction recover;
-  recover.contract = "bcfl";
-  recover.method = "recover";
-  recover.payload =
-      FlContract::EncodeRecover(0, 2, participants_[2]->private_key());
-  recover.nonce = 900;
-  recover.Sign(schnorr_, schnorr_keys_[0], &rng_);
+  chain::Transaction recover = chain::Transaction::Sign(
+      {.contract = "bcfl",
+       .method = "recover",
+       .payload =
+           FlContract::EncodeRecover(0, 2, participants_[2]->private_key()),
+       .nonce = 900},
+      schnorr_, schnorr_keys_[0], &rng_);
   auto receipt = host_->ExecuteTransaction(recover, &state);
   ASSERT_TRUE(receipt.ok());
   EXPECT_TRUE(receipt->success) << receipt->error;
@@ -320,13 +316,13 @@ TEST_F(FlContractFixture, DropoutRecoveryCompletesRound) {
 TEST_F(FlContractFixture, ForgedRecoveryKeyRejected) {
   chain::ContractState state;
   ASSERT_TRUE(host_->ExecuteTransaction(SetupTx(), &state)->success);
-  chain::Transaction recover;
-  recover.contract = "bcfl";
-  recover.method = "recover";
   // A key that does not match owner 2's public key.
-  recover.payload = FlContract::EncodeRecover(0, 2, crypto::UInt256(12345));
-  recover.nonce = 901;
-  recover.Sign(schnorr_, schnorr_keys_[0], &rng_);
+  chain::Transaction recover = chain::Transaction::Sign(
+      {.contract = "bcfl",
+       .method = "recover",
+       .payload = FlContract::EncodeRecover(0, 2, crypto::UInt256(12345)),
+       .nonce = 901},
+      schnorr_, schnorr_keys_[0], &rng_);
   auto receipt = host_->ExecuteTransaction(recover, &state);
   ASSERT_TRUE(receipt.ok());
   EXPECT_FALSE(receipt->success);
@@ -340,26 +336,26 @@ TEST_F(FlContractFixture, RecoveryOfSubmittedOwnerRejected) {
   ASSERT_TRUE(
       host_->ExecuteTransaction(SubmitTx(1, 0, locals[1]), &state)->success);
 
-  chain::Transaction recover;
-  recover.contract = "bcfl";
-  recover.method = "recover";
-  recover.payload =
-      FlContract::EncodeRecover(0, 1, participants_[1]->private_key());
-  recover.nonce = 902;
-  recover.Sign(schnorr_, schnorr_keys_[0], &rng_);
+  chain::Transaction recover = chain::Transaction::Sign(
+      {.contract = "bcfl",
+       .method = "recover",
+       .payload =
+           FlContract::EncodeRecover(0, 1, participants_[1]->private_key()),
+       .nonce = 902},
+      schnorr_, schnorr_keys_[0], &rng_);
   EXPECT_FALSE(host_->ExecuteTransaction(recover, &state)->success);
 }
 
 TEST_F(FlContractFixture, SubmissionAfterRecoveryRejected) {
   chain::ContractState state;
   ASSERT_TRUE(host_->ExecuteTransaction(SetupTx(), &state)->success);
-  chain::Transaction recover;
-  recover.contract = "bcfl";
-  recover.method = "recover";
-  recover.payload =
-      FlContract::EncodeRecover(0, 3, participants_[3]->private_key());
-  recover.nonce = 903;
-  recover.Sign(schnorr_, schnorr_keys_[1], &rng_);
+  chain::Transaction recover = chain::Transaction::Sign(
+      {.contract = "bcfl",
+       .method = "recover",
+       .payload =
+           FlContract::EncodeRecover(0, 3, participants_[3]->private_key()),
+       .nonce = 903},
+      schnorr_, schnorr_keys_[1], &rng_);
   ASSERT_TRUE(host_->ExecuteTransaction(recover, &state)->success);
 
   auto locals = RandomLocals(23);
@@ -371,13 +367,13 @@ TEST_F(FlContractFixture, RecoveryFromNonOwnerRejected) {
   chain::ContractState state;
   ASSERT_TRUE(host_->ExecuteTransaction(SetupTx(), &state)->success);
   crypto::SchnorrKeyPair outsider = schnorr_.GenerateKeyPair(&rng_);
-  chain::Transaction recover;
-  recover.contract = "bcfl";
-  recover.method = "recover";
-  recover.payload =
-      FlContract::EncodeRecover(0, 2, participants_[2]->private_key());
-  recover.nonce = 904;
-  recover.Sign(schnorr_, outsider, &rng_);
+  chain::Transaction recover = chain::Transaction::Sign(
+      {.contract = "bcfl",
+       .method = "recover",
+       .payload =
+           FlContract::EncodeRecover(0, 2, participants_[2]->private_key()),
+       .nonce = 904},
+      schnorr_, outsider, &rng_);
   auto receipt = host_->ExecuteTransaction(recover, &state);
   ASSERT_TRUE(receipt.ok());
   EXPECT_FALSE(receipt->success);

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "chain/sig_cache.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace bcfl::chain {
 namespace {
@@ -69,41 +67,6 @@ TEST(MerkleTest, OddCountDuplicatesLastNodeBitcoinStyle) {
       MerkleTree::NodeHash(MerkleTree::LeafHash(a), MerkleTree::LeafHash(b)),
       MerkleTree::NodeHash(MerkleTree::LeafHash(c), MerkleTree::LeafHash(c)));
   EXPECT_EQ(tree.root(), expected);
-}
-
-TEST(MerkleTest, AppendMatchesBatchBuildAtEverySize) {
-  auto leaves = RandomLeaves(33, 77);
-  MerkleTree incremental({});
-  for (size_t n = 1; n <= leaves.size(); ++n) {
-    incremental.Append(leaves[n - 1]);
-    MerkleTree batch(std::vector<crypto::Digest>(leaves.begin(),
-                                                 leaves.begin() +
-                                                     static_cast<long>(n)));
-    ASSERT_EQ(incremental.root(), batch.root()) << "n=" << n;
-    ASSERT_EQ(incremental.num_leaves(), n);
-  }
-  // The incrementally grown tree serves valid proofs for every leaf.
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    auto proof = incremental.Proof(i);
-    ASSERT_TRUE(proof.ok()) << "leaf " << i;
-    EXPECT_TRUE(
-        MerkleTree::VerifyProof(leaves[i], *proof, incremental.root()))
-        << "leaf " << i;
-  }
-}
-
-TEST(MerkleTest, PooledBuildIsBitIdenticalToSerial) {
-  // Large enough to cross the chunking threshold, odd to also hit the
-  // duplicate-last path, for several pool widths including 1.
-  auto leaves = RandomLeaves(1001, 78);
-  MerkleTree serial(leaves);
-  for (size_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    SetChainPool(&pool);
-    MerkleTree pooled(leaves);
-    SetChainPool(nullptr);
-    EXPECT_EQ(serial.root(), pooled.root()) << "threads=" << threads;
-  }
 }
 
 class MerkleProofTest : public ::testing::TestWithParam<size_t> {};

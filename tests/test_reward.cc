@@ -44,13 +44,12 @@ class RewardFixture : public ::testing::Test {
 
   chain::Transaction Tx(const std::string& method, Bytes payload,
                         uint32_t signer, uint64_t nonce) {
-    chain::Transaction tx;
-    tx.contract = "reward";
-    tx.method = method;
-    tx.payload = std::move(payload);
-    tx.nonce = nonce;
-    tx.Sign(schnorr_, keys_[signer], &rng_);
-    return tx;
+    return chain::Transaction::Sign(
+        {.contract = "reward",
+         .method = method,
+         .payload = std::move(payload),
+         .nonce = nonce},
+        schnorr_, keys_[signer], &rng_);
   }
 
   bool Exec(const chain::Transaction& tx) {

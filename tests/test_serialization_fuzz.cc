@@ -19,13 +19,12 @@ namespace {
 chain::Transaction MakeTx(Xoshiro256* rng) {
   crypto::Schnorr scheme;
   auto key = scheme.GenerateKeyPair(rng);
-  chain::Transaction tx;
-  tx.contract = "bcfl";
-  tx.method = "submit_update";
-  tx.payload = Bytes(64, 0x5a);
-  tx.nonce = rng->Next();
-  tx.Sign(scheme, key, rng);
-  return tx;
+  return chain::Transaction::Sign(
+      {.contract = "bcfl",
+       .method = "submit_update",
+       .payload = Bytes(64, 0x5a),
+       .nonce = rng->Next()},
+      scheme, key, rng);
 }
 
 class FuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -103,13 +102,13 @@ TEST_P(FuzzTest, OversizedTransactionLengthPrefixesAreRejected) {
   std::vector<size_t> prefixes;
   size_t off = 0;
   prefixes.push_back(off);
-  off += 4 + tx.contract.size();
+  off += 4 + tx.contract().size();
   prefixes.push_back(off);
-  off += 4 + tx.method.size();
+  off += 4 + tx.method().size();
   prefixes.push_back(off);
-  off += 4 + tx.payload.size();
+  off += 4 + tx.payload().size();
   prefixes.push_back(off);
-  off += 4 + tx.sender.ToBytes().size();
+  off += 4 + tx.sender().ToBytes().size();
   off += 8;  // nonce
   prefixes.push_back(off);
   ASSERT_LT(off + 4, wire.size());

@@ -79,33 +79,5 @@ TEST(Sha256Test, DigestToBytesPreservesContent) {
   EXPECT_TRUE(std::equal(b.begin(), b.end(), d.begin()));
 }
 
-TEST(Sha256Test, BatchMatchesScalarAcrossLengthsAndCounts) {
-  // Lengths straddle the block/padding boundaries (55/56/64) plus the
-  // Merkle preimage sizes (33, 65); counts straddle the 8-lane groups.
-  for (size_t len : {0u, 1u, 33u, 55u, 56u, 63u, 64u, 65u, 200u}) {
-    for (size_t count : {1u, 7u, 8u, 9u, 16u, 21u}) {
-      std::vector<Bytes> msgs(count, Bytes(len));
-      std::vector<const uint8_t*> ptrs(count);
-      for (size_t i = 0; i < count; ++i) {
-        for (size_t j = 0; j < len; ++j) {
-          msgs[i][j] = static_cast<uint8_t>(i * 131 + j * 7 + len);
-        }
-        ptrs[i] = msgs[i].data();
-      }
-      std::vector<Digest> out(count);
-      Sha256Batch(ptrs.data(), len, count, out.data());
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(out[i], Sha256::Hash(msgs[i]))
-            << "len " << len << " count " << count << " index " << i;
-      }
-    }
-  }
-}
-
-TEST(Sha256Test, BatchActivePathIsNamed) {
-  std::string_view path = Sha256BatchActivePath();
-  EXPECT_TRUE(path == "avx2x8" || path == "scalar") << path;
-}
-
 }  // namespace
 }  // namespace bcfl::crypto

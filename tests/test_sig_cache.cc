@@ -5,7 +5,6 @@
 #include "chain/contract_host.h"
 #include "chain/state.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace bcfl::chain {
 namespace {
@@ -15,7 +14,7 @@ class PutContract : public SmartContract {
  public:
   std::string name() const override { return "put"; }
   Status Execute(const Transaction& tx, ContractState* state) override {
-    state->Put("put/" + std::to_string(tx.nonce), tx.payload);
+    state->Put("put/" + std::to_string(tx.nonce()), tx.payload());
     return Status::OK();
   }
 };
@@ -23,13 +22,11 @@ class PutContract : public SmartContract {
 Transaction SignedTx(const crypto::Schnorr& scheme,
                      const crypto::SchnorrKeyPair& key, uint64_t nonce,
                      Xoshiro256* rng) {
-  Transaction tx;
-  tx.contract = "put";
-  tx.method = "put";
-  tx.payload = Bytes(48, static_cast<uint8_t>(nonce));
-  tx.nonce = nonce;
-  tx.Sign(scheme, key, rng);
-  return tx;
+  return Transaction::Sign({.contract = "put",
+                            .method = "put",
+                            .payload = Bytes(48, static_cast<uint8_t>(nonce)),
+                            .nonce = nonce},
+                           scheme, key, rng);
 }
 
 TEST(SigVerifyCacheTest, InsertContainsClear) {
@@ -88,8 +85,10 @@ TEST_F(SigCacheHostTest, SuccessfulVerifiesAreCachedAcrossReExecution) {
 
 TEST_F(SigCacheHostTest, InvalidSignatureIsNeverCached) {
   auto key = host_->scheme().GenerateKeyPair(&rng_);
-  Transaction tx = SignedTx(host_->scheme(), key, 7, &rng_);
-  tx.signature.s = tx.signature.s.Add(crypto::UInt256(1));
+  Transaction signed_tx = SignedTx(host_->scheme(), key, 7, &rng_);
+  crypto::SchnorrSignature forged = signed_tx.signature();
+  forged.s = forged.s.Add(crypto::UInt256(1));
+  const Transaction tx(signed_tx.body(), signed_tx.sender(), forged);
   ContractState state;
   for (int round = 0; round < 2; ++round) {
     auto receipt = host_->ExecuteTransaction(tx, &state);
@@ -111,8 +110,10 @@ TEST_F(SigCacheHostTest, TamperedTransactionMissesTheCache) {
 
   // Flipping a payload byte changes the tx hash, so the cached verdict
   // cannot be replayed onto the tampered bytes (fail-closed).
-  Transaction tampered = tx;
-  tampered.payload[0] ^= 0xff;
+  TxBody edited = tx.body();
+  edited.payload[0] ^= 0xff;
+  const Transaction tampered(std::move(edited), tx.sender(), tx.signature());
+  ASSERT_NE(tampered.Hash(), tx.Hash());
   auto bad = host_->ExecuteTransaction(tampered, &state);
   ASSERT_TRUE(bad.ok());
   EXPECT_FALSE(bad->success);
@@ -120,7 +121,7 @@ TEST_F(SigCacheHostTest, TamperedTransactionMissesTheCache) {
   EXPECT_EQ(host_->sig_cache().Size(), 1u);
 }
 
-TEST_F(SigCacheHostTest, PreVerifyWithPoolMatchesInline) {
+TEST_F(SigCacheHostTest, PreVerifyCachesValidSignaturesOnly) {
   auto key_a = host_->scheme().GenerateKeyPair(&rng_);
   auto key_b = host_->scheme().GenerateKeyPair(&rng_);
   std::vector<Transaction> txs;
@@ -128,32 +129,21 @@ TEST_F(SigCacheHostTest, PreVerifyWithPoolMatchesInline) {
     txs.push_back(
         SignedTx(host_->scheme(), i % 2 == 0 ? key_a : key_b, i, &rng_));
   }
-  txs[3].signature.r = crypto::UInt256(0);  // One invalid tx.
+  crypto::SchnorrSignature bad = txs[3].signature();  // One invalid tx.
+  bad.r = crypto::UInt256(0);
+  txs[3] = Transaction(txs[3].body(), txs[3].sender(), bad);
 
-  // Inline baseline.
-  ContractState s_inline;
-  auto r_inline = host_->ExecuteBlock(txs, &s_inline);
-  ASSERT_TRUE(r_inline.ok());
-
-  // Fresh host, pooled pre-verification.
-  auto pooled_host = std::make_shared<ContractHost>();
-  ASSERT_TRUE(pooled_host->Register(std::make_shared<PutContract>()).ok());
-  ThreadPool pool(4);
-  SetChainPool(&pool);
-  pooled_host->PreVerifySignatures(txs);
-  EXPECT_EQ(pooled_host->sig_cache().Size(), txs.size() - 1);
-  ContractState s_pooled;
-  auto r_pooled = pooled_host->ExecuteBlock(txs, &s_pooled);
-  SetChainPool(nullptr);
-  ASSERT_TRUE(r_pooled.ok());
-
-  ASSERT_EQ(r_inline->size(), r_pooled->size());
-  for (size_t i = 0; i < r_inline->size(); ++i) {
-    EXPECT_EQ((*r_inline)[i].success, (*r_pooled)[i].success);
-    EXPECT_EQ((*r_inline)[i].error, (*r_pooled)[i].error);
+  host_->PreVerifySignatures(txs);
+  EXPECT_EQ(host_->sig_cache().Size(), txs.size() - 1);
+  ContractState state;
+  auto receipts = host_->ExecuteBlock(txs, &state);
+  ASSERT_TRUE(receipts.ok());
+  ASSERT_EQ(receipts->size(), txs.size());
+  for (size_t i = 0; i < receipts->size(); ++i) {
+    EXPECT_EQ((*receipts)[i].success, i != 3) << "tx " << i;
   }
-  EXPECT_EQ(s_inline.StateRoot(), s_pooled.StateRoot());
-  EXPECT_FALSE((*r_pooled)[3].success);
+  EXPECT_EQ((*receipts)[3].error, "invalid signature");
+  EXPECT_EQ(host_->sig_cache().Size(), txs.size() - 1);
 }
 
 }  // namespace

@@ -18,6 +18,13 @@
 namespace bcfl::core {
 namespace {
 
+/// `tx`'s body with the last payload byte flipped: a conflicting twin.
+chain::TxBody FlippedPayload(const chain::Transaction& tx) {
+  chain::TxBody body = tx.body();
+  body.payload.back() ^= 1;
+  return body;
+}
+
 class SlashContractTest : public ::testing::Test {
  protected:
   static constexpr uint32_t kOwners = 4;
@@ -65,11 +72,11 @@ class SlashContractTest : public ::testing::Test {
           owners_[i]->private_key().ToBytes(), &rng_, &commitment));
       params.vss_commitments.push_back(commitment.Serialize());
     }
-    chain::Transaction setup;
-    setup.contract = "bcfl";
-    setup.method = "setup";
-    setup.payload = params.Serialize();
-    setup.Sign(schnorr_, sign_keys_[0], &rng_);
+    chain::Transaction setup = chain::Transaction::Sign(
+        {.contract = "bcfl",
+         .method = "setup",
+         .payload = params.Serialize()},
+        schnorr_, sign_keys_[0], &rng_);
     EXPECT_TRUE(host_.ExecuteTransaction(setup, &state_)->success);
     params_ = params;
   }
@@ -92,13 +99,12 @@ class SlashContractTest : public ::testing::Test {
     auto masked =
         owners_[i]->MaskUpdate(round, members, codec.EncodeMatrix(local));
     EXPECT_TRUE(masked.ok());
-    chain::Transaction tx;
-    tx.contract = "bcfl";
-    tx.method = "submit_update";
-    tx.payload = FlContract::EncodeSubmitUpdate(round, i, *masked);
-    tx.nonce = nonce;
-    tx.Sign(schnorr_, sign_keys_[i], &rng_);
-    return tx;
+    return chain::Transaction::Sign(
+        {.contract = "bcfl",
+         .method = "submit_update",
+         .payload = FlContract::EncodeSubmitUpdate(round, i, *masked),
+         .nonce = nonce},
+        schnorr_, sign_keys_[i], &rng_);
   }
 
   bool SubmitOwner(uint32_t i, uint64_t round, uint64_t nonce,
@@ -110,12 +116,12 @@ class SlashContractTest : public ::testing::Test {
 
   chain::TxReceipt Slash(const Bytes& evidence, uint64_t nonce,
                          uint32_t reporter = 0) {
-    chain::Transaction tx;
-    tx.contract = "slash";
-    tx.method = "slash";
-    tx.payload = evidence;
-    tx.nonce = nonce;
-    tx.Sign(schnorr_, sign_keys_[reporter], &rng_);
+    chain::Transaction tx = chain::Transaction::Sign(
+        {.contract = "slash",
+         .method = "slash",
+         .payload = evidence,
+         .nonce = nonce},
+        schnorr_, sign_keys_[reporter], &rng_);
     return *host_.ExecuteTransaction(tx, &state_);
   }
 
@@ -173,13 +179,13 @@ TEST_F(SlashContractTest, ValidBadShareEvidenceConvictsAndCompletesRound) {
   EXPECT_TRUE(state_.Has(keys::Slashed(offender)));
   EXPECT_FALSE(state_.Has(keys::RoundComplete(0)));
 
-  chain::Transaction recover;
-  recover.contract = "bcfl";
-  recover.method = "recover";
-  recover.payload =
-      FlContract::EncodeRecover(0, crashed, owners_[crashed]->private_key());
-  recover.nonce = 51;
-  recover.Sign(schnorr_, sign_keys_[0], &rng_);
+  chain::Transaction recover = chain::Transaction::Sign(
+      {.contract = "bcfl",
+       .method = "recover",
+       .payload = FlContract::EncodeRecover(
+           0, crashed, owners_[crashed]->private_key()),
+       .nonce = 51},
+      schnorr_, sign_keys_[0], &rng_);
   ASSERT_TRUE(host_.ExecuteTransaction(recover, &state_)->success);
 
   // Completed over the two survivors; both absentees score zero.
@@ -232,9 +238,8 @@ TEST_F(SlashContractTest, UnsignedOrMisattributedBadShareIsRejected) {
 TEST_F(SlashContractTest, EquivocationEvidenceConvicts) {
   const uint32_t offender = 2;
   chain::Transaction first = BuildSubmit(offender, 0, 10, 0.3);
-  chain::Transaction second = first;
-  second.payload.back() ^= 1;
-  second.Sign(schnorr_, sign_keys_[offender], &rng_);
+  chain::Transaction second = chain::Transaction::Sign(
+      FlippedPayload(first), schnorr_, sign_keys_[offender], &rng_);
   const Bytes evidence = SlashContract::EncodeEquivocation(
       0, offender, owners_[offender]->private_key(), first, second);
   auto receipt = Slash(evidence, 50);
@@ -253,8 +258,9 @@ TEST_F(SlashContractTest, EquivocationRequiresTwoConflictingSignedTxs) {
                      50)
                    .success);
   // A second tx whose signature does not verify.
-  chain::Transaction tampered = first;
-  tampered.payload.back() ^= 1;  // Signed bytes changed, signature stale.
+  // Signed bytes changed, signature stale.
+  chain::Transaction tampered(FlippedPayload(first), first.sender(),
+                              first.signature());
   EXPECT_FALSE(Slash(SlashContract::EncodeEquivocation(
                          0, offender, owners_[offender]->private_key(), first,
                          tampered),
@@ -262,9 +268,8 @@ TEST_F(SlashContractTest, EquivocationRequiresTwoConflictingSignedTxs) {
                    .success);
   // A conflicting pair signed by a *different* owner cannot convict.
   chain::Transaction other = BuildSubmit(3, 0, 11, 0.3);
-  chain::Transaction other2 = other;
-  other2.payload.back() ^= 1;
-  other2.Sign(schnorr_, sign_keys_[3], &rng_);
+  chain::Transaction other2 = chain::Transaction::Sign(
+      FlippedPayload(other), schnorr_, sign_keys_[3], &rng_);
   EXPECT_FALSE(Slash(SlashContract::EncodeEquivocation(
                          0, offender, owners_[offender]->private_key(), other,
                          other2),
@@ -320,13 +325,10 @@ TEST_F(SlashContractTest, AccusationFromUnregisteredSenderIsRejected) {
   const Bytes evidence = SlashContract::EncodeBadShare(
       0, offender, owners_[offender]->private_key(), dealer, forged,
       SignReveal(offender, 0, dealer, forged));
-  chain::Transaction tx;
-  tx.contract = "slash";
-  tx.method = "slash";
-  tx.payload = evidence;
-  tx.nonce = 50;
   auto stranger = schnorr_.GenerateKeyPair(&rng_);
-  tx.Sign(schnorr_, stranger, &rng_);
+  const chain::Transaction tx = chain::Transaction::Sign(
+      {.contract = "slash", .method = "slash", .payload = evidence, .nonce = 50},
+      schnorr_, stranger, &rng_);
   EXPECT_FALSE(host_.ExecuteTransaction(tx, &state_)->success);
   EXPECT_FALSE(state_.Has(keys::Slashed(offender)));
 }

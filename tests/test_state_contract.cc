@@ -255,15 +255,15 @@ class EchoContract : public SmartContract {
  public:
   std::string name() const override { return "echo"; }
   Status Execute(const Transaction& tx, ContractState* state) override {
-    if (tx.method == "put") {
-      state->Put("echo/" + std::to_string(tx.nonce), tx.payload);
+    if (tx.method() == "put") {
+      state->Put("echo/" + std::to_string(tx.nonce()), tx.payload());
       return Status::OK();
     }
-    if (tx.method == "fail") {
+    if (tx.method() == "fail") {
       state->Put("should_not_persist", {1});
       return Status::Internal("deliberate failure");
     }
-    return Status::Unimplemented(tx.method);
+    return Status::Unimplemented(tx.method());
   }
 };
 
@@ -276,13 +276,11 @@ class HostFixture : public ::testing::Test {
 
   Transaction SignedTx(const std::string& contract, const std::string& method,
                        uint64_t nonce = 1) {
-    Transaction tx;
-    tx.contract = contract;
-    tx.method = method;
-    tx.payload = {42};
-    tx.nonce = nonce;
-    tx.Sign(scheme_, key_, &rng_);
-    return tx;
+    return Transaction::Sign({.contract = contract,
+                              .method = method,
+                              .payload = {42},
+                              .nonce = nonce},
+                             scheme_, key_, &rng_);
   }
 
   crypto::Schnorr scheme_;
@@ -309,8 +307,11 @@ TEST_F(HostFixture, ExecutesValidTransaction) {
 
 TEST_F(HostFixture, RejectsBadSignatureWithoutStateChange) {
   ContractState state;
-  Transaction tx = SignedTx("echo", "put");
-  tx.payload.push_back(9);  // Invalidate signature.
+  Transaction signed_tx = SignedTx("echo", "put");
+  TxBody body = signed_tx.body();
+  body.payload.push_back(9);  // Invalidate signature.
+  const Transaction tx(std::move(body), signed_tx.sender(),
+                       signed_tx.signature());
   auto receipt = host_->ExecuteTransaction(tx, &state);
   ASSERT_TRUE(receipt.ok());
   EXPECT_FALSE(receipt->success);

@@ -15,47 +15,59 @@ class TxFixture : public ::testing::Test {
 
   Transaction MakeTx(const std::string& method = "submit_update",
                      uint64_t nonce = 1) {
-    Transaction tx;
-    tx.contract = "bcfl";
-    tx.method = method;
-    tx.payload = {1, 2, 3, 4};
-    tx.nonce = nonce;
-    tx.Sign(scheme_, key_, &rng_);
-    return tx;
+    return Transaction::Sign({.contract = "bcfl",
+                              .method = method,
+                              .payload = {1, 2, 3, 4},
+                              .nonce = nonce},
+                             scheme_, key_, &rng_);
   }
 };
 
+/// `tx` with an edited body under its original sender and signature.
+template <typename Edit>
+Transaction Tampered(const Transaction& tx, Edit edit) {
+  TxBody body = tx.body();
+  edit(&body);
+  return Transaction(std::move(body), tx.sender(), tx.signature());
+}
+
 TEST_F(TxFixture, SignSetsSenderAndVerifies) {
   Transaction tx = MakeTx();
-  EXPECT_EQ(tx.sender, key_.public_key);
+  EXPECT_EQ(tx.sender(), key_.public_key);
   EXPECT_TRUE(tx.VerifySignature(scheme_));
 }
 
 TEST_F(TxFixture, TamperedFieldsBreakSignature) {
   Transaction tx = MakeTx();
-  Transaction t1 = tx;
-  t1.method = "setup";
-  EXPECT_FALSE(t1.VerifySignature(scheme_));
-  Transaction t2 = tx;
-  t2.payload.push_back(0);
-  EXPECT_FALSE(t2.VerifySignature(scheme_));
-  Transaction t3 = tx;
-  t3.nonce++;
-  EXPECT_FALSE(t3.VerifySignature(scheme_));
-  Transaction t4 = tx;
-  t4.contract = "other";
-  EXPECT_FALSE(t4.VerifySignature(scheme_));
+  const Transaction tampered[] = {
+      Tampered(tx, [](TxBody* b) { b->method = "setup"; }),
+      Tampered(tx, [](TxBody* b) { b->payload.push_back(0); }),
+      Tampered(tx, [](TxBody* b) { b->nonce++; }),
+      Tampered(tx, [](TxBody* b) { b->contract = "other"; }),
+  };
+  for (const Transaction& t : tampered) {
+    EXPECT_FALSE(t.VerifySignature(scheme_));
+    EXPECT_NE(t.Hash(), tx.Hash());
+  }
+  // A payload byte flipped on the wire (past the length-prefixed contract
+  // and method and the payload's own prefix) decodes to a tx that fails.
+  Bytes wire = tx.Serialize();
+  wire[4 + tx.contract().size() + 4 + tx.method().size() + 4] ^= 0x01;
+  auto decoded = Transaction::Deserialize(wire);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_FALSE(decoded->VerifySignature(scheme_));
+  EXPECT_NE(decoded->Hash(), tx.Hash());
 }
 
 TEST_F(TxFixture, SerializeRoundTrip) {
   Transaction tx = MakeTx();
   auto back = Transaction::Deserialize(tx.Serialize());
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->contract, tx.contract);
-  EXPECT_EQ(back->method, tx.method);
-  EXPECT_EQ(back->payload, tx.payload);
-  EXPECT_EQ(back->sender, tx.sender);
-  EXPECT_EQ(back->nonce, tx.nonce);
+  EXPECT_EQ(back->contract(), tx.contract());
+  EXPECT_EQ(back->method(), tx.method());
+  EXPECT_EQ(back->payload(), tx.payload());
+  EXPECT_EQ(back->sender(), tx.sender());
+  EXPECT_EQ(back->nonce(), tx.nonce());
   EXPECT_EQ(back->Hash(), tx.Hash());
   EXPECT_TRUE(back->VerifySignature(scheme_));
 }
@@ -82,7 +94,7 @@ TEST_F(TxFixture, BlockMerkleRootCommitsToBody) {
   block.txs = {MakeTx("m", 1), MakeTx("m", 2)};
   block.header.merkle_root = block.ComputeMerkleRoot();
   EXPECT_TRUE(block.MerkleRootMatchesBody());
-  block.txs[0].nonce = 999;
+  block.txs[0] = Tampered(block.txs[0], [](TxBody* b) { b->nonce = 999; });
   EXPECT_FALSE(block.MerkleRootMatchesBody());
 }
 
@@ -118,8 +130,7 @@ TEST_F(TxFixture, MempoolRejectsReSignedSenderNonceReplay) {
   // Re-sign the same logical transaction: the fresh Schnorr nonce gives
   // it a different hash, but it targets the same (sender, nonce) slot —
   // admission must reject it, not let it occupy a second block slot.
-  Transaction replay = tx;
-  replay.Sign(scheme_, key_, &rng_);
+  Transaction replay = Transaction::Sign(tx.body(), scheme_, key_, &rng_);
   ASSERT_NE(replay.Hash(), tx.Hash());
   EXPECT_TRUE(pool.Add(replay).IsAlreadyExists());
   EXPECT_EQ(pool.size(), 1u);
@@ -128,27 +139,20 @@ TEST_F(TxFixture, MempoolRejectsReSignedSenderNonceReplay) {
   EXPECT_EQ(pool.size(), 2u);
 }
 
-TEST_F(TxFixture, MempoolPendingRootTracksBatchRebuild) {
+TEST_F(TxFixture, MempoolRemoveCommittedKeepsArrivalOrder) {
   Mempool pool;
-  crypto::Digest zero;
-  zero.fill(0);
-  EXPECT_EQ(pool.PendingRoot(), zero);
   std::vector<Transaction> txs;
   for (uint64_t n = 0; n < 5; ++n) {
     txs.push_back(MakeTx("submit_update", n));
     ASSERT_TRUE(pool.Add(txs.back()).ok());
-    // The incrementally appended root must equal the root a block over
-    // the full pending list would compute from scratch.
-    Block block;
-    block.txs = pool.Peek(0);
-    EXPECT_EQ(pool.PendingRoot(), block.ComputeMerkleRoot())
-        << "after " << (n + 1) << " adds";
   }
-  // Eviction falls back to a rebuild; the root must stay consistent.
   pool.RemoveCommitted({txs[0], txs[1]});
-  Block rest;
-  rest.txs = pool.Peek(0);
-  EXPECT_EQ(pool.PendingRoot(), rest.ComputeMerkleRoot());
+  std::vector<Transaction> rest = pool.Peek(0);
+  ASSERT_EQ(rest.size(), 3u);
+  EXPECT_EQ(pool.size(), 3u);
+  for (size_t i = 0; i < rest.size(); ++i) {
+    EXPECT_EQ(rest[i].Hash(), txs[i + 2].Hash()) << "slot " << i;
+  }
 }
 
 TEST(BlockHeaderTest, HashCoversEveryField) {
@@ -183,16 +187,12 @@ constexpr uint64_t kVectorKeySeed = 0x5eed7c;
 Transaction VectorTx(const crypto::Schnorr& scheme,
                      const crypto::SchnorrKeyPair& key, uint64_t nonce,
                      size_t payload_bytes, Xoshiro256* rng) {
-  Transaction tx;
-  tx.contract = "bcfl";
-  tx.method = "submit_update";
-  tx.payload.resize(payload_bytes);
+  TxBody body{.contract = "bcfl", .method = "submit_update", .nonce = nonce};
+  body.payload.resize(payload_bytes);
   for (size_t i = 0; i < payload_bytes; ++i) {
-    tx.payload[i] = static_cast<uint8_t>(i * 31 + nonce);
+    body.payload[i] = static_cast<uint8_t>(i * 31 + nonce);
   }
-  tx.nonce = nonce;
-  tx.Sign(scheme, key, rng);
-  return tx;
+  return Transaction::Sign(std::move(body), scheme, key, rng);
 }
 
 TEST(FormatVectorTest, TransactionWireBytesAndId) {
