@@ -7,8 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "crypto/sha256.h"
 #include "ml/logistic_regression.h"
 #include "ml/matrix.h"
 
@@ -176,6 +178,73 @@ TEST(KernelPropertyTest, ParallelGemmBitIdenticalAcrossPoolSizes) {
     EXPECT_TRUE(BitEqual(serial, parallel)) << workers << " workers";
   }
   EXPECT_EQ(ParallelPool(), nullptr);
+}
+
+/// Hex SHA-256 of the values' IEEE-754 bit patterns, in order.
+std::string DigestOf(const std::vector<double>& values) {
+  ByteWriter writer;
+  for (double v : values) writer.WriteDouble(v);
+  return crypto::DigestToHex(crypto::Sha256::Hash(writer.buffer()));
+}
+
+// Kernel vectors (the test_gen idiom): inputs come from a fixed
+// Xoshiro256 seed and each output is pinned as the SHA-256 of its bytes.
+// The optimized entry point and the reference path must both reproduce
+// the pinned digest, so a changed digest means the per-element arithmetic
+// of a live kernel changed.
+constexpr uint64_t kVectorSeed = 17;
+
+TEST(KernelVectorTest, GemmAtSessionEvaluationShape) {
+  // A session scores its 1124-row test split against a 65 x 10 model.
+  Xoshiro256 rng(kVectorSeed);
+  const size_t m = 1124, k = 65, n = 10;
+  std::vector<double> a = Random(m * k, &rng);
+  std::vector<double> b = Random(k * n, &rng);
+  std::vector<double> opt(m * n, 7.0), ref(m * n, 7.0);
+  Gemm(a.data(), m, k, b.data(), n, opt.data());
+  reference::Gemm(a.data(), m, k, b.data(), n, ref.data());
+  EXPECT_EQ(DigestOf(opt),
+            "b2c54947ab29d43f1ca1a6776b9d12d31abbf068aecc181d17f89da97bcf2f04");
+  EXPECT_EQ(DigestOf(ref), DigestOf(opt));
+}
+
+TEST(KernelVectorTest, FusedStepAtSessionTrainingShape) {
+  // Five local epochs over a 4496-row training split, 65 x 10 model.
+  Xoshiro256 rng(kVectorSeed);
+  const size_t rows = 4496, cols = 65, classes = 10;
+  std::vector<double> aug = Random(rows * cols, &rng);
+  std::vector<int> labels(rows);
+  for (int& l : labels) l = static_cast<int>(rng.NextBounded(classes));
+  std::vector<double> w_opt(cols * classes, 0.0), w_ref(cols * classes, 0.0);
+  std::vector<double> loss_opt, loss_ref;
+  FusedStepScratch scratch;
+  for (int epoch = 0; epoch < 5; ++epoch) {
+    loss_opt.push_back(FusedSoftmaxCeStep(aug.data(), rows, cols,
+                                          labels.data(), classes, 0.5, 1e-4,
+                                          w_opt.data(), &scratch));
+    loss_ref.push_back(reference::FusedSoftmaxCeStep(
+        aug.data(), rows, cols, labels.data(), classes, 0.5, 1e-4,
+        w_ref.data()));
+  }
+  EXPECT_EQ(DigestOf(w_opt),
+            "929a2beb286e0aaa143cfd951fb7bfdb19ff91b5434565561b3f6b9f763c633d");
+  EXPECT_EQ(DigestOf(loss_opt),
+            "02f9ada12d42cda19fcc80f85554d4a18abd6ee2559bdece8ee1027f1d3749f8");
+  EXPECT_EQ(DigestOf(w_ref), DigestOf(w_opt));
+  EXPECT_EQ(DigestOf(loss_ref), DigestOf(loss_opt));
+}
+
+TEST(KernelVectorTest, GemmWiderThanSixteenColumns) {
+  Xoshiro256 rng(kVectorSeed);
+  const size_t m = 31, k = 7, n = 19;
+  std::vector<double> a = Random(m * k, &rng);
+  std::vector<double> b = Random(k * n, &rng);
+  std::vector<double> opt(m * n, 7.0), ref(m * n, 7.0);
+  Gemm(a.data(), m, k, b.data(), n, opt.data());
+  reference::Gemm(a.data(), m, k, b.data(), n, ref.data());
+  EXPECT_EQ(DigestOf(opt),
+            "d540f122c676d30ef2658bf21618ac351dc612a3c4e7a3328955e839b47e4683");
+  EXPECT_EQ(DigestOf(ref), DigestOf(opt));
 }
 
 TEST(KernelPropertyTest, ActivePathIsKnown) {
