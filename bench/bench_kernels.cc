@@ -1,13 +1,12 @@
 // Kernel-layer micro-benchmark and equivalence gate.
 //
-// Times the optimized compute kernels (blocked GEMM, transposed GEMM,
-// fused softmax-cross-entropy step, batched ChaCha20 keystream, mask
-// expansion) against the seed-faithful reference implementations on the
-// training-workload shapes, and — more importantly — *verifies* the
-// determinism contract: every optimized kernel must be bit-identical to
-// its reference, including under the row-parallel pool path. A mismatch
-// makes the process exit non-zero, so CI can use this binary as the
-// kernel-vs-reference smoke test.
+// Times the optimized compute kernels (GEMM, fused softmax-cross-entropy
+// step, batched ChaCha20 keystream, mask expansion) against the
+// seed-faithful reference implementations on the training-workload
+// shapes, and — more importantly — *verifies* the determinism contract:
+// every optimized kernel must be bit-identical to its reference. A
+// mismatch makes the process exit non-zero, so CI can use this binary as
+// the kernel-vs-reference smoke test.
 //
 // Emits BENCH_kernels.json for cross-PR trend tracking.
 //
@@ -22,7 +21,6 @@
 
 #include "common/rng.h"
 #include "common/sim_clock.h"
-#include "common/thread_pool.h"
 #include "crypto/chacha20.h"
 #include "ml/kernels.h"
 #include "obs/exporter.h"
@@ -34,10 +32,6 @@ using bcfl::obs::JsonWriter;
 namespace kernels = bcfl::ml::kernels;
 
 namespace {
-
-/// Pool width used by the parallel-determinism checks (and reported in
-/// the JSON so cross-PR diffs know what ran).
-constexpr size_t kDeterminismPoolThreads = 4;
 
 void FillRandom(std::vector<double>* v, Xoshiro256* rng) {
   for (double& x : *v) x = rng->NextDouble() * 2.0 - 1.0;
@@ -68,7 +62,7 @@ struct Shape {
 
 /// Shapes chosen to hit every dispatch path: empty, single row/column,
 /// narrow (< 4 columns, the sub-vector tail), the fixed-width tables
-/// (<= 16 columns), and the generic wide path (> 16 columns).
+/// (<= 16 columns), and wider outputs (> 16 columns, reference::Gemm).
 constexpr Shape kCheckShapes[] = {
     {0, 0, 0}, {0, 5, 3},   {1, 1, 1},  {1, 7, 1},   {5, 1, 9},
     {7, 5, 1}, {3, 9, 2},   {6, 4, 3},  {37, 65, 10}, {33, 17, 29},
@@ -86,43 +80,6 @@ bool CheckGemmEquivalence(Xoshiro256* rng) {
     if (s.m * s.n == 0) continue;
     if (!BitEqual(ref, opt)) {
       std::printf("  !! Gemm mismatch at %zux%zux%zu\n", s.m, s.k, s.n);
-      return false;
-    }
-  }
-  return true;
-}
-
-bool CheckGemmTransAEquivalence(Xoshiro256* rng) {
-  for (const Shape& s : kCheckShapes) {
-    // a is rows x m (transposed operand), b is rows x n, out m x n.
-    const size_t rows = s.k;
-    std::vector<double> a(rows * s.m), b(rows * s.n);
-    FillRandom(&a, rng);
-    FillRandom(&b, rng);
-    std::vector<double> ref(s.m * s.n, 0.0), opt(s.m * s.n, 1e9);
-    kernels::reference::GemmTransA(a.data(), rows, s.m, b.data(), s.n,
-                                   ref.data());
-    kernels::GemmTransA(a.data(), rows, s.m, b.data(), s.n, opt.data());
-    if (s.m * s.n == 0) continue;
-    if (!BitEqual(ref, opt)) {
-      std::printf("  !! GemmTransA mismatch at rows=%zu %zux%zu\n", rows,
-                  s.m, s.n);
-      return false;
-    }
-  }
-  return true;
-}
-
-bool CheckTransposeEquivalence(Xoshiro256* rng) {
-  for (const Shape& s : kCheckShapes) {
-    std::vector<double> a(s.m * s.k);
-    FillRandom(&a, rng);
-    std::vector<double> ref(s.k * s.m, 0.0), opt(s.k * s.m, 1e9);
-    kernels::reference::Transpose(a.data(), s.m, s.k, ref.data());
-    kernels::Transpose(a.data(), s.m, s.k, opt.data());
-    if (s.m * s.k == 0) continue;
-    if (!BitEqual(ref, opt)) {
-      std::printf("  !! Transpose mismatch at %zux%zu\n", s.m, s.k);
       return false;
     }
   }
@@ -188,28 +145,6 @@ bool CheckFusedStepEquivalence(Xoshiro256* rng) {
   return true;
 }
 
-bool CheckParallelGemmDeterminism(Xoshiro256* rng) {
-  // 1024 rows crosses the parallel threshold; chunking is fixed-size, so
-  // any pool size must reproduce the serial result bit for bit.
-  const size_t m = 1024, k = 65, n = 10;
-  std::vector<double> a(m * k), b(k * n);
-  FillRandom(&a, rng);
-  FillRandom(&b, rng);
-  std::vector<double> serial(m * n, 0.0), parallel(m * n, 1e9);
-  kernels::Gemm(a.data(), m, k, b.data(), n, serial.data());
-  {
-    ThreadPool pool(kDeterminismPoolThreads);
-    kernels::SetParallelPool(&pool);
-    kernels::Gemm(a.data(), m, k, b.data(), n, parallel.data());
-    kernels::SetParallelPool(nullptr);
-  }
-  if (!BitEqual(serial, parallel)) {
-    std::printf("  !! parallel Gemm diverged from serial\n");
-    return false;
-  }
-  return true;
-}
-
 bool CheckChaChaBatched() {
   std::array<uint8_t, 32> key{};
   for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(i);
@@ -267,11 +202,8 @@ int main(int argc, char** argv) {
   };
   const NamedCheck checks[] = {
       {"gemm", CheckGemmEquivalence(&rng)},
-      {"gemm_trans_a", CheckGemmTransAEquivalence(&rng)},
-      {"transpose", CheckTransposeEquivalence(&rng)},
       {"softmax_rows", CheckSoftmaxEquivalence()},
       {"fused_step", CheckFusedStepEquivalence(&rng)},
-      {"parallel_gemm", CheckParallelGemmDeterminism(&rng)},
       {"chacha20_batched", CheckChaChaBatched()},
   };
   bool all_ok = true;
@@ -289,7 +221,6 @@ int main(int argc, char** argv) {
   json.Field("kernel_path", kernels::ActivePath());
   json.Field("hardware_threads",
              std::max<size_t>(1, std::thread::hardware_concurrency()));
-  json.Field("pool_threads", kDeterminismPoolThreads);
   json.BeginObject("equivalence");
   for (const NamedCheck& c : checks) json.Field(c.name, c.ok);
   json.EndObject();
@@ -320,34 +251,6 @@ int main(int argc, char** argv) {
     json.Field("m", m);
     json.Field("k", k);
     json.Field("n", n);
-    json.Field("ref_gflops", flops / ref_s * 1e-9);
-    json.Field("opt_gflops", flops / opt_s * 1e-9);
-    json.Field("speedup", ref_s / opt_s);
-    json.EndObject();
-  }
-
-  // ---- Transposed GEMM (gradient shape) --------------------------------
-  {
-    const size_t rows = 4496, m = 65, n = 10;
-    std::vector<double> a(rows * m), b(rows * n), out(m * n);
-    FillRandom(&a, &rng);
-    FillRandom(&b, &rng);
-    const double flops = 2.0 * static_cast<double>(rows * m * n);
-    const double ref_s = TimeBest(
-        [&] {
-          kernels::reference::GemmTransA(a.data(), rows, m, b.data(), n,
-                                         out.data());
-        },
-        reps);
-    const double opt_s = TimeBest(
-        [&] {
-          kernels::GemmTransA(a.data(), rows, m, b.data(), n, out.data());
-        },
-        reps);
-    std::printf("gemm_trans_a %zu-row: ref %.3f ms, opt %.3f ms, %.2fx\n",
-                rows, ref_s * 1e3, opt_s * 1e3, ref_s / opt_s);
-    json.BeginObject("gemm_trans_a");
-    json.Field("rows", rows);
     json.Field("ref_gflops", flops / ref_s * 1e-9);
     json.Field("opt_gflops", flops / opt_s * 1e-9);
     json.Field("speedup", ref_s / opt_s);

@@ -31,11 +31,12 @@
 # Right after ctest, an AddressSanitizer stage rebuilds the suites that
 # drive in-place block execution and its undo-journal rollback
 # (proposals, validations, failed transactions and commits, byzantine
-# leaders, replay on resume, block-log recovery) and the immutable
+# leaders, replay on resume, block-log recovery), the immutable
 # transaction type (signing, moves, the parts constructor and every tx
-# decoder) with -DBCFL_SANITIZE=address in their own build dir
-# (<build-dir>-asan), so a dangling journal entry, a use-after-rollback
-# or a use-after-move fails CI.
+# decoder), and the compute kernels, masking and coalition engine with
+# their reused scratch buffers, with -DBCFL_SANITIZE=address in their own
+# build dir (<build-dir>-asan), so a dangling journal entry, a
+# use-after-rollback, a use-after-move or a scratch overrun fails CI.
 #
 # Usage: scripts/ci_check.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -51,13 +52,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # AddressSanitizer stage: in-place execution means every trial execution
 # writes the live state and undoes it from the journal; ASan checks those
-# paths, and the transaction type's moves and decoders, for
-# use-after-free and out-of-bounds access.
+# paths, the transaction type's moves and decoders, and the kernels'
+# and masking's reused scratch buffers, for use-after-free and
+# out-of-bounds access.
 ASAN_DIR="${BUILD_DIR}-asan"
 ASAN_SUITES=(test_state_contract test_consensus test_adversary test_byzantine
              test_resume test_block_log test_transaction_block test_merkle
              test_sig_cache test_serialization_fuzz test_blockchain
-             test_fl_contract test_slash_contract)
+             test_fl_contract test_slash_contract test_kernels test_matrix
+             test_logreg test_secureagg test_edge_cases test_native_sv
+             test_coalition_engine test_round_engine)
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBCFL_SANITIZE=address \
@@ -83,9 +87,9 @@ trap 'rm -rf "$ARTIFACT_DIR"' EXIT
   --ledger-out "$ARTIFACT_DIR/ledger.jsonl"
 
 # Kernel-equivalence smoke: bench_kernels exits non-zero unless every
-# optimized kernel (GEMM, transposed GEMM, fused softmax step, batched
-# ChaCha20, mask expansion) is bit-identical to its reference path, and
-# it drops BENCH_kernels.json in the working directory.
+# optimized kernel (GEMM, row softmax, fused softmax step, batched
+# ChaCha20 and mask expansion) is bit-identical to its reference path,
+# and it drops BENCH_kernels.json in the working directory.
 BENCH_KERNELS="$(cd "$BUILD_DIR" && pwd)/bench/bench_kernels"
 (cd "$ARTIFACT_DIR" && "$BENCH_KERNELS" --quick)
 
@@ -156,8 +160,7 @@ assert expected <= categories, f"missing categories: {expected - categories}"
 
 kernels = json.load(open(f"{artifact_dir}/BENCH_kernels.json"))
 assert kernels["all_equivalent"] is True, kernels["equivalence"]
-missing = {"gemm", "gemm_trans_a", "transpose", "softmax_rows",
-           "fused_step", "parallel_gemm", "chacha20_batched"} \
+missing = {"gemm", "softmax_rows", "fused_step", "chacha20_batched"} \
     - set(kernels["equivalence"])
 assert not missing, f"missing equivalence checks: {missing}"
 assert kernels["kernel_path"] in {"scalar", "avx2"}, kernels

@@ -2,12 +2,12 @@
 # Builds the concurrency-sensitive targets under ThreadSanitizer and runs
 # the thread-pool, coalition-engine, kernel, secure-aggregation, native-SV
 # and observability suites. These are the places real data races could
-# hide: the chunked ParallelFor, the row-partitioned parallel GEMM, the
-# per-peer parallel mask expansion, the engine's parallel utility scoring
-# + sharded CachingUtility, parallel coalition retraining, and the
-# sharded metrics / thread-local span machinery in src/obs.
-# bench_kernels --quick also runs: it exercises every optimized kernel
-# against the reference path with a pool attached, under TSan.
+# hide: the chunked ParallelFor, the engine's parallel utility scoring +
+# sharded CachingUtility, parallel coalition retraining, and the sharded
+# metrics / thread-local span machinery in src/obs. The compute kernels
+# and mask expansion run on their caller's thread; their suites and
+# bench_kernels --quick run here because the round engine's pool workers
+# call them concurrently, one scratch buffer per owner.
 # test_fault and a reduced test_chaos sweep run the full faulted
 # protocol (fault injection, recovery, view changes) under TSan too.
 # test_sig_cache, test_merkle and bench_chain_throughput --quick cover

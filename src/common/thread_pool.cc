@@ -40,8 +40,6 @@ void RunParallelForChunk(ParallelForCtx* ctx, size_t c) {
 }
 }  // namespace
 
-bool ThreadPool::InWorkerThread() { return tls_pool_worker; }
-
 size_t ThreadPool::DefaultThreads() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);

@@ -50,7 +50,10 @@ class ThreadPool {
   /// captured per chunk: a throw ends its own chunk, but every other
   /// chunk still runs to completion before the exception from the
   /// lowest-indexed failing chunk is rethrown to the caller (the same
-  /// error a serial loop would surface first).
+  /// error a serial loop would surface first). Called from a worker of
+  /// any ThreadPool, the loop runs inline on that worker: a pool task
+  /// that re-entered ParallelFor would otherwise block on chunks that can
+  /// never be scheduled once every worker is parked in the same wait.
   ///
   /// The dispatch itself is allocation-free per chunk: chunks share one
   /// stack-allocated context, the per-chunk closures (context pointer +
@@ -65,15 +68,6 @@ class ThreadPool {
   /// Worker count to use when the caller does not specify one:
   /// std::thread::hardware_concurrency(), clamped to at least 1.
   static size_t DefaultThreads();
-
-  /// True when the calling thread is a worker of *any* ThreadPool.
-  /// A ParallelFor issued from a worker runs inline on that worker
-  /// instead of enqueueing: a pool task that re-enters ParallelFor (e.g.
-  /// coalition retraining whose inner GEMM is itself row-parallel) would
-  /// otherwise block on chunks that can never be scheduled once every
-  /// worker is parked in the same wait. Kernel-layer callers also use
-  /// this to skip the parallel path entirely when already inside a task.
-  static bool InWorkerThread();
 
  private:
   void WorkerLoop();

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <string>
 #include <utility>
 
 #include "common/sim_clock.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 // The optimized kernels must stay bit-identical to the reference loops,
@@ -42,8 +40,9 @@ namespace reference {
 
 void Gemm(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
           double* out) {
-  // The seed's i-k-j loop, zero-skip branch included.
-  std::memset(out, 0, ar * bc * sizeof(double));
+  // The seed's i-k-j loop, zero-skip branch included. std::fill, not
+  // memset: an empty output may be a null pointer.
+  std::fill(out, out + ar * bc, 0.0);
   for (size_t i = 0; i < ar; ++i) {
     const double* a_row = a + i * ac;
     double* out_row = out + i * bc;
@@ -59,7 +58,7 @@ void Gemm(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
 void GemmTransA(const double* a, size_t ar, size_t ac, const double* b,
                 size_t bc, double* out) {
   // The seed's k-i-j loop, zero-skip branch included.
-  std::memset(out, 0, ac * bc * sizeof(double));
+  std::fill(out, out + ac * bc, 0.0);
   for (size_t k = 0; k < ar; ++k) {
     const double* a_row = a + k * ac;
     const double* b_row = b + k * bc;
@@ -69,12 +68,6 @@ void GemmTransA(const double* a, size_t ar, size_t ac, const double* b,
       double* out_row = out + i * bc;
       for (size_t j = 0; j < bc; ++j) out_row[j] += v * b_row[j];
     }
-  }
-}
-
-void Transpose(const double* a, size_t ar, size_t ac, double* out) {
-  for (size_t i = 0; i < ar; ++i) {
-    for (size_t j = 0; j < ac; ++j) out[j * ar + i] = a[i * ac + j];
   }
 }
 
@@ -144,21 +137,10 @@ namespace {
 /// per-block fixed cost in the gradient stage, larger ones evict the
 /// logits.
 constexpr size_t kRowBlock = 256;
-/// Output-row count before Gemm considers the parallel path.
-constexpr size_t kParallelRowThreshold = 512;
-/// Fixed parallel chunk: independent of the pool size, so the work (and
-/// the per-element arithmetic) decomposes identically for any thread
-/// count.
-constexpr size_t kParallelRowChunk = 128;
-/// Column (i) count before GemmTransA considers the parallel path.
-constexpr size_t kParallelColThreshold = 256;
-constexpr size_t kParallelColChunk = 64;
 /// GEMMs at least this many flops get timed for the GFLOP/s gauge.
 constexpr double kTimedFlops = 2e6;
 /// Widest output handled by the fixed-width register-accumulator cores.
 constexpr size_t kMaxFixedBc = 16;
-
-std::atomic<ThreadPool*> g_pool{nullptr};
 
 bool HasAvx2() {
 #if BCFL_KERNELS_HAVE_AVX2_CLONES
@@ -211,7 +193,7 @@ BCFL_ALWAYS_INLINE void GemmRowsCore(const double* __restrict a, size_t r0,
   }
 }
 
-/// out[i,:] += sum_{k in [r0,r1)} a[k,i] * d[k - r0,:] for i in [i0, i1).
+/// out[i,:] += sum_{k in [r0,r1)} a[k,i] * d[k - r0,:] for i in [0, ac).
 /// Column-dot with the i-axis unrolled by four; `out` carries the prefix
 /// accumulated over k < r0, so chaining calls over ascending k-blocks
 /// reproduces the flat k-ascending order exactly.
@@ -219,10 +201,9 @@ template <size_t BC>
 BCFL_ALWAYS_INLINE void GemmTransAAccumCore(const double* __restrict a,
                                             size_t r0, size_t r1, size_t ac,
                                             const double* __restrict d,
-                                            double* __restrict out, size_t i0,
-                                            size_t i1) {
-  size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
+                                            double* __restrict out) {
+  size_t i = 0;
+  for (; i + 4 <= ac; i += 4) {
     double acc[4][BC];
     for (size_t r = 0; r < 4; ++r) {
       for (size_t j = 0; j < BC; ++j) acc[r][j] = out[(i + r) * BC + j];
@@ -239,7 +220,7 @@ BCFL_ALWAYS_INLINE void GemmTransAAccumCore(const double* __restrict a,
       for (size_t j = 0; j < BC; ++j) out[(i + r) * BC + j] = acc[r][j];
     }
   }
-  for (; i < i1; ++i) {
+  for (; i < ac; ++i) {
     double acc[BC];
     for (size_t j = 0; j < BC; ++j) acc[j] = out[i * BC + j];
     const double* ap = a + r0 * ac + i;
@@ -249,63 +230,6 @@ BCFL_ALWAYS_INLINE void GemmTransAAccumCore(const double* __restrict a,
       for (size_t j = 0; j < BC; ++j) acc[j] += v * dp[j];
     }
     for (size_t j = 0; j < BC; ++j) out[i * BC + j] = acc[j];
-  }
-}
-
-/// Runtime-width fallback for bc > kMaxFixedBc: fixed 8-wide j-tiles with
-/// register accumulators, k ascending per element.
-BCFL_ALWAYS_INLINE void GemmRowsGenericCore(const double* __restrict a,
-                                            size_t r0, size_t r1, size_t ac,
-                                            const double* __restrict b,
-                                            size_t bc, double* __restrict out) {
-  constexpr size_t kTile = 8;
-  for (size_t i = r0; i < r1; ++i) {
-    const double* a_row = a + i * ac;
-    double* o = out + (i - r0) * bc;
-    size_t j0 = 0;
-    for (; j0 + kTile <= bc; j0 += kTile) {
-      double acc[kTile];
-      for (size_t j = 0; j < kTile; ++j) acc[j] = 0.0;
-      for (size_t k = 0; k < ac; ++k) {
-        const double v = a_row[k];
-        const double* b_row = b + k * bc + j0;
-        for (size_t j = 0; j < kTile; ++j) acc[j] += v * b_row[j];
-      }
-      for (size_t j = 0; j < kTile; ++j) o[j0 + j] = acc[j];
-    }
-    if (j0 < bc) {
-      const size_t rem = bc - j0;
-      double acc[kTile];
-      for (size_t j = 0; j < rem; ++j) acc[j] = 0.0;
-      for (size_t k = 0; k < ac; ++k) {
-        const double v = a_row[k];
-        const double* b_row = b + k * bc + j0;
-        for (size_t j = 0; j < rem; ++j) acc[j] += v * b_row[j];
-      }
-      for (size_t j = 0; j < rem; ++j) o[j0 + j] = acc[j];
-    }
-  }
-}
-
-BCFL_ALWAYS_INLINE void GemmTransAAccumGenericCore(
-    const double* __restrict a, size_t r0, size_t r1, size_t ac,
-    const double* __restrict d, size_t bc, double* __restrict out, size_t i0,
-    size_t i1) {
-  constexpr size_t kTile = 8;
-  for (size_t i = i0; i < i1; ++i) {
-    size_t j0 = 0;
-    for (; j0 < bc; j0 += kTile) {
-      const size_t width = std::min(kTile, bc - j0);
-      double acc[kTile];
-      for (size_t j = 0; j < width; ++j) acc[j] = out[i * bc + j0 + j];
-      const double* ap = a + r0 * ac + i;
-      const double* dp = d + j0;
-      for (size_t k = r0; k < r1; ++k, ap += ac, dp += bc) {
-        const double v = ap[0];
-        for (size_t j = 0; j < width; ++j) acc[j] += v * dp[j];
-      }
-      for (size_t j = 0; j < width; ++j) out[i * bc + j0 + j] = acc[j];
-    }
   }
 }
 
@@ -404,14 +328,13 @@ BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE void GemmRowsIntr(
 template <size_t BC>
 BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE void GemmTransAAccumIntr(
     const double* __restrict a, size_t r0, size_t r1, size_t ac,
-    const double* __restrict d, double* __restrict out, size_t i0,
-    size_t i1) {
+    const double* __restrict d, double* __restrict out) {
   static_assert(BC >= 4, "scalar core covers narrow outputs");
   constexpr size_t F = BC / 4;
   constexpr size_t R = BC % 4;
   constexpr size_t IU = BC <= 12 ? 4 : 2;
-  size_t i = i0;
-  for (; i + IU <= i1; i += IU) {
+  size_t i = 0;
+  for (; i + IU <= ac; i += IU) {
     __m256d acc[IU][F];
     [[maybe_unused]] __m128d pair[IU];
     [[maybe_unused]] double last[IU];
@@ -450,7 +373,7 @@ BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE void GemmTransAAccumIntr(
       if constexpr (R % 2 == 1) orow[BC - 1] = last[r];
     }
   }
-  for (; i < i1; ++i) {
+  for (; i < ac; ++i) {
     double* orow = out + i * BC;
     __m256d acc[F];
     for (size_t f = 0; f < F; ++f) acc[f] = _mm256_loadu_pd(orow + 4 * f);
@@ -544,7 +467,7 @@ BCFL_ALWAYS_INLINE double FusedStepCore(const double* __restrict aug,
     const size_t r1 = std::min(rows, r0 + kRowBlock);
     GemmRowsCore<BC>(aug, r0, r1, cols, weights, logits);
     FusedSoftmaxEpilogue<BC>(logits, r1 - r0, labels + r0, &loss);
-    GemmTransAAccumCore<BC>(aug, r0, r1, cols, logits, grad, 0, cols);
+    GemmTransAAccumCore<BC>(aug, r0, r1, cols, logits, grad);
   }
   const double n = static_cast<double>(rows);
   loss /= n;
@@ -567,7 +490,7 @@ BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE double FusedStepCoreIntr(
     const size_t r1 = std::min(rows, r0 + kRowBlock);
     GemmRowsIntr<BC>(aug, r0, r1, cols, weights, logits);
     FusedSoftmaxEpilogue<BC>(logits, r1 - r0, labels + r0, &loss);
-    GemmTransAAccumIntr<BC>(aug, r0, r1, cols, logits, grad, 0, cols);
+    GemmTransAAccumIntr<BC>(aug, r0, r1, cols, logits, grad);
   }
   const double n = static_cast<double>(rows);
   loss /= n;
@@ -577,34 +500,21 @@ BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE double FusedStepCoreIntr(
 #endif  // BCFL_KERNELS_HAVE_AVX2_CLONES
 
 // ---------------------------------------------------------------------------
-// Instantiation + dispatch. One baseline, one AVX2 and one AVX-512 clone
-// per core; the AVX2 clones rely on target("avx2") NOT enabling FMA, and
-// the AVX-512 clones use explicit mul/add intrinsics (with the file-level
-// -ffp-contract=off forbidding contraction), so lane arithmetic is
-// identical to the baseline everywhere.
+// Instantiation + dispatch. One baseline and one AVX2 clone per core. The
+// AVX2 clones rely on target("avx2") NOT enabling FMA, and the file-level
+// -ffp-contract=off forbids contraction, so lane arithmetic is identical
+// to the baseline everywhere.
 // ---------------------------------------------------------------------------
 
-using RowsFn = void (*)(const double*, size_t, size_t, size_t, const double*,
+using RowsFn = void (*)(const double*, size_t, size_t, const double*,
                         double*);
-using AccumFn = void (*)(const double*, size_t, size_t, size_t, const double*,
-                         double*, size_t, size_t);
 using FusedFn = double (*)(const double*, size_t, size_t, const int*, double,
                            double, double*, double*, double*);
-using RowsGenericFn = void (*)(const double*, size_t, size_t, size_t,
-                               const double*, size_t, double*);
-using AccumGenericFn = void (*)(const double*, size_t, size_t, size_t,
-                                const double*, size_t, double*, size_t,
-                                size_t);
 
 template <size_t BC>
-void GemmRowsBase(const double* a, size_t r0, size_t r1, size_t ac,
-                  const double* b, double* out) {
-  GemmRowsCore<BC>(a, r0, r1, ac, b, out);
-}
-template <size_t BC>
-void GemmTransAAccumBase(const double* a, size_t r0, size_t r1, size_t ac,
-                         const double* d, double* out, size_t i0, size_t i1) {
-  GemmTransAAccumCore<BC>(a, r0, r1, ac, d, out, i0, i1);
+void GemmRowsBase(const double* a, size_t ar, size_t ac, const double* b,
+                  double* out) {
+  GemmRowsCore<BC>(a, 0, ar, ac, b, out);
 }
 template <size_t BC>
 double FusedStepBase(const double* aug, size_t rows, size_t cols,
@@ -613,35 +523,15 @@ double FusedStepBase(const double* aug, size_t rows, size_t cols,
   return FusedStepCore<BC>(aug, rows, cols, labels, lr, l2, weights, logits,
                            grad);
 }
-void GemmRowsGenericBase(const double* a, size_t r0, size_t r1, size_t ac,
-                         const double* b, size_t bc, double* out) {
-  GemmRowsGenericCore(a, r0, r1, ac, b, bc, out);
-}
-void GemmTransAAccumGenericBase(const double* a, size_t r0, size_t r1,
-                                size_t ac, const double* d, size_t bc,
-                                double* out, size_t i0, size_t i1) {
-  GemmTransAAccumGenericCore(a, r0, r1, ac, d, bc, out, i0, i1);
-}
 
 #if BCFL_KERNELS_HAVE_AVX2_CLONES
 template <size_t BC>
-BCFL_TARGET_AVX2 void GemmRowsAvx2(const double* a, size_t r0, size_t r1,
-                                   size_t ac, const double* b, double* out) {
+BCFL_TARGET_AVX2 void GemmRowsAvx2(const double* a, size_t ar, size_t ac,
+                                   const double* b, double* out) {
   if constexpr (BC >= 4) {
-    GemmRowsIntr<BC>(a, r0, r1, ac, b, out);
+    GemmRowsIntr<BC>(a, 0, ar, ac, b, out);
   } else {
-    GemmRowsCore<BC>(a, r0, r1, ac, b, out);
-  }
-}
-template <size_t BC>
-BCFL_TARGET_AVX2 void GemmTransAAccumAvx2(const double* a, size_t r0,
-                                          size_t r1, size_t ac,
-                                          const double* d, double* out,
-                                          size_t i0, size_t i1) {
-  if constexpr (BC >= 4) {
-    GemmTransAAccumIntr<BC>(a, r0, r1, ac, d, out, i0, i1);
-  } else {
-    GemmTransAAccumCore<BC>(a, r0, r1, ac, d, out, i0, i1);
+    GemmRowsCore<BC>(a, 0, ar, ac, b, out);
   }
 }
 template <size_t BC>
@@ -657,19 +547,6 @@ BCFL_TARGET_AVX2 double FusedStepAvx2(const double* aug, size_t rows,
                              grad);
   }
 }
-BCFL_TARGET_AVX2 void GemmRowsGenericAvx2(const double* a, size_t r0,
-                                          size_t r1, size_t ac,
-                                          const double* b, size_t bc,
-                                          double* out) {
-  GemmRowsGenericCore(a, r0, r1, ac, b, bc, out);
-}
-BCFL_TARGET_AVX2 void GemmTransAAccumGenericAvx2(const double* a, size_t r0,
-                                                 size_t r1, size_t ac,
-                                                 const double* d, size_t bc,
-                                                 double* out, size_t i0,
-                                                 size_t i1) {
-  GemmTransAAccumGenericCore(a, r0, r1, ac, d, bc, out, i0, i1);
-}
 #endif  // BCFL_KERNELS_HAVE_AVX2_CLONES
 
 template <template <size_t> class Fn, typename Ptr, size_t... I>
@@ -684,10 +561,6 @@ struct RowsBaseHolder {
   static constexpr RowsFn value = &GemmRowsBase<BC>;
 };
 template <size_t BC>
-struct AccumBaseHolder {
-  static constexpr AccumFn value = &GemmTransAAccumBase<BC>;
-};
-template <size_t BC>
 struct FusedBaseHolder {
   static constexpr FusedFn value = &FusedStepBase<BC>;
 };
@@ -697,10 +570,6 @@ struct RowsAvx2Holder {
   static constexpr RowsFn value = &GemmRowsAvx2<BC>;
 };
 template <size_t BC>
-struct AccumAvx2Holder {
-  static constexpr AccumFn value = &GemmTransAAccumAvx2<BC>;
-};
-template <size_t BC>
 struct FusedAvx2Holder {
   static constexpr FusedFn value = &FusedStepAvx2<BC>;
 };
@@ -708,14 +577,10 @@ struct FusedAvx2Holder {
 
 constexpr auto kRowsBase = MakeTable<RowsBaseHolder, RowsFn>(
     std::make_index_sequence<kMaxFixedBc>{});
-constexpr auto kAccumBase = MakeTable<AccumBaseHolder, AccumFn>(
-    std::make_index_sequence<kMaxFixedBc>{});
 constexpr auto kFusedBase = MakeTable<FusedBaseHolder, FusedFn>(
     std::make_index_sequence<kMaxFixedBc>{});
 #if BCFL_KERNELS_HAVE_AVX2_CLONES
 constexpr auto kRowsAvx2 = MakeTable<RowsAvx2Holder, RowsFn>(
-    std::make_index_sequence<kMaxFixedBc>{});
-constexpr auto kAccumAvx2 = MakeTable<AccumAvx2Holder, AccumFn>(
     std::make_index_sequence<kMaxFixedBc>{});
 constexpr auto kFusedAvx2 = MakeTable<FusedAvx2Holder, FusedFn>(
     std::make_index_sequence<kMaxFixedBc>{});
@@ -727,46 +592,14 @@ RowsFn PickRows(size_t bc) {
 #endif
   return kRowsBase[bc - 1];
 }
-AccumFn PickAccum(size_t bc) {
-#if BCFL_KERNELS_HAVE_AVX2_CLONES
-  if (HasAvx2()) return kAccumAvx2[bc - 1];
-#endif
-  return kAccumBase[bc - 1];
-}
 FusedFn PickFused(size_t classes) {
 #if BCFL_KERNELS_HAVE_AVX2_CLONES
   if (HasAvx2()) return kFusedAvx2[classes - 1];
 #endif
   return kFusedBase[classes - 1];
 }
-RowsGenericFn PickRowsGeneric() {
-#if BCFL_KERNELS_HAVE_AVX2_CLONES
-  if (HasAvx2()) return &GemmRowsGenericAvx2;
-#endif
-  return &GemmRowsGenericBase;
-}
-AccumGenericFn PickAccumGeneric() {
-#if BCFL_KERNELS_HAVE_AVX2_CLONES
-  if (HasAvx2()) return &GemmTransAAccumGenericAvx2;
-#endif
-  return &GemmTransAAccumGenericBase;
-}
-
-/// True when the caller may fan work out to `pool`: a pool is set, the
-/// current thread is not itself a pool worker (re-entering ParallelFor
-/// from a worker runs inline anyway), and the pool has real parallelism.
-bool MayParallelize(ThreadPool* pool) {
-  return pool != nullptr && pool->num_threads() > 1 &&
-         !ThreadPool::InWorkerThread();
-}
 
 }  // namespace
-
-void SetParallelPool(ThreadPool* pool) {
-  g_pool.store(pool, std::memory_order_relaxed);
-}
-
-ThreadPool* ParallelPool() { return g_pool.load(std::memory_order_relaxed); }
 
 const char* ActivePath() { return HasAvx2() ? "avx2" : "scalar"; }
 
@@ -776,8 +609,6 @@ void Gemm(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
   RecordPathOnce();
   static auto& calls =
       obs::MetricsRegistry::Global().GetCounter("ml.kernels.gemm_calls");
-  static auto& parallel_calls = obs::MetricsRegistry::Global().GetCounter(
-      "ml.kernels.gemm_parallel_calls");
   static auto& gflops_gauge =
       obs::MetricsRegistry::Global().GetGauge("ml.kernels.gemm_gflops");
   calls.Add();
@@ -785,86 +616,15 @@ void Gemm(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
   const double flops = 2.0 * static_cast<double>(ar) *
                        static_cast<double>(ac) * static_cast<double>(bc);
   Stopwatch timer;
-
-  auto run_rows = [&](size_t r0, size_t r1) {
-    if (bc <= kMaxFixedBc) {
-      PickRows(bc)(a, r0, r1, ac, b, out + r0 * bc);
-    } else {
-      PickRowsGeneric()(a, r0, r1, ac, b, bc, out + r0 * bc);
-    }
-  };
-
-  ThreadPool* pool = ParallelPool();
-  if (ar >= kParallelRowThreshold && MayParallelize(pool)) {
-    const size_t chunks = (ar + kParallelRowChunk - 1) / kParallelRowChunk;
-    pool->ParallelFor(
-        chunks,
-        [&](size_t c) {
-          const size_t r0 = c * kParallelRowChunk;
-          run_rows(r0, std::min(ar, r0 + kParallelRowChunk));
-        },
-        /*grain=*/1);
-    parallel_calls.Add();
+  if (bc <= kMaxFixedBc) {
+    PickRows(bc)(a, ar, ac, b, out);
   } else {
-    run_rows(0, ar);
+    reference::Gemm(a, ar, ac, b, bc, out);
   }
-
   if (flops >= kTimedFlops) {
     const double s = timer.ElapsedSeconds();
     if (s > 0) gflops_gauge.Set(flops / s * 1e-9);
   }
-}
-
-void GemmTransA(const double* a, size_t ar, size_t ac, const double* b,
-                size_t bc, double* out) {
-  if (ac == 0 || bc == 0) return;
-  RecordPathOnce();
-  std::memset(out, 0, ac * bc * sizeof(double));
-  if (ar == 0) return;
-
-  auto run_cols = [&](size_t i0, size_t i1) {
-    if (bc <= kMaxFixedBc) {
-      PickAccum(bc)(a, 0, ar, ac, b, out, i0, i1);
-    } else {
-      PickAccumGeneric()(a, 0, ar, ac, b, bc, out, i0, i1);
-    }
-  };
-
-  ThreadPool* pool = ParallelPool();
-  if (ac >= kParallelColThreshold && MayParallelize(pool)) {
-    const size_t chunks = (ac + kParallelColChunk - 1) / kParallelColChunk;
-    pool->ParallelFor(
-        chunks,
-        [&](size_t c) {
-          const size_t i0 = c * kParallelColChunk;
-          run_cols(i0, std::min(ac, i0 + kParallelColChunk));
-        },
-        /*grain=*/1);
-  } else {
-    run_cols(0, ac);
-  }
-}
-
-void Transpose(const double* a, size_t ar, size_t ac, double* out) {
-  // Cache-blocked: both the row-major reads and the column-major writes
-  // stay within a 32x32 tile (8 KB), so each cache line is touched once.
-  constexpr size_t kTile = 32;
-  for (size_t i0 = 0; i0 < ar; i0 += kTile) {
-    const size_t i1 = std::min(ar, i0 + kTile);
-    for (size_t j0 = 0; j0 < ac; j0 += kTile) {
-      const size_t j1 = std::min(ac, j0 + kTile);
-      for (size_t i = i0; i < i1; ++i) {
-        const double* src = a + i * ac;
-        for (size_t j = j0; j < j1; ++j) out[j * ar + i] = src[j];
-      }
-    }
-  }
-}
-
-void Axpy(double alpha, const double* x, size_t n, double* y) {
-  // Element-wise: no accumulation to reorder, so the reference loop is
-  // the implementation (with -ffp-contract=off keeping mul+add exact).
-  reference::Axpy(alpha, x, n, y);
 }
 
 void SoftmaxRows(double* m, size_t rows, size_t cols) {

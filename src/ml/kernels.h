@@ -3,28 +3,26 @@
 #include <cstddef>
 #include <vector>
 
-namespace bcfl {
-class ThreadPool;
-}
-
 namespace bcfl::ml::kernels {
 
-// Compute kernels behind Matrix::MatMul / TransposedMatMul / Transpose
-// and the fused logistic-regression training step. All buffers are dense
-// row-major doubles; output buffers must not alias inputs.
+// Compute kernels behind Matrix::MatMul, the evaluation helpers and the
+// fused logistic-regression training step. Three kernels are live: Gemm
+// (optimized up to 16 output columns), SoftmaxRows and FusedSoftmaxCeStep.
+// The paper's model is 65 x 10, so every session GEMM fits the
+// fixed-width cores; wider outputs, more than 16 classes and a null
+// fused-step scratch run the reference:: kernels instead. Each optimized
+// kernel runs on the caller's thread. All buffers are dense row-major
+// doubles; output buffers must not alias inputs.
 //
 // Determinism contract
 // --------------------
 // Every kernel accumulates each output element in strictly ascending
 // k-order — the same per-element operation sequence as the seed's scalar
-// triple loops — so the optimized kernels, the reference kernels, and
-// any thread count all produce bit-identical results on finite inputs.
-// Concretely:
+// triple loops — so the optimized kernels and the reference kernels
+// produce bit-identical results on finite inputs. Concretely:
 //   * the optimized GEMMs vectorize across *output columns* and unroll
 //     across *output rows*; neither axis carries an accumulation, so no
 //     floating-point operation is reordered;
-//   * the row-parallel path partitions *output rows* into fixed-size
-//     chunks (independent of the pool size), and rows are independent;
 //   * the AVX2 variants are compiled without FMA, so no multiply-add is
 //     contracted (the build also pins -ffp-contract=off for this file);
 //   * the only arithmetic difference from the seed loops is dropping the
@@ -33,7 +31,8 @@ namespace bcfl::ml::kernels {
 //     finite accumulator value unchanged.
 
 /// Seed-faithful scalar kernels, always compiled: the equivalence tests
-/// and bench_kernels check the optimized entry points against them.
+/// and bench_kernels check the optimized entry points against them, and
+/// the optimized entry points fall back to them outside the fixed widths.
 namespace reference {
 
 /// out[i,j] = sum_k a[i,k]*b[k,j]; a is ar x ac, b is ac x bc.
@@ -44,9 +43,6 @@ void Gemm(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
 /// ar x bc, out is ac x bc.
 void GemmTransA(const double* a, size_t ar, size_t ac, const double* b,
                 size_t bc, double* out);
-
-/// out (ac x ar) = a^T; a is ar x ac.
-void Transpose(const double* a, size_t ar, size_t ac, double* out);
 
 /// y[i] += alpha * x[i].
 void Axpy(double alpha, const double* x, size_t n, double* y);
@@ -73,12 +69,12 @@ struct FusedStepScratch {
   std::vector<double> grad;
 };
 
+/// out = a * b, bit-identical to reference::Gemm. Up to 16 output
+/// columns use the fixed-width register-accumulator cores; wider outputs
+/// run reference::Gemm.
 void Gemm(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
           double* out);
-void GemmTransA(const double* a, size_t ar, size_t ac, const double* b,
-                size_t bc, double* out);
-void Transpose(const double* a, size_t ar, size_t ac, double* out);
-void Axpy(double alpha, const double* x, size_t n, double* y);
+/// In-place row softmax, bit-identical to reference::SoftmaxRows.
 void SoftmaxRows(double* m, size_t rows, size_t cols);
 
 /// Fused softmax–cross-entropy–gradient step: streams `aug` once per
@@ -87,18 +83,11 @@ void SoftmaxRows(double* m, size_t rows, size_t cols);
 /// per-element accumulation order (k strictly ascending) is exactly the
 /// reference sequence, so the result is bit-identical to
 /// reference::FusedSoftmaxCeStep. `scratch` may be reused across calls.
+/// More than 16 classes or a null `scratch` run the reference step.
 double FusedSoftmaxCeStep(const double* aug, size_t rows, size_t cols,
                           const int* labels, size_t classes,
                           double learning_rate, double l2, double* weights,
                           FusedStepScratch* scratch);
-
-/// Pool used by Gemm/GemmTransA for row-partitioned parallelism above a
-/// size threshold (nullptr = always serial). Partitioning is by output
-/// rows in fixed-size chunks, so results are bit-identical for every
-/// pool size; calls issued from inside a pool worker stay serial (see
-/// ThreadPool::InWorkerThread).
-void SetParallelPool(ThreadPool* pool);
-ThreadPool* ParallelPool();
 
 /// "scalar" or "avx2" — the dispatch the optimized entry points select on
 /// this machine. Exported to metrics as

@@ -75,22 +75,6 @@ Result<Matrix> Matrix::MatMul(const Matrix& other) const {
   return out;
 }
 
-Result<Matrix> Matrix::TransposedMatMul(const Matrix& other) const {
-  if (rows_ != other.rows_) {
-    return Status::InvalidArgument("TransposedMatMul: row counts differ");
-  }
-  Matrix out(cols_, other.cols_);
-  kernels::GemmTransA(data_.data(), rows_, cols_, other.data_.data(),
-                      other.cols_, out.data_.data());
-  return out;
-}
-
-Matrix Matrix::Transpose() const {
-  Matrix out(cols_, rows_);
-  kernels::Transpose(data_.data(), rows_, cols_, out.data_.data());
-  return out;
-}
-
 bool Matrix::operator==(const Matrix& other) const {
   return rows_ == other.rows_ && cols_ == other.cols_ && data_ == other.data_;
 }

@@ -12,8 +12,9 @@ namespace bcfl::ml {
 /// Dense row-major matrix of doubles.
 ///
 /// Deliberately small: the paper's workload is logistic regression on
-/// 64-feature data, so a cache-friendly row-major layout with a few fused
-/// kernels (GEMM, AXPY) is all the linear algebra the library needs.
+/// 64-feature data, so a row-major layout with one GEMM (MatMul, backed
+/// by kernels::Gemm) and element-wise operations is all the linear
+/// algebra the library needs.
 class Matrix {
  public:
   /// Empty 0x0 matrix.
@@ -61,10 +62,6 @@ class Matrix {
 
   /// Returns this * other (GEMM). Fails on shape mismatch.
   Result<Matrix> MatMul(const Matrix& other) const;
-  /// Returns transpose(this) * other, avoiding an explicit transpose.
-  Result<Matrix> TransposedMatMul(const Matrix& other) const;
-  /// Returns the transpose.
-  Matrix Transpose() const;
 
   bool operator==(const Matrix& other) const;
 

@@ -43,48 +43,25 @@ Result<std::vector<uint64_t>> SecureAggregator::SumGroup(
     for (size_t i = 0; i < length; ++i) sum[i] += vec[i];
   }
 
-  // Remove survivors' self masks. Seeds are validated up front; the
-  // expansions are independent ChaCha streams and fill per-survivor
-  // slots (possibly on the pool), then fold into the sum in roster order.
+  // Remove survivors' self masks, in roster order. Each is expanded into
+  // the one reused buffer and folded into the sum at once.
+  std::vector<uint64_t> mask;
   if (self_masks_in_use) {
-    std::vector<const std::array<uint8_t, 32>*> seeds;
-    seeds.reserve(survivors.size());
     for (OwnerId id : survivors) {
       auto it = unmask.survivor_self_seeds.find(id);
       if (it == unmask.survivor_self_seeds.end()) {
         return Status::FailedPrecondition(
             "missing self-mask seed for survivor " + std::to_string(id));
       }
-      seeds.push_back(&it->second);
-    }
-    std::vector<std::vector<uint64_t>> selfs(seeds.size());
-    auto expand_self = [&](size_t s) {
-      selfs[s] = ExpandSelfMask(*seeds[s], round, length);
-    };
-    if (pool_ != nullptr && seeds.size() > 1) {
-      pool_->ParallelFor(seeds.size(), expand_self);
-    } else {
-      for (size_t s = 0; s < seeds.size(); ++s) expand_self(s);
-    }
-    for (const std::vector<uint64_t>& self : selfs) {
-      for (size_t i = 0; i < length; ++i) sum[i] -= self[i];
+      ExpandSelfMaskInto(it->second, round, length, &mask);
+      for (size_t i = 0; i < length; ++i) sum[i] -= mask[i];
     }
   }
 
   // Remove residual pairwise masks left by dropped members: survivor v's
   // submission contains sign(v, u) * m_uv for every dropped u in the
-  // group; regenerate each from u's reconstructed DH private key. Each
-  // (u, v) pair — DH shared secret, key derivation and mask expansion —
-  // is independent, so the pairs fan out over the pool into slots and
-  // fold back in pair order.
-  struct PairTask {
-    OwnerId u;
-    OwnerId v;
-    const crypto::UInt256* u_private;
-    const crypto::UInt256* v_public;
-  };
-  std::vector<PairTask> pairs;
-  pairs.reserve(dropped.size() * survivors.size());
+  // group; regenerate each from u's reconstructed DH private key.
+  crypto::DiffieHellman dh(params_);
   for (OwnerId u : dropped) {
     auto key_it = unmask.dropped_private_keys.find(u);
     if (key_it == unmask.dropped_private_keys.end()) {
@@ -97,29 +74,14 @@ Result<std::vector<uint64_t>> SecureAggregator::SumGroup(
         return Status::NotFound("no public key on chain for owner " +
                                 std::to_string(v));
       }
-      pairs.push_back({u, v, &key_it->second, &pub_it->second});
-    }
-  }
-  crypto::DiffieHellman dh(params_);
-  std::vector<std::vector<uint64_t>> masks(pairs.size());
-  auto expand_pair = [&](size_t p) {
-    const PairTask& t = pairs[p];
-    crypto::UInt256 shared = dh.ComputeShared(*t.u_private, *t.v_public);
-    std::array<uint8_t, 32> pair_key = DerivePairKey(shared, t.u, t.v);
-    masks[p] = ExpandMask(pair_key, round, length);
-  };
-  if (pool_ != nullptr && pairs.size() > 1) {
-    pool_->ParallelFor(pairs.size(), expand_pair);
-  } else {
-    for (size_t p = 0; p < pairs.size(); ++p) expand_pair(p);
-  }
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    const std::vector<uint64_t>& mask = masks[p];
-    if (pairs[p].v < pairs[p].u) {
-      // v added +mask; cancel it.
-      for (size_t i = 0; i < length; ++i) sum[i] -= mask[i];
-    } else {
-      for (size_t i = 0; i < length; ++i) sum[i] += mask[i];
+      crypto::UInt256 shared = dh.ComputeShared(key_it->second, pub_it->second);
+      ExpandMaskInto(DerivePairKey(shared, u, v), round, length, &mask);
+      if (v < u) {
+        // v added +mask; cancel it.
+        for (size_t i = 0; i < length; ++i) sum[i] -= mask[i];
+      } else {
+        for (size_t i = 0; i < length; ++i) sum[i] += mask[i];
+      }
     }
   }
 

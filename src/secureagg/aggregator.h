@@ -59,17 +59,9 @@ class SecureAggregator {
       const std::vector<std::vector<crypto::ShamirShare>>& share_sets,
       size_t threshold, size_t roster_size, ThreadPool* pool = nullptr);
 
-  /// Regenerates unmasking material (self masks, dropped members'
-  /// residual pairwise masks) on `pool` (nullptr = serial). Expansions
-  /// fill index-addressed slots and are folded into the sum in roster
-  /// order, so the output stays bit-identical — and thus consensus-safe —
-  /// for any pool size.
-  void SetPool(ThreadPool* pool) { pool_ = pool; }
-
  private:
   crypto::GroupParams params_;
   std::map<OwnerId, crypto::UInt256> public_keys_;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace bcfl::secureagg

@@ -48,26 +48,14 @@ void ExpandInto(const std::array<uint8_t, crypto::ChaCha20::kKeySize>& key,
   }
 }
 
-std::vector<uint64_t> Expand(
-    const std::array<uint8_t, crypto::ChaCha20::kKeySize>& key,
-    uint64_t round, uint8_t domain, size_t length) {
-  std::vector<uint64_t> out;
-  ExpandInto(key, round, domain, length, &out);
-  return out;
-}
-
 }  // namespace
 
 std::vector<uint64_t> ExpandMask(
     const std::array<uint8_t, crypto::ChaCha20::kKeySize>& pair_key,
     uint64_t round, size_t length) {
-  return Expand(pair_key, round, /*domain=*/0x01, length);
-}
-
-std::vector<uint64_t> ExpandSelfMask(
-    const std::array<uint8_t, crypto::ChaCha20::kKeySize>& self_seed,
-    uint64_t round, size_t length) {
-  return Expand(self_seed, round, /*domain=*/0x02, length);
+  std::vector<uint64_t> out;
+  ExpandInto(pair_key, round, /*domain=*/0x01, length, &out);
+  return out;
 }
 
 void ExpandMaskInto(

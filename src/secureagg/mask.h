@@ -18,21 +18,19 @@ std::vector<uint64_t> ExpandMask(
     const std::array<uint8_t, crypto::ChaCha20::kKeySize>& pair_key,
     uint64_t round, size_t length);
 
-/// Self-mask expansion for the double-masking variant (Bonawitz et al.):
-/// each participant additionally adds a private mask derived from its own
-/// seed so that revealing pairwise keys of dropped users never exposes a
-/// survivor's plain update.
-std::vector<uint64_t> ExpandSelfMask(
-    const std::array<uint8_t, crypto::ChaCha20::kKeySize>& self_seed,
-    uint64_t round, size_t length);
-
-/// Allocation-reusing variants: `out` is resized to `length` (keeping its
-/// capacity across rounds) and overwritten. Same keystream, bit-identical
-/// to the returning forms — these exist so the round engine's per-owner
-/// scratch can mask every round without reallocating mask buffers.
+/// Allocation-reusing variant of ExpandMask: `out` is resized to `length`
+/// (keeping its capacity across rounds) and overwritten with the same
+/// keystream, so the round engine's per-owner scratch can mask every
+/// round without reallocating mask buffers.
 void ExpandMaskInto(
     const std::array<uint8_t, crypto::ChaCha20::kKeySize>& pair_key,
     uint64_t round, size_t length, std::vector<uint64_t>* out);
+
+/// Self-mask expansion for the double-masking variant (Bonawitz et al.),
+/// into `out` like ExpandMaskInto: each participant additionally adds a
+/// private mask derived from its own seed so that revealing pairwise keys
+/// of dropped users never exposes a survivor's plain update. A separate
+/// nonce domain keeps it apart from every pairwise mask.
 void ExpandSelfMaskInto(
     const std::array<uint8_t, crypto::ChaCha20::kKeySize>& self_seed,
     uint64_t round, size_t length, std::vector<uint64_t>* out);

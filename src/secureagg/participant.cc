@@ -88,38 +88,20 @@ Status SecureAggParticipant::MaskUpdateInto(
       group_members.end()) {
     return Status::InvalidArgument("participant not in the given group");
   }
-  *out = encoded;
-  // Validate the roster up front, then expand every peer's mask into its
-  // own slot — independent ChaCha streams, so slots can fill on the pool
-  // in any order. The combine below walks slots in group order, keeping
-  // the result bit-identical to the serial path for any pool size.
-  scratch->peers.clear();
-  scratch->keys.clear();
-  scratch->peers.reserve(group_members.size());
-  scratch->keys.reserve(group_members.size());
+  // Validate the whole roster before writing `*out`: a failed call must
+  // not leave the unmasked update in the caller's buffer.
   for (OwnerId peer : group_members) {
-    if (peer == id_) continue;
-    auto it = pair_keys_.find(peer);
-    if (it == pair_keys_.end()) {
+    if (peer != id_ && pair_keys_.count(peer) == 0) {
       return Status::FailedPrecondition("peer key not registered: " +
                                         std::to_string(peer));
     }
-    scratch->peers.push_back(peer);
-    scratch->keys.push_back(&it->second);
   }
-  const size_t num_peers = scratch->peers.size();
-  if (scratch->masks.size() < num_peers) scratch->masks.resize(num_peers);
-  auto expand_one = [&](size_t p) {
-    ExpandMaskInto(*scratch->keys[p], round, out->size(), &scratch->masks[p]);
-  };
-  if (pool_ != nullptr && num_peers > 1 && !ThreadPool::InWorkerThread()) {
-    pool_->ParallelFor(num_peers, expand_one);
-  } else {
-    for (size_t p = 0; p < num_peers; ++p) expand_one(p);
-  }
-  for (size_t p = 0; p < num_peers; ++p) {
-    const std::vector<uint64_t>& mask = scratch->masks[p];
-    if (id_ < scratch->peers[p]) {
+  *out = encoded;
+  const std::vector<uint64_t>& mask = scratch->mask;
+  for (OwnerId peer : group_members) {
+    if (peer == id_) continue;
+    ExpandMaskInto(pair_keys_.at(peer), round, out->size(), &scratch->mask);
+    if (id_ < peer) {
       for (size_t i = 0; i < out->size(); ++i) (*out)[i] += mask[i];
     } else {
       for (size_t i = 0; i < out->size(); ++i) (*out)[i] -= mask[i];

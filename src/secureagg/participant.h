@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "crypto/chacha20.h"
 #include "crypto/dh.h"
 #include "crypto/shamir.h"
@@ -34,14 +33,12 @@ struct RecoveryShares {
   crypto::VssCommitment self_seed_commitment;
 };
 
-/// Reusable buffers for `MaskUpdateInto`: per-peer mask slots, the roster
-/// snapshot, and the self-mask expansion. After the first round every
-/// buffer is at capacity, so masking allocates nothing. One scratch per
-/// owner — not shareable across concurrent calls.
+/// Reusable buffers for `MaskUpdateInto`: one pairwise-mask expansion,
+/// reused for every peer, and the self-mask expansion. After the first
+/// round both are at capacity, so masking allocates nothing. One scratch
+/// per owner — not shareable across concurrent calls.
 struct MaskScratch {
-  std::vector<OwnerId> peers;
-  std::vector<const std::array<uint8_t, 32>*> keys;
-  std::vector<std::vector<uint64_t>> masks;
+  std::vector<uint64_t> mask;
   std::vector<uint64_t> self_mask;
 };
 
@@ -87,10 +84,11 @@ class SecureAggParticipant {
   /// MaskUpdate writing through caller-owned scratch: the masked vector
   /// lands in `*out` and all intermediate buffers live in `*scratch`
   /// (resized on first use, reused afterwards). Bit-identical to
-  /// MaskUpdate. Const + per-owner scratch means distinct owners can mask
-  /// concurrently from pool workers: this object's only mutable state
-  /// under the call is `*scratch`/`*out`, and `pair_keys_` is read-only
-  /// after registration.
+  /// MaskUpdate. On error `*out` is left untouched, so a failed call never
+  /// leaves the unmasked update in the caller's buffer. Const + per-owner
+  /// scratch means distinct owners can mask concurrently from pool
+  /// workers: this object's only mutable state under the call is
+  /// `*scratch`/`*out`, and `pair_keys_` is read-only after registration.
   Status MaskUpdateInto(uint64_t round,
                         const std::vector<OwnerId>& group_members,
                         const std::vector<uint64_t>& encoded,
@@ -112,19 +110,12 @@ class SecureAggParticipant {
   /// The derived pairwise key with `peer`, for tests and recovery checks.
   Result<std::array<uint8_t, 32>> PairKey(OwnerId peer) const;
 
-  /// Expands per-peer masks on `pool` (nullptr = serial). Each expansion
-  /// lands in its own index-addressed slot and the slots are combined
-  /// sequentially in group order, so the masked vector is bit-identical
-  /// for any pool size.
-  void SetPool(ThreadPool* pool) { pool_ = pool; }
-
  private:
   OwnerId id_;
   crypto::DiffieHellman dh_;
   crypto::DhKeyPair key_pair_;
   std::array<uint8_t, 32> self_seed_;
   bool use_self_mask_;
-  ThreadPool* pool_ = nullptr;
   std::map<OwnerId, std::array<uint8_t, 32>> pair_keys_;
 };
 

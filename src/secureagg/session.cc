@@ -148,7 +148,7 @@ Result<std::vector<std::array<uint8_t, 32>>> SecureAggSession::RevealSecrets(
     BCFL_ASSIGN_OR_RETURN(
         auto secrets,
         SecureAggregator::ReconstructSecrets32(share_sets, threshold_,
-                                               participants_.size(), pool_));
+                                               participants_.size()));
     for (size_t k = 0; k < pending.size(); ++k) {
       const RevealJob& job = jobs[pending[k]];
       out[pending[k]] = secrets[k];

@@ -54,13 +54,6 @@ class SecureAggSession {
   /// Direct access for advanced protocols and tests.
   SecureAggParticipant& participant(OwnerId id) { return *participants_[id]; }
 
-  /// Runs mask regeneration (aggregator) and batched share reveals on
-  /// `pool` (nullptr = serial). Results are bit-identical either way.
-  void SetPool(ThreadPool* pool) {
-    pool_ = pool;
-    if (aggregator_) aggregator_->SetPool(pool);
-  }
-
  private:
   SecureAggSession(SessionConfig config, FixedPointCodec codec)
       : config_(config), codec_(codec) {}
@@ -88,7 +81,6 @@ class SecureAggSession {
   std::vector<RecoveryShares> recovery_shares_;
   std::unique_ptr<SecureAggregator> aggregator_;
   size_t threshold_ = 0;
-  ThreadPool* pool_ = nullptr;
   /// Counters resolved once at Create instead of via function-local
   /// statics in the aggregation path: no static-init guard or registry
   /// lock on the hot path, and the binding is per session, not pinned by

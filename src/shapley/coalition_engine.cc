@@ -151,8 +151,7 @@ Result<std::vector<double>> CoalitionEngine::MeanCoalitionsSubsetSum(
     }
   };
   if (config_.pool != nullptr) {
-    config_.pool->ParallelFor(static_cast<size_t>(full), score_one,
-                              config_.grain);
+    config_.pool->ParallelFor(static_cast<size_t>(full), score_one);
   } else {
     for (uint64_t mask = 0; mask < full; ++mask) {
       score_one(static_cast<size_t>(mask));
@@ -222,7 +221,7 @@ Result<std::vector<double>> CoalitionEngine::EvaluateModelTable(
     }
   };
   if (config_.pool != nullptr) {
-    config_.pool->ParallelFor(models.size(), score_one, config_.grain);
+    config_.pool->ParallelFor(models.size(), score_one);
   } else {
     for (size_t i = 0; i < models.size(); ++i) score_one(i);
   }

@@ -15,8 +15,6 @@ struct CoalitionEngineConfig {
   /// Worker pool for the utility-evaluation stage (null = serial). The
   /// result is bit-identical for every pool size, including none.
   ThreadPool* pool = nullptr;
-  /// Chunk size handed to ThreadPool::ParallelFor (0 = automatic).
-  size_t grain = 0;
   /// Upper bound on the memory the subset-sum table may occupy. Above it
   /// the engine falls back to Gray-code running sums: O(1) model-sized
   /// state, still one add/sub per coalition, but inherently serial.
@@ -56,7 +54,7 @@ struct CoalitionEngineStats {
 ///     they run on the pool with results written to index-addressed
 ///     slots; output is deterministic regardless of thread count.
 ///  4. Chunked dispatch — the 2^m-sized loop reaches the pool through
-///     grain-size chunks (ThreadPool::ParallelFor), not one closure per
+///     ThreadPool::ParallelFor's automatic chunks, not one closure per
 ///     mask.
 class CoalitionEngine {
  public:

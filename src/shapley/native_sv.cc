@@ -1,7 +1,5 @@
 #include "shapley/native_sv.h"
 
-#include <memory>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "shapley/coalition_engine.h"
@@ -9,32 +7,10 @@
 
 namespace bcfl::shapley {
 
-namespace {
-
-/// Non-owning view of a utility, so CachingUtility (which wants
-/// ownership) can memoize a caller-owned utility without taking it over.
-class BorrowedUtility : public UtilityFunction {
- public:
-  explicit BorrowedUtility(UtilityFunction* inner) : inner_(inner) {}
-  Result<double> Evaluate(const ml::Matrix& weights) override {
-    return inner_->Evaluate(weights);
-  }
-
- private:
-  UtilityFunction* inner_;
-};
-
-}  // namespace
-
 NativeShapley::NativeShapley(const fl::FederatedTrainer* trainer,
                              UtilityFunction* utility,
                              NativeShapleyConfig config)
-    : trainer_(trainer), utility_(utility), config_(config) {
-  if (config_.cache_utilities) {
-    cached_ = std::make_unique<CachingUtility>(
-        std::make_unique<BorrowedUtility>(utility_));
-  }
-}
+    : trainer_(trainer), utility_(utility), config_(config) {}
 
 Result<NativeShapleyResult> NativeShapley::Compute(
     const std::vector<ml::Matrix>* final_locals) const {
@@ -52,8 +28,7 @@ Result<NativeShapleyResult> NativeShapley::Compute(
 
   CoalitionEngineConfig engine_config;
   engine_config.pool = config_.pool;
-  CoalitionEngine engine(cached_ != nullptr ? cached_.get() : utility_,
-                         engine_config);
+  CoalitionEngine engine(utility_, engine_config);
   NativeShapleyResult result;
 
   if (config_.source == CoalitionModelSource::kAggregateFromLocals) {

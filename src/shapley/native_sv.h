@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -32,10 +31,6 @@ struct NativeShapleyConfig {
   /// its member set, and every parallel stage writes to index-addressed
   /// slots — scheduling order never reaches the arithmetic.
   ThreadPool* pool = nullptr;
-  /// Wrap the utility in a CachingUtility owned by this object, so
-  /// repeated Compute calls (and duplicate coalition models within one)
-  /// skip re-evaluation. Purely a cache: values are unchanged.
-  bool cache_utilities = false;
 };
 
 /// Result of a native SV computation.
@@ -64,9 +59,6 @@ class NativeShapley {
   const fl::FederatedTrainer* trainer_;
   UtilityFunction* utility_;
   NativeShapleyConfig config_;
-  /// Set when config_.cache_utilities: memoizes `utility_` (via a
-  /// non-owning adapter) across coalitions and Compute calls.
-  std::unique_ptr<CachingUtility> cached_;
 };
 
 }  // namespace bcfl::shapley

@@ -9,7 +9,6 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "crypto/sha256.h"
 #include "ml/logistic_regression.h"
 #include "ml/matrix.h"
@@ -34,8 +33,8 @@ struct Shape {
 };
 
 /// Edge shapes (empty, 1xN, Nx1, narrow, non-square) plus the dispatch
-/// boundaries: <= 16 output columns takes the fixed-width kernels, wider
-/// takes the generic path, >= 512 rows crosses the parallel threshold.
+/// boundary: <= 16 output columns takes the fixed-width kernels, wider
+/// runs reference::Gemm.
 const Shape kEdgeShapes[] = {
     {0, 0, 0}, {0, 3, 4},  {1, 1, 1},  {1, 9, 1},    {6, 1, 3},
     {3, 4, 1}, {2, 2, 17}, {16, 16, 16}, {31, 7, 19}, {5, 65, 10},
@@ -69,21 +68,6 @@ TEST(KernelPropertyTest, GemmMatchesReferenceOnRandomShapes) {
   }
 }
 
-TEST(KernelPropertyTest, GemmTransAMatchesReference) {
-  Xoshiro256 rng(3);
-  for (int trial = 0; trial < 40; ++trial) {
-    const size_t rows = 1 + rng.NextBounded(300);
-    const size_t m = 1 + rng.NextBounded(40);
-    const size_t n = 1 + rng.NextBounded(24);
-    std::vector<double> a = Random(rows * m, &rng);
-    std::vector<double> b = Random(rows * n, &rng);
-    std::vector<double> ref(m * n, 0.0), opt(m * n, 7.0);
-    reference::GemmTransA(a.data(), rows, m, b.data(), n, ref.data());
-    GemmTransA(a.data(), rows, m, b.data(), n, opt.data());
-    EXPECT_TRUE(BitEqual(ref, opt)) << rows << " rows, " << m << "x" << n;
-  }
-}
-
 TEST(KernelPropertyTest, GemmHandlesZeroEntriesIdentically) {
   // The optimized path drops the seed's `if (a == 0.0) continue;` skip;
   // adding a +/-0.0 product must leave every finite accumulator bit
@@ -97,29 +81,6 @@ TEST(KernelPropertyTest, GemmHandlesZeroEntriesIdentically) {
   std::vector<double> ref(m * n, 0.0), opt(m * n, 7.0);
   reference::Gemm(a.data(), m, k, b.data(), n, ref.data());
   Gemm(a.data(), m, k, b.data(), n, opt.data());
-  EXPECT_TRUE(BitEqual(ref, opt));
-}
-
-TEST(KernelPropertyTest, TransposeMatchesReference) {
-  Xoshiro256 rng(5);
-  for (int trial = 0; trial < 20; ++trial) {
-    const size_t r = 1 + rng.NextBounded(100);
-    const size_t c = 1 + rng.NextBounded(100);
-    std::vector<double> a = Random(r * c, &rng);
-    std::vector<double> ref(c * r, 0.0), opt(c * r, 7.0);
-    reference::Transpose(a.data(), r, c, ref.data());
-    Transpose(a.data(), r, c, opt.data());
-    EXPECT_TRUE(BitEqual(ref, opt)) << r << "x" << c;
-  }
-}
-
-TEST(KernelPropertyTest, AxpyMatchesReference) {
-  Xoshiro256 rng(6);
-  std::vector<double> x = Random(257, &rng);
-  std::vector<double> ref = Random(257, &rng);
-  std::vector<double> opt = ref;
-  reference::Axpy(0.37, x.data(), x.size(), ref.data());
-  Axpy(0.37, x.data(), x.size(), opt.data());
   EXPECT_TRUE(BitEqual(ref, opt));
 }
 
@@ -160,24 +121,6 @@ TEST(KernelPropertyTest, FusedStepMatchesReferenceOnRandomShapes) {
     EXPECT_TRUE(BitEqual(w_ref, w_opt))
         << rows << "x" << cols << " c=" << classes;
   }
-}
-
-TEST(KernelPropertyTest, ParallelGemmBitIdenticalAcrossPoolSizes) {
-  Xoshiro256 rng(9);
-  const size_t m = 1027, k = 65, n = 10;  // Above the parallel threshold.
-  std::vector<double> a = Random(m * k, &rng);
-  std::vector<double> b = Random(k * n, &rng);
-  std::vector<double> serial(m * n, 0.0);
-  Gemm(a.data(), m, k, b.data(), n, serial.data());
-  for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
-    ThreadPool pool(workers);
-    SetParallelPool(&pool);
-    std::vector<double> parallel(m * n, 7.0);
-    Gemm(a.data(), m, k, b.data(), n, parallel.data());
-    SetParallelPool(nullptr);
-    EXPECT_TRUE(BitEqual(serial, parallel)) << workers << " workers";
-  }
-  EXPECT_EQ(ParallelPool(), nullptr);
 }
 
 /// Hex SHA-256 of the values' IEEE-754 bit patterns, in order.

@@ -43,28 +43,6 @@ TEST(MatrixTest, MatMulShapeMismatch) {
   EXPECT_TRUE(a.MatMul(b).status().IsInvalidArgument());
 }
 
-TEST(MatrixTest, TransposedMatMulEqualsExplicitTranspose) {
-  Xoshiro256 rng(5);
-  Matrix a = Matrix::Gaussian(7, 4, 1.0, &rng);
-  Matrix b = Matrix::Gaussian(7, 3, 1.0, &rng);
-  auto fused = a.TransposedMatMul(b);
-  ASSERT_TRUE(fused.ok());
-  auto explicit_t = a.Transpose().MatMul(b);
-  ASSERT_TRUE(explicit_t.ok());
-  ASSERT_EQ(fused->rows(), explicit_t->rows());
-  for (size_t i = 0; i < fused->rows(); ++i) {
-    for (size_t j = 0; j < fused->cols(); ++j) {
-      EXPECT_NEAR(fused->At(i, j), explicit_t->At(i, j), 1e-12);
-    }
-  }
-}
-
-TEST(MatrixTest, TransposeInvolution) {
-  Xoshiro256 rng(6);
-  Matrix m = Matrix::Gaussian(5, 3, 2.0, &rng);
-  EXPECT_EQ(m.Transpose().Transpose(), m);
-}
-
 TEST(MatrixTest, AddSubScaleAxpy) {
   Matrix a(2, 2, 1.0);
   Matrix b(2, 2, 2.0);

@@ -143,29 +143,6 @@ TEST(NativeShapleyTest, BitIdenticalForPoolSizes1_2_8) {
   }
 }
 
-TEST(NativeShapleyTest, CachedUtilityMatchesUncached) {
-  Fixture f1 = Fixture::Make(3, 0.5);
-  Fixture f2 = Fixture::Make(3, 0.5);
-  NativeShapleyConfig config;
-  config.epochs = 4;
-  NativeShapley plain(f1.trainer.get(), f1.utility.get(), config);
-  config.cache_utilities = true;
-  NativeShapley cached(f2.trainer.get(), f2.utility.get(), config);
-  auto r1 = plain.Compute();
-  auto r2 = cached.Compute();
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  for (size_t i = 0; i < r1->values.size(); ++i) {
-    EXPECT_EQ(r1->values[i], r2->values[i]);
-  }
-  // Second run re-evaluates nothing it has seen; values are unchanged.
-  auto r3 = cached.Compute();
-  ASSERT_TRUE(r3.ok());
-  for (size_t i = 0; i < r1->values.size(); ++i) {
-    EXPECT_EQ(r1->values[i], r3->values[i]);
-  }
-}
-
 TEST(NativeShapleyTest, AggregateFromLocalsUsesProvidedWeights) {
   Fixture f = Fixture::Make(3, 0.0);
   auto run = f.trainer->Run();

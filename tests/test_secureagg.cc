@@ -32,7 +32,8 @@ TEST(MaskTest, DeterministicAndRoundSeparated) {
   auto m3 = ExpandMask(key, 4, 10);
   EXPECT_EQ(m1, m2);
   EXPECT_NE(m1, m3);
-  auto self = ExpandSelfMask(key, 3, 10);
+  std::vector<uint64_t> self;
+  ExpandSelfMaskInto(key, 3, 10, &self);
   EXPECT_NE(m1, self);  // Domain separation.
 }
 
@@ -106,39 +107,22 @@ TEST(PairwiseMaskingTest, MasksCancelExactlyWithinGroup) {
   EXPECT_EQ(masked_sum, plain_sum);
 }
 
-TEST(PairwiseMaskingTest, PooledMaskUpdateBitIdenticalToSerial) {
-  // Pair masks are expanded into per-peer slots and combined in group
-  // order, so attaching a thread pool of any size must not change a
-  // single ring word.
+TEST(PairwiseMaskingTest, FailedMaskLeavesOutputUntouched) {
+  // The roster is checked before `out` is written, so a failed call never
+  // leaves the owner's unmasked update in the caller's buffer.
   crypto::DiffieHellman dh;
-  Xoshiro256 rng(11);
-  constexpr size_t kN = 6;
-  std::vector<std::unique_ptr<SecureAggParticipant>> parts;
-  for (size_t i = 0; i < kN; ++i) {
-    parts.push_back(std::make_unique<SecureAggParticipant>(
-        static_cast<OwnerId>(i), dh, &rng));
-  }
-  for (auto& p : parts) {
-    for (auto& q : parts) {
-      if (p->id() != q->id()) {
-        ASSERT_TRUE(p->RegisterPeer(q->id(), q->public_key()).ok());
-      }
-    }
-  }
-  std::vector<OwnerId> group = {0, 1, 2, 3, 4, 5};
-  std::vector<uint64_t> update(300);
-  for (auto& v : update) v = rng.Next();
-
-  auto serial = parts[2]->MaskUpdate(5, group, update);
-  ASSERT_TRUE(serial.ok());
-  for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
-    ThreadPool pool(workers);
-    parts[2]->SetPool(&pool);
-    auto pooled = parts[2]->MaskUpdate(5, group, update);
-    parts[2]->SetPool(nullptr);
-    ASSERT_TRUE(pooled.ok());
-    EXPECT_EQ(*pooled, *serial) << workers << " workers";
-  }
+  Xoshiro256 rng(12);
+  SecureAggParticipant a(0, dh, &rng);
+  SecureAggParticipant b(1, dh, &rng);
+  ASSERT_TRUE(a.RegisterPeer(1, b.public_key()).ok());
+  const std::vector<uint64_t> update(4, 1);
+  const std::vector<uint64_t> sentinel(4, 0xA5A5A5A5A5A5A5A5ULL);
+  std::vector<uint64_t> out = sentinel;
+  MaskScratch scratch;
+  // Owner 2 never registered its key with owner 0.
+  Status status = a.MaskUpdateInto(0, {0, 1, 2}, update, &scratch, &out);
+  EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+  EXPECT_EQ(out, sentinel);
 }
 
 TEST(PairwiseMaskingTest, SubgroupMasksCancelOnlyWithinThatGroup) {
