@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# One-shot CI gate: configure, build, run the full ctest suite, then run
-# a small end-to-end bcfl_sim session and assert the observability
-# artifacts it emits are valid — metrics.json parses and carries the
-# expected per-round counters, trace.json parses as Chrome trace_event,
-# and every phase key of the round ledger is a metrics.json histogram
-# whose sum covers the ledgered time.
+# One-shot CI gate: configure with warnings as errors (-DBCFL_WERROR=ON),
+# build, run the full ctest suite, then run a small end-to-end bcfl_sim
+# session and assert the observability artifacts it emits are valid —
+# metrics.json parses and carries the expected per-round counters,
+# trace.json parses as Chrome trace_event, and every phase key of the
+# round ledger is a metrics.json histogram whose sum covers the ledgered
+# time.
 # A telemetry stage gates the fresh quick chain bench against the
 # committed BENCH_chain.json baseline with tools/bench_diff (and proves
 # the gate bites on an injected 2x regression), then runs the
@@ -46,7 +47,7 @@ BUILD_DIR="${1:-build}"
 ROUNDS=2
 CHAOS_SEEDS="${BCFL_CHAOS_SEEDS:-200}"
 
-cmake -B "$BUILD_DIR" -S .
+cmake -B "$BUILD_DIR" -S . -DBCFL_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 

@@ -12,7 +12,12 @@
 # protocol (fault injection, recovery, view changes) under TSan too.
 # test_sig_cache, test_merkle and bench_chain_throughput --quick cover
 # the sharded, mutex-guarded signature-verify cache that every miner
-# shares; the chain layer itself runs on its caller's thread.
+# shares. The chain layer runs a proposal's validations in parallel on
+# the session pool, each miner re-executing against its own state while
+# the contract host, its verify cache and the contracts' shared utility
+# memo are shared: test_consensus (pooled validation under duplicate,
+# reorder and slow faults) and test_adversary (tampering and griefing
+# miners in whole coordinator sessions) cover that here.
 # Since the telemetry-plane PR it also covers the HTTP exporter (scrape
 # threads racing a live coordinator round) and the round ledger's
 # coordinator wiring, plus the snapshot-vs-Reset stress in test_metrics.
@@ -51,7 +56,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   test_metrics test_tracer test_http_exporter test_round_ledger \
   test_fault test_chaos \
   test_round_engine test_shamir test_vss test_dropout_recovery \
-  test_byzantine test_sig_cache test_merkle test_resume bench_kernels \
+  test_byzantine test_sig_cache test_merkle test_resume test_consensus \
+  test_adversary bench_kernels \
   bench_chain_throughput bench_e2e_rounds
 
 # halt_on_error: fail the script on the first race instead of limping on.
@@ -94,6 +100,9 @@ run_filtered "$BUILD_DIR/tests/test_byzantine" \
   'PoolSizes/SlashEqualsCrashTest.BadShareForgerDuringRecovery/Pool3:ByzantineTest.MixedByzantinePlanIsPoolSizeInvariant'
 "$BUILD_DIR/tests/test_sig_cache"
 "$BUILD_DIR/tests/test_merkle"
+# Pooled proposal validation: each miner's own state, the shared host.
+"$BUILD_DIR/tests/test_consensus"
+"$BUILD_DIR/tests/test_adversary"
 # Kill/restart under TSan, reduced to the multi-thread-pool cases where
 # checkpoint/block-log writes race the owner fan-out.
 run_filtered "$BUILD_DIR/tests/test_resume" \

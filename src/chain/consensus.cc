@@ -1,5 +1,7 @@
 #include "chain/consensus.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -33,8 +35,11 @@ Bytes EncodeVote(uint64_t height, const crypto::Digest& hash, bool accept,
 
 ConsensusEngine::ConsensusEngine(size_t num_miners,
                                  std::shared_ptr<const ContractHost> host,
-                                 ConsensusConfig config)
-    : host_(std::move(host)), config_(config), network_(config.network) {
+                                 ConsensusConfig config, ThreadPool* pool)
+    : host_(std::move(host)),
+      config_(config),
+      pool_(pool),
+      network_(config.network) {
   std::vector<uint32_t> ids;
   ids.reserve(num_miners);
   miners_.reserve(num_miners);
@@ -42,27 +47,15 @@ ConsensusEngine::ConsensusEngine(size_t num_miners,
     uint32_t id = static_cast<uint32_t>(i);
     ids.push_back(id);
     miners_.push_back(std::make_unique<Miner>(id, host_));
-    // Handler: validators answer proposals with votes; the leader's
-    // handler tallies the votes of the in-flight attempt.
+    // Handler: validators record proposals (`AnswerProposals` validates
+    // and votes after the drain); the leader's handler tallies the votes
+    // of the in-flight attempt.
     Status st = network_.RegisterNode(id, [this, id](const net::Message& msg) {
       ByteReader reader(msg.payload);
       auto type = reader.ReadU8();
       if (!type.ok()) return;
       if (*type == kMsgProposal) {
-        auto block_bytes = reader.ReadBytes();
-        if (!block_bytes.ok()) return;
-        auto block = Block::Deserialize(*block_bytes);
-        if (!block.ok()) return;
-        // Decoding computed each tx id once; warm the shared
-        // verification cache with them before re-execution. The first
-        // validator pays each modexp once; every later replica (and the
-        // commit path) hits the cache.
-        host_->PreVerifySignatures(block->txs);
-        auto verdict = miners_[id]->ValidateProposal(*block);
-        bool accept = verdict.ok() && *verdict;
-        Bytes vote = EncodeVote(block->header.height, block->header.Hash(),
-                                accept, id);
-        (void)network_.Send(id, msg.from, std::move(vote));
+        deliveries_.push_back({id, msg.from, msg.deliver_at_us, msg.payload});
       } else if (*type == kMsgVote) {
         auto height = reader.ReadU64();
         auto hash_raw = reader.ReadRaw(32);
@@ -215,12 +208,14 @@ Result<CommitResult> ConsensusEngine::TryPropose(uint64_t height,
       leader.ProposeBlock(network_.clock().NowMicros() + 1,
                           config_.max_txs_per_block));
 
-  // Arm the vote box, broadcast, and drain the network: validators
-  // validate and vote inside the drain.
+  // Arm the vote box, broadcast, and drain the proposals; validators
+  // validate after the drain and their votes cross a second drain.
   votes_ = VoteBox{};
   pending_proposal_ = proposal;
   proposal_valid_ = true;
   BCFL_RETURN_IF_ERROR(network_.Broadcast(leader_id, EncodeProposal(proposal)));
+  network_.DeliverAll();
+  AnswerProposals();
   network_.DeliverAll();
   proposal_valid_ = false;
 
@@ -268,6 +263,58 @@ Result<CommitResult> ConsensusEngine::TryPropose(uint64_t height,
     }
   }
   return result;
+}
+
+void ConsensusEngine::AnswerProposals() {
+  const std::vector<ProposalDelivery> deliveries =
+      std::exchange(deliveries_, {});
+  // Each validator decodes and re-executes the proposal once, however
+  // many copies reached it. A task writes only its validator's verdict
+  // and miner; the contract host and its verification cache are shared
+  // and thread-safe.
+  std::vector<size_t> first_copy;
+  std::vector<bool> seen(miners_.size(), false);
+  for (size_t i = 0; i < deliveries.size(); ++i) {
+    if (seen[deliveries[i].validator]) continue;
+    seen[deliveries[i].validator] = true;
+    first_copy.push_back(i);
+  }
+  struct Verdict {
+    bool decoded = false;
+    bool accept = false;
+    uint64_t height = 0;
+    crypto::Digest hash{};
+  };
+  std::vector<Verdict> verdicts(miners_.size());
+  auto validate = [&](size_t k) {
+    const ProposalDelivery& copy = deliveries[first_copy[k]];
+    ByteReader reader(copy.payload);
+    if (!reader.ReadU8().ok()) return;
+    auto block_bytes = reader.ReadBytes();
+    if (!block_bytes.ok()) return;
+    auto block = Block::Deserialize(*block_bytes);
+    if (!block.ok()) return;
+    auto verdict = miners_[copy.validator]->ValidateProposal(*block);
+    verdicts[copy.validator] = {true, verdict.ok() && *verdict,
+                                block->header.height, block->header.Hash()};
+  };
+  if (pool_ != nullptr && first_copy.size() > 1) {
+    pool_->ParallelFor(first_copy.size(), validate, /*grain=*/1);
+  } else {
+    for (size_t k = 0; k < first_copy.size(); ++k) validate(k);
+  }
+
+  // One vote per delivered copy, in delivery order, sent at the copy's
+  // delivery time: the same latency draws, sequence numbers and fault
+  // decisions as a vote sent from inside the drain.
+  for (const ProposalDelivery& copy : deliveries) {
+    const Verdict& verdict = verdicts[copy.validator];
+    if (!verdict.decoded) continue;
+    (void)network_.Send(copy.validator, copy.sender,
+                        EncodeVote(verdict.height, verdict.hash,
+                                   verdict.accept, copy.validator),
+                        copy.delivered_at_us);
+  }
 }
 
 Status ConsensusEngine::ReplayCommittedBlock(

@@ -9,6 +9,7 @@
 #include "chain/leader.h"
 #include "chain/miner.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "fault/injector.h"
 #include "net/network.h"
 
@@ -44,12 +45,19 @@ struct CommitResult {
 ///  1. The schedule picks a leader for the next height; the leader
 ///     executes its mempool (rolled back afterwards) and broadcasts the
 ///     block.
-///  2. Every other miner re-executes the proposal against its own state
-///     replica and unicasts an accept/reject vote back.
+///  2. Every other miner that received the proposal re-executes it
+///     against its own state replica and unicasts an accept/reject vote
+///     back. Each miner owns its replica, so these validations run in
+///     parallel on the engine's pool; the votes are then sent in the
+///     order the proposals were delivered, each stamped at its delivery
+///     time, so message order and the simulated clock do not depend on
+///     the pool.
 ///  3. With strict-majority accepts (> n/2, the proposer counting as an
-///     implicit accept), every miner commits; otherwise the proposal is
-///     discarded and the next leader in the fallback rotation proposes
-///     ("they wait for another leader to propose").
+///     implicit accept), every miner commits, applying the writes of its
+///     own proposal trial or validation instead of executing the block a
+///     second time; otherwise the proposal is discarded and the next
+///     leader in the fallback rotation proposes ("they wait for another
+///     leader to propose").
 ///
 /// All proposal/vote traffic crosses `SimulatedNetwork`, so the same
 /// engine measures throughput and latency for the Ablation-B benchmark.
@@ -65,8 +73,10 @@ struct CommitResult {
 /// can never commit a conflicting block.
 class ConsensusEngine {
  public:
+  /// `pool` (not owned; null = one validation after another) runs each
+  /// proposal's validations; it must outlive the engine.
   ConsensusEngine(size_t num_miners, std::shared_ptr<const ContractHost> host,
-                  ConsensusConfig config = {});
+                  ConsensusConfig config = {}, ThreadPool* pool = nullptr);
 
   size_t num_miners() const { return miners_.size(); }
   Miner& miner(size_t i) { return *miners_[i]; }
@@ -129,6 +139,11 @@ class ConsensusEngine {
   /// One proposal attempt at the given retry depth.
   Result<CommitResult> TryPropose(uint64_t height, uint32_t retries);
 
+  /// Validates the proposal deliveries recorded during the drain, once
+  /// per validator and across the pool, then queues one vote per
+  /// delivery in delivery order, sent at that delivery's time.
+  void AnswerProposals();
+
   /// Index of the replica whose chain is canonical: greatest committed
   /// height among online majority-side miners, lowest id breaking ties.
   size_t CanonicalMinerIndex() const;
@@ -140,6 +155,7 @@ class ConsensusEngine {
 
   std::shared_ptr<const ContractHost> host_;
   ConsensusConfig config_;
+  ThreadPool* pool_;
   net::SimulatedNetwork network_;
   std::vector<std::unique_ptr<Miner>> miners_;
   std::unique_ptr<LeaderSchedule> schedule_;
@@ -157,6 +173,16 @@ class ConsensusEngine {
   VoteBox votes_;
   Block pending_proposal_;
   bool proposal_valid_ = false;
+
+  /// A proposal copy delivered to a validator during the drain, in
+  /// delivery order (a duplicated proposal is delivered more than once).
+  struct ProposalDelivery {
+    uint32_t validator = 0;
+    net::NodeId sender = 0;
+    uint64_t delivered_at_us = 0;
+    Bytes payload;
+  };
+  std::vector<ProposalDelivery> deliveries_;
 };
 
 }  // namespace bcfl::chain

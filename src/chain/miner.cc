@@ -1,5 +1,7 @@
 #include "chain/miner.h"
 
+#include <utility>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -38,13 +40,17 @@ Result<Block> Miner::ProposeBlock(uint64_t timestamp_us, size_t max_txs) {
   block.header.proposer = id_;
   block.header.merkle_root = block.ComputeMerkleRoot();
 
-  // Trial execution in place; the scope always rolls it back.
+  // Trial execution in place; the scope always rolls it back. Its writes
+  // are taken before the hook runs, and the hook still sees (and may
+  // corrupt) the post-execution state.
   ContractState::Scope trial(&state_);
   BCFL_RETURN_IF_ERROR(ExecuteInPlace(*host_, block.txs, &state_));
+  ContractState::WriteSet writes = trial.Writes();
   if (behavior_.tamper_state) {
     behavior_.tamper_state(&state_);
   }
   block.header.state_root = TracedStateRoot(state_);
+  executed_ = Executed{block.header.Hash(), std::move(writes)};
   return block;
 }
 
@@ -73,6 +79,7 @@ Result<bool> Miner::ValidateProposal(const Block& block) {
   }
   const bool match = TracedStateRoot(state_) == block.header.state_root;
   (match ? accepted : rejected).Add();
+  if (match) executed_ = Executed{block.header.Hash(), trial.Writes()};
   return match;
 }
 
@@ -80,10 +87,18 @@ Status Miner::CommitBlock(const Block& block) {
   static auto& commit_us =
       obs::MetricsRegistry::Global().GetHistogram("chain.commit_us");
   obs::ScopedLatency latency(commit_us);
-  // Executed in place; kept only once the root matches and the block is
-  // on the chain, rolled back on every earlier return.
+  std::optional<Executed> executed = std::exchange(executed_, std::nullopt);
+  // Applied in place; kept only once the root matches and the block is
+  // on the chain, rolled back on every earlier return. The kept writes
+  // stand in for an execution only of this block on the parent they were
+  // computed on; catch-up, replay and any other block execute in full.
   ContractState::Scope apply(&state_);
-  BCFL_RETURN_IF_ERROR(ExecuteInPlace(*host_, block.txs, &state_));
+  if (executed && executed->block_hash == block.header.Hash() &&
+      block.header.prev_hash == chain_.Tip().header.Hash()) {
+    state_.Apply(std::move(executed->writes));
+  } else {
+    BCFL_RETURN_IF_ERROR(ExecuteInPlace(*host_, block.txs, &state_));
+  }
   if (TracedStateRoot(state_) != block.header.state_root) {
     return Status::Corruption(
         "committed block does not re-execute to its state root");

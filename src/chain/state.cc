@@ -49,6 +49,18 @@ void ContractState::Scope::Keep() {
   if (state->open_scopes_ == 0) state->journal_.clear();
 }
 
+ContractState::WriteSet ContractState::Scope::Writes() const {
+  assert(state_ != nullptr && "scope already closed");
+  WriteSet writes;
+  for (size_t i = mark_; i < state_->journal_.size(); ++i) {
+    auto [slot, fresh] = writes.try_emplace(state_->journal_[i].key);
+    if (!fresh) continue;
+    auto it = state_->entries_.find(slot->first);
+    if (it != state_->entries_.end()) slot->second = it->second;
+  }
+  return writes;
+}
+
 void ContractState::Scope::Close() {
   assert(state_->open_scopes_ == depth_ && "scopes must close innermost first");
   --state_->open_scopes_;
@@ -61,12 +73,16 @@ void ContractState::Put(const std::string& key, Bytes value) {
   value.shrink_to_fit();
   Entry fresh{std::move(value), {}};
   fresh.leaf = LeafDigest(key, fresh.value);
+  PutEntry(key, std::move(fresh));
+}
+
+void ContractState::PutEntry(const std::string& key, Entry entry) {
   auto [it, inserted] = entries_.try_emplace(key);
   if (open_scopes_ > 0) {
     journal_.push_back({key, std::nullopt});
     if (!inserted) journal_.back().prior = std::move(it->second);
   }
-  it->second = std::move(fresh);
+  it->second = std::move(entry);
 }
 
 Result<Bytes> ContractState::Get(const std::string& key) const {
@@ -86,6 +102,16 @@ void ContractState::Delete(const std::string& key) {
   if (it == entries_.end()) return;
   if (open_scopes_ > 0) journal_.push_back({key, std::move(it->second)});
   entries_.erase(it);
+}
+
+void ContractState::Apply(WriteSet writes) {
+  for (auto& [key, entry] : writes) {
+    if (entry) {
+      PutEntry(key, std::move(*entry));
+    } else {
+      Delete(key);
+    }
+  }
 }
 
 std::vector<std::string> ContractState::KeysWithPrefix(

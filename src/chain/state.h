@@ -22,9 +22,22 @@ namespace bcfl::chain {
 /// Execution is in place: a `Scope` journals every write made while it
 /// is open and undoes them unless kept, so trial executions (proposals,
 /// validations, failing transactions) cost O(write set), never a copy of
-/// the whole store. The store is deliberately not copyable.
+/// the whole store. A scope can also hand out its net writes, which
+/// `Apply` replays on the same pre-state without re-executing anything.
+/// The store is deliberately not copyable.
 class ContractState {
+  struct Entry {
+    Bytes value;
+    /// SHA-256(u32 len ‖ key ‖ u32 len ‖ value), lengths little-endian.
+    crypto::Digest leaf;
+  };
+
  public:
+  /// Net writes of a scope: each key it touched, mapped to the entry
+  /// (value and cached leaf) the key ends with, or to nothing when the
+  /// key ends deleted.
+  using WriteSet = std::map<std::string, std::optional<Entry>>;
+
   /// RAII undo scope. Writes made while it is open are rolled back when
   /// it is destroyed, unless `Keep()` was called first. Scopes nest
   /// strictly (innermost first); keeping an inner scope hands its writes
@@ -39,6 +52,10 @@ class ContractState {
 
     /// Keeps this scope's writes; the destructor then does nothing.
     void Keep();
+
+    /// Copies of this scope's net writes so far (cached leaves included);
+    /// the scope stays open and may still roll them back.
+    WriteSet Writes() const;
 
    private:
     void Close();
@@ -60,6 +77,11 @@ class ContractState {
   /// Removes a key (no-op when absent).
   void Delete(const std::string& key);
 
+  /// Replays `writes`, taken by `Scope::Writes()` on a state with the
+  /// same contents as this one, journaled under any open scope. Leaves
+  /// are trusted, not re-hashed.
+  void Apply(WriteSet writes);
+
   /// Number of live keys.
   size_t size() const { return entries_.size(); }
 
@@ -74,17 +96,13 @@ class ContractState {
   crypto::Digest StateRoot() const;
 
  private:
-  struct Entry {
-    Bytes value;
-    /// SHA-256(u32 len ‖ key ‖ u32 len ‖ value), lengths little-endian.
-    crypto::Digest leaf;
-  };
   /// What a write replaced: the prior entry, or nothing for a fresh key.
   struct Undo {
     std::string key;
     std::optional<Entry> prior;
   };
 
+  void PutEntry(const std::string& key, Entry entry);
   void RollbackTo(size_t mark);
 
   std::map<std::string, Entry> entries_;

@@ -136,6 +136,12 @@ Result<std::unique_ptr<BcflCoordinator>> BcflCoordinator::Create(
   BCFL_RETURN_IF_ERROR(params.Validate());
   coord->params_ = params;
 
+  // --- The session's one pool: owner fan-out and proposal validation. --
+  const size_t threads = config.pool_threads != 0
+                             ? config.pool_threads
+                             : ThreadPool::DefaultThreads();
+  coord->pool_ = std::make_unique<ThreadPool>(threads);
+
   // --- Chain: contract host, consensus engine, setup transaction. ------
   coord->host_ = std::make_shared<chain::ContractHost>(coord->schnorr_);
   auto fl_contract = std::make_shared<FlContract>(coord->test_set_);
@@ -145,7 +151,7 @@ Result<std::unique_ptr<BcflCoordinator>> BcflCoordinator::Create(
   BCFL_RETURN_IF_ERROR(
       coord->host_->Register(std::make_shared<SlashContract>(fl_contract)));
   coord->engine_ = std::make_unique<chain::ConsensusEngine>(
-      config.num_miners, coord->host_, config.consensus);
+      config.num_miners, coord->host_, config.consensus, coord->pool_.get());
 
   // Chaos wiring: a validated plan becomes the injector consulted by the
   // network filter, the consensus engine and the round driver below.
@@ -171,11 +177,7 @@ Result<std::unique_ptr<BcflCoordinator>> BcflCoordinator::Create(
     return Status::Internal("setup transaction failed to commit");
   }
 
-  // --- Round engine: pool + fan-out machinery. -------------------------
-  const size_t threads = config.pool_threads != 0
-                             ? config.pool_threads
-                             : ThreadPool::DefaultThreads();
-  coord->pool_ = std::make_unique<ThreadPool>(threads);
+  // --- Round engine: owner fan-out machinery on the same pool. ---------
   RoundEngine::Deps deps;
   deps.clients = &coord->clients_;
   deps.participants = &coord->participants_;

@@ -62,10 +62,11 @@ struct BcflConfig {
   uint64_t submit_backoff_us = 10'000;
   /// Submission attempts before the coordinator gives an owner up.
   uint32_t max_submit_attempts = 5;
-  /// Worker threads for the round engine, which fans each round's
-  /// train/mask/payload work across a pool and replays submissions in
-  /// canonical owner order — bit-identical for any pool size. 0 = one per
-  /// hardware thread.
+  /// Worker threads of the session's pool. The round engine fans each
+  /// round's train/mask/payload work across it and replays submissions
+  /// in canonical owner order; the consensus engine runs each proposal's
+  /// validations on it and sends the votes in delivery order. Both are
+  /// bit-identical for any pool size. 0 = one per hardware thread.
   size_t pool_threads = 0;
   /// Retain every owner's full local model per round in
   /// `BcflRunResult::per_round_locals`. Off by default: retention costs
@@ -155,7 +156,7 @@ class BcflCoordinator {
   fault::FaultInjector* fault_injector() { return injector_.get(); }
   /// Shamir threshold of the distributed recovery shares.
   size_t recovery_threshold() const { return threshold_; }
-  /// Worker threads of the round engine's pool.
+  /// Worker threads of the session's pool.
   size_t pool_threads_in_use() const { return pool_->num_threads(); }
 
   /// Attaches an opened protocol ledger: Run() then appends one
@@ -281,6 +282,9 @@ class BcflCoordinator {
   std::vector<crypto::SchnorrKeyPair> schnorr_keys_;
   crypto::Schnorr schnorr_;
   std::shared_ptr<chain::ContractHost> host_;
+  /// The session's pool, shared by the consensus engine and the round
+  /// engine; declared before both so it outlives them.
+  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<chain::ConsensusEngine> engine_;
   std::unique_ptr<Xoshiro256> rng_;
   SetupParams params_;
@@ -296,9 +300,8 @@ class BcflCoordinator {
   /// Owners retired by a committed recovery, with the retirement round.
   std::map<uint32_t, uint64_t> retired_;
   obs::RoundLedger* ledger_ = nullptr;
-  /// Round-engine state: the pool, the engine fanning owner work across
-  /// it, and the reusable per-round scratch arena.
-  std::unique_ptr<ThreadPool> pool_;
+  /// Round-engine state: the engine fanning owner work across the pool
+  /// and the reusable per-round scratch arena.
   std::unique_ptr<RoundEngine> round_engine_;
   RoundScratch round_scratch_;
   /// Durability & restart state (PR 10).

@@ -98,12 +98,17 @@ BCFL_CHACHA_ALWAYS_INLINE inline void BlocksLanes(
     const std::array<uint32_t, 16>& state, uint8_t* out) {
   constexpr size_t L = sizeof(V) / sizeof(uint32_t);
   V x[16];
-  V feed[16];
+  V feed[16] = {};
+  // Every lane holds the same word except the block counter (word 12),
+  // which counts up across lanes. Built in a plain array and copied in
+  // whole: GCC 12 reports a write to one lane of a vector as a read of
+  // an uninitialized value, even after the vector was zeroed.
   for (int i = 0; i < 16; ++i) {
-    for (size_t l = 0; l < L; ++l) feed[i][l] = state[i];
-  }
-  for (size_t l = 0; l < L; ++l) {
-    feed[12][l] = state[12] + static_cast<uint32_t>(l);
+    uint32_t lanes[L] = {};
+    for (size_t l = 0; l < L; ++l) {
+      lanes[l] = state[i] + (i == 12 ? static_cast<uint32_t>(l) : 0u);
+    }
+    std::memcpy(&feed[i], lanes, sizeof(V));
   }
   for (int i = 0; i < 16; ++i) x[i] = feed[i];
   for (int round = 0; round < 10; ++round) {

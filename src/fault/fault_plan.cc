@@ -60,8 +60,14 @@ Result<double> ParseMagnitude(const std::string& token) {
 }
 
 std::string RangeString(uint64_t round, uint64_t end_round) {
-  std::string out = "@" + std::to_string(round);
-  if (end_round > round) out += ".." + std::to_string(end_round);
+  // Appended piecewise: GCC 12 flags `"@" + std::to_string(...)` with a
+  // false -Wrestrict.
+  std::string out = "@";
+  out += std::to_string(round);
+  if (end_round > round) {
+    out += "..";
+    out += std::to_string(end_round);
+  }
   return out;
 }
 

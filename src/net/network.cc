@@ -53,6 +53,11 @@ void SimulatedNetwork::Enqueue(Message msg) {
 }
 
 Status SimulatedNetwork::Send(NodeId from, NodeId to, Bytes payload) {
+  return Send(from, to, std::move(payload), clock_.NowMicros());
+}
+
+Status SimulatedNetwork::Send(NodeId from, NodeId to, Bytes payload,
+                              uint64_t sent_at_us) {
   if (handlers_.count(to) == 0) {
     return Status::NotFound("unknown destination node: " + std::to_string(to));
   }
@@ -66,7 +71,7 @@ Status SimulatedNetwork::Send(NodeId from, NodeId to, Bytes payload) {
   msg.from = from;
   msg.to = to;
   msg.payload = std::move(payload);
-  msg.deliver_at_us = clock_.NowMicros() + SampleLatency();
+  msg.deliver_at_us = sent_at_us + SampleLatency();
 
   FaultDecision decision;
   if (fault_filter_) decision = fault_filter_(msg);
@@ -77,8 +82,7 @@ Status SimulatedNetwork::Send(NodeId from, NodeId to, Bytes payload) {
   msg.deliver_at_us += decision.extra_delay_us;
   for (uint32_t copy = 0; copy < decision.duplicates; ++copy) {
     Message dup = msg;
-    dup.deliver_at_us =
-        clock_.NowMicros() + SampleLatency() + decision.extra_delay_us;
+    dup.deliver_at_us = sent_at_us + SampleLatency() + decision.extra_delay_us;
     stats_.messages_duplicated++;
     Enqueue(std::move(dup));
   }

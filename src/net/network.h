@@ -82,6 +82,12 @@ class SimulatedNetwork {
 
   /// Queues a unicast message. Unknown destinations are an error.
   Status Send(NodeId from, NodeId to, Bytes payload);
+  /// Queues a unicast message sent at simulated time `sent_at_us`, which
+  /// may lie behind the clock: a reply computed after the drain that
+  /// delivered its request, stamped at that delivery, gets the latency,
+  /// faults and sequence number it would have had if sent from the
+  /// handler.
+  Status Send(NodeId from, NodeId to, Bytes payload, uint64_t sent_at_us);
 
   /// Queues the payload to every node except the sender. Per-destination
   /// drop decisions come from independently seeded streams, so loss

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
+#include "common/thread_pool.h"
+
 namespace bcfl::chain {
 namespace {
 
@@ -201,6 +205,28 @@ TEST_F(MinerRollbackTest, AcceptedValidationAlsoRollsBack) {
   // Committing the validated block then applies it exactly once.
   ASSERT_TRUE(validator->CommitBlock(*block).ok());
   EXPECT_EQ(validator->state().StateRoot(), block->header.state_root);
+}
+
+TEST_F(MinerRollbackTest, TamperingLeaderFailsItsOwnCommit) {
+  // The leader's own commit must not trust its tampered trial: the block
+  // claims the tampered root, so the commit fails closed like every
+  // honest replica's would, and leaves the leader's state as it was.
+  auto leader = MinerWithHistory(0);
+  const crypto::Digest root = leader->state().StateRoot();
+  MinerBehavior evil;
+  evil.tamper_state = [](ContractState* state) {
+    state->Put("forged", {0xde, 0xad});
+  };
+  leader->set_behavior(evil);
+  ASSERT_TRUE(leader->mempool().Add(IncTx(2)).ok());
+  auto block = leader->ProposeBlock(2000);
+  ASSERT_TRUE(block.ok());
+  Status st = leader->CommitBlock(*block);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(leader->state().StateRoot(), root);
+  EXPECT_EQ(leader->state().size(), 1u);
+  EXPECT_FALSE(leader->state().Has("forged"));
+  EXPECT_EQ(leader->chain().Height(), 1u);
 }
 
 TEST_F(MinerRollbackTest, FailedCommitLeavesStateUntouched) {
@@ -472,6 +498,172 @@ TEST_F(ConsensusFixture, MinorityPartitionCellFallsBehindThenCatchesUp) {
     EXPECT_EQ(engine->miner(m).chain().Height(), 2u) << "miner " << m;
   }
   engine->set_fault_injector(nullptr);
+}
+
+/// Writes `tx/<nonce>` and counts its executions. Validations run
+/// concurrently on a pool, so the count is atomic.
+class CountingContract : public SmartContract {
+ public:
+  std::string name() const override { return "counting"; }
+  Status Execute(const Transaction& tx, ContractState* state) override {
+    executions_.fetch_add(1, std::memory_order_relaxed);
+    ByteWriter writer;
+    writer.WriteU64(tx.nonce());
+    state->Put("tx/" + std::to_string(tx.nonce()), writer.Take());
+    return Status::OK();
+  }
+  size_t executions() const {
+    return executions_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<size_t> executions_{0};
+};
+
+// Each miner executes each block once: its proposal trial or accepted
+// validation stands in for the commit's execution of the same block.
+class SingleExecutionTest : public ConsensusFixture {
+ protected:
+  SingleExecutionTest() { EXPECT_TRUE(host_->Register(counter_).ok()); }
+
+  Transaction PutTx(uint64_t nonce) {
+    return Transaction::Sign(
+        {.contract = "counting", .method = "put", .nonce = nonce}, scheme_,
+        key_, &rng_);
+  }
+
+  std::shared_ptr<CountingContract> counter_ =
+      std::make_shared<CountingContract>();
+};
+
+TEST_F(SingleExecutionTest, CommitAfterAcceptedValidationRunsNoContract) {
+  Miner leader(0, host_);
+  Miner validator(1, host_);
+  ASSERT_TRUE(leader.mempool().Add(PutTx(1)).ok());
+  auto block = leader.ProposeBlock(1000);
+  ASSERT_TRUE(block.ok());
+  auto verdict = validator.ValidateProposal(*block);
+  ASSERT_TRUE(verdict.ok());
+  ASSERT_TRUE(*verdict);
+  EXPECT_EQ(counter_->executions(), 2u);
+
+  ASSERT_TRUE(validator.CommitBlock(*block).ok());
+  ASSERT_TRUE(leader.CommitBlock(*block).ok());
+  EXPECT_EQ(counter_->executions(), 2u);
+  EXPECT_EQ(validator.state().StateRoot(), block->header.state_root);
+  EXPECT_EQ(leader.state().StateRoot(), block->header.state_root);
+  EXPECT_TRUE(validator.state().Has("tx/1"));
+  EXPECT_EQ(validator.chain().Height(), 1u);
+}
+
+TEST_F(SingleExecutionTest, CommittingAnotherBlockExecutesIt) {
+  // The validator accepted B, but consensus settles on B' at the same
+  // height (a retry under another leader): B' runs in full and none of
+  // B's writes land.
+  Miner leader_b(0, host_);
+  Miner leader_b2(1, host_);
+  Miner validator(2, host_);
+  ASSERT_TRUE(leader_b.mempool().Add(PutTx(1)).ok());
+  ASSERT_TRUE(leader_b2.mempool().Add(PutTx(2)).ok());
+  auto b = leader_b.ProposeBlock(1000);
+  auto b2 = leader_b2.ProposeBlock(1000);
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(b2.ok());
+  auto verdict = validator.ValidateProposal(*b);
+  ASSERT_TRUE(verdict.ok());
+  ASSERT_TRUE(*verdict);
+
+  const size_t before = counter_->executions();
+  ASSERT_TRUE(validator.CommitBlock(*b2).ok());
+  EXPECT_EQ(counter_->executions(), before + 1);
+  EXPECT_EQ(validator.state().StateRoot(), b2->header.state_root);
+  EXPECT_TRUE(validator.state().Has("tx/2"));
+  EXPECT_FALSE(validator.state().Has("tx/1"));
+}
+
+TEST_F(SingleExecutionTest, OneRoundExecutesOncePerMiner) {
+  auto engine = MakeEngine(5);
+  ASSERT_TRUE(engine->SubmitTransaction(PutTx(1)).ok());
+  auto result = engine->RunRound();
+  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result->committed);
+  // One proposal trial and four validations; the five commits apply.
+  EXPECT_EQ(counter_->executions(), 5u);
+  const crypto::Digest root =
+      engine->CanonicalChain().Tip().header.state_root;
+  for (size_t m = 0; m < 5; ++m) {
+    EXPECT_EQ(engine->miner(m).state().StateRoot(), root) << "miner " << m;
+  }
+}
+
+TEST_F(SingleExecutionTest, PooledValidationMatchesSerialUnderNetworkFaults) {
+  // Duplicated proposals and votes, reorder jitter and a slow link: the
+  // votes of pooled validations must still be sent in delivery order at
+  // delivery time, so every message, draw and the clock match the
+  // engine that validates one miner after another.
+  auto plan = fault::FaultPlan::Parse(
+      "duplicate miner 0 @0; duplicate miner 3 @0; reorder miner 1 @0; "
+      "reorder miner 2 @0; slow miner 4 @0 +7000us");
+  ASSERT_TRUE(plan.ok());
+  std::vector<Transaction> txs;
+  for (uint64_t i = 1; i <= 6; ++i) txs.push_back(PutTx(i));
+
+  struct Outcome {
+    crypto::Digest tip;
+    std::vector<crypto::Digest> roots;
+    net::NetworkStats stats;
+    uint64_t clock_us;
+  };
+  auto run = [&](ThreadPool* pool) {
+    ConsensusConfig config;
+    config.leader_seed = 7;
+    ConsensusEngine engine(5, host_, config, pool);
+    fault::FaultInjector injector(*plan, 0, 5);
+    injector.BeginRound(0);
+    engine.set_fault_injector(&injector);
+    for (const Transaction& tx : txs) {
+      EXPECT_TRUE(engine.SubmitTransaction(tx).ok());
+      auto result = engine.RunRound();
+      EXPECT_TRUE(result.ok() && result->committed);
+    }
+    Outcome out;
+    out.tip = engine.CanonicalChain().Tip().header.Hash();
+    for (size_t m = 0; m < 5; ++m) {
+      out.roots.push_back(engine.miner(m).state().StateRoot());
+    }
+    out.stats = engine.network().stats();
+    out.clock_us = engine.network().clock().NowMicros();
+    engine.set_fault_injector(nullptr);
+    return out;
+  };
+  ThreadPool pool(4);
+  const Outcome pooled = run(&pool);
+  const Outcome serial = run(nullptr);
+
+  EXPECT_EQ(pooled.tip, serial.tip);
+  EXPECT_EQ(pooled.roots, serial.roots);
+  EXPECT_EQ(pooled.clock_us, serial.clock_us);
+  EXPECT_EQ(pooled.stats.messages_sent, serial.stats.messages_sent);
+  EXPECT_EQ(pooled.stats.messages_delivered, serial.stats.messages_delivered);
+  EXPECT_EQ(pooled.stats.messages_dropped, serial.stats.messages_dropped);
+  EXPECT_EQ(pooled.stats.messages_duplicated,
+            serial.stats.messages_duplicated);
+  EXPECT_EQ(pooled.stats.messages_reordered, serial.stats.messages_reordered);
+  EXPECT_EQ(pooled.stats.bytes_sent, serial.stats.bytes_sent);
+  EXPECT_EQ(pooled.stats.delivered_per_node, serial.stats.delivered_per_node);
+  // Pinned: what validators that vote from inside their delivery handler
+  // produce under this plan — the same draws, sequence numbers and clock.
+  EXPECT_EQ(crypto::DigestToHex(serial.tip),
+            "22c667d9cfc20ca25bf48080371ef15489aa185135b4a2edfbe18d382f2ca114");
+  EXPECT_EQ(serial.clock_us, 133811u);
+  EXPECT_EQ(serial.stats.messages_sent, 60u);
+  EXPECT_EQ(serial.stats.messages_delivered, 84u);
+  EXPECT_EQ(serial.stats.messages_duplicated, 24u);
+  EXPECT_EQ(serial.stats.messages_reordered, 21u);
+  EXPECT_EQ(serial.stats.bytes_sent, 8088u);
+  const std::map<net::NodeId, uint64_t> per_node = {
+      {0, 33}, {1, 9}, {2, 19}, {3, 9}, {4, 14}};
+  EXPECT_EQ(serial.stats.delivered_per_node, per_node);
 }
 
 TEST(LeaderScheduleTest, DeterministicAndInRange) {

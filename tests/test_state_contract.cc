@@ -123,6 +123,46 @@ TEST(ContractStateTest, KeptInnerScopeIsStillRolledBackByItsParent) {
   EXPECT_EQ(state.size(), 1u);
 }
 
+TEST(ContractStateTest, ScopeWritesReplayOntoAStateWithTheSameContents) {
+  ContractState executed;
+  ContractState replica;
+  for (ContractState* state : {&executed, &replica}) {
+    state->Put("kept", {1});
+    state->Put("gone", {2});
+    state->Put("over", {3});
+  }
+  const crypto::Digest base = replica.StateRoot();
+  ContractState::WriteSet writes;
+  crypto::Digest after;
+  {
+    ContractState::Scope trial(&executed);
+    executed.Put("over", {4});
+    executed.Put("over", {5});
+    executed.Delete("gone");
+    executed.Put("brief", {6});  // Created and deleted: a net no-op.
+    executed.Delete("brief");
+    executed.Put("new", {7});
+    writes = trial.Writes();
+    after = executed.StateRoot();
+  }
+  EXPECT_EQ(executed.StateRoot(), base);
+  EXPECT_EQ(writes.size(), 4u);  // over, gone, brief, new.
+  {
+    // Journaled like any write: an enclosing scope rolls it back.
+    ContractState::Scope apply(&replica);
+    replica.Apply(writes);
+    EXPECT_EQ(replica.StateRoot(), after);
+  }
+  EXPECT_EQ(replica.StateRoot(), base);
+  replica.Apply(std::move(writes));
+  EXPECT_EQ(replica.StateRoot(), after);
+  EXPECT_EQ(*replica.Get("over"), (Bytes{5}));
+  EXPECT_EQ(*replica.Get("new"), (Bytes{7}));
+  EXPECT_TRUE(replica.Has("kept"));
+  EXPECT_FALSE(replica.Has("gone"));
+  EXPECT_FALSE(replica.Has("brief"));
+}
+
 // Frozen state-root vectors (the test_gen idiom: fixed inputs, expected
 // outputs generated once from an independent implementation of the
 // PROTOCOL.md §5 definition and committed). A change to any of these hex

@@ -1,7 +1,6 @@
 // bcfl_sim — command-line driver for the full BCFL protocol.
 //
-//   $ ./tools/bcfl_sim --owners 9 --miners 5 --rounds 10 --groups 3 \
-//                      --sigma 1.0 --reward 1000000 --byzantine 1
+//   $ ./tools/bcfl_sim --rounds 10 --sigma 1.0 --reward 1000000 --byzantine 1
 //
 // Runs setup, R on-chain training rounds with masked updates, GroupSV
 // contribution evaluation and (optionally) reward distribution, then

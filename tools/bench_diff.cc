@@ -1,10 +1,11 @@
 // bench_diff — the bench-regression gate.
 //
-//   $ ./tools/bench_diff --baseline BENCH_chain.json \
-//                        --candidate /tmp/BENCH_chain.json \
-//                        --metrics speedup,equivalence \
-//                        --tolerance 0.5 --tolerance schnorr=0.9 \
-//                        --out verdict.json
+//   $ ./tools/bench_diff --baseline BENCH_chain.json --candidate new.json
+//
+// `--metrics speedup,equivalence` restricts the comparison to those
+// metrics, `--tolerance 0.5 --tolerance schnorr=0.9` sets the default
+// and a per-metric relative tolerance, `--out verdict.json` names the
+// verdict file.
 //
 // Compares every shared numeric/boolean metric of two BENCH_*.json
 // documents under per-metric relative tolerances (see
