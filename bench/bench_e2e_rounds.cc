@@ -5,9 +5,8 @@
 // vectors, global model and canonical chain tip for pool 1 and pool N,
 // clean and under faults — checks the faulted session against its frozen
 // vector (the retired serial round loop's output, tests/frozen_sessions.h),
-// times pool 1 against pool N, microbenches the batched Shamir recovery
-// against the per-secret reference, and drops BENCH_e2e.json in the
-// working directory for the CI bench_diff gate.
+// times pool 1 against pool N, and drops BENCH_e2e.json in the working
+// directory for the CI bench_diff gate.
 //
 // Two timed shapes, because the fan-out only pays where per-owner work is
 // large: the paper roster (n=9, a few hundred instances per owner, 2
@@ -29,7 +28,6 @@
 #include "common/sim_clock.h"
 #include "core/coordinator.h"
 #include "core/session_summary.h"
-#include "crypto/shamir.h"
 #include "frozen_sessions.h"
 #include "obs/json_writer.h"
 
@@ -196,57 +194,6 @@ int main(int argc, char** argv) {
   bool faulted_ok = false, frozen_ok = false;
   CheckFaulted(&faulted_ok, &frozen_ok);
 
-  // ---- Batched Shamir recovery microbench -------------------------------
-  // The recovery shape: many 32-byte secrets revealed by one surviving
-  // roster. The batch path hoists the Lagrange basis (one batch-inverted
-  // set of coefficients for the whole batch) where the reference pays a
-  // per-coefficient field inversion per secret.
-  bool shamir_ok = true;
-  double shamir_ref_us = 0.0, shamir_batch_us = 0.0, shamir_speedup = 0.0;
-  {
-    auto scheme = crypto::ShamirSecretSharing::Create(5, 9).value();
-    Xoshiro256 rng(17);
-    const size_t kSecrets = 16;
-    std::vector<Bytes> secrets(kSecrets);
-    std::vector<std::vector<crypto::ShamirShare>> sets(kSecrets);
-    std::vector<size_t> sizes(kSecrets, 32);
-    for (size_t s = 0; s < kSecrets; ++s) {
-      secrets[s].resize(32);
-      for (auto& b : secrets[s]) b = static_cast<uint8_t>(rng.Next());
-      auto shares = scheme.Split(secrets[s], &rng);
-      sets[s].assign(shares.begin(), shares.begin() + 5);
-    }
-    const size_t reps = quick ? 20 : 100;
-    Stopwatch ref_timer;
-    for (size_t r = 0; r < reps && shamir_ok; ++r) {
-      for (size_t s = 0; s < kSecrets; ++s) {
-        auto back = scheme.ReconstructReference(sets[s], sizes[s]);
-        if (!back.ok() || *back != secrets[s]) shamir_ok = false;
-      }
-    }
-    const double ref_s = ref_timer.ElapsedSeconds();
-    Stopwatch batch_timer;
-    for (size_t r = 0; r < reps && shamir_ok; ++r) {
-      auto back = scheme.ReconstructBatch(sets, sizes, nullptr);
-      if (!back.ok()) {
-        shamir_ok = false;
-        break;
-      }
-      for (size_t s = 0; s < kSecrets; ++s) {
-        if ((*back)[s] != secrets[s]) shamir_ok = false;
-      }
-    }
-    const double batch_s = batch_timer.ElapsedSeconds();
-    const double per = static_cast<double>(reps) * kSecrets;
-    shamir_ref_us = ref_s / per * 1e6;
-    shamir_batch_us = batch_s / per * 1e6;
-    shamir_speedup = batch_s > 0 ? ref_s / batch_s : 0.0;
-    std::printf("shamir recover (16 x 32B): ref %.1f us, batch %.1f us, "
-                "%.1fx%s\n",
-                shamir_ref_us, shamir_batch_us, shamir_speedup,
-                shamir_ok ? "" : "  !! MISMATCH");
-  }
-
   struct NamedCheck {
     const char* name;
     bool ok;
@@ -255,7 +202,6 @@ int main(int argc, char** argv) {
       {"pool_size_invariant", roster.identical && heavy.identical},
       {"faulted_identical", faulted_ok},
       {"frozen_vector", frozen_ok},
-      {"shamir_batch_reference", shamir_ok},
   };
   bool all_ok = true;
   std::printf("equivalence:");
@@ -278,11 +224,6 @@ int main(int argc, char** argv) {
   json.Field("all_equivalent", all_ok);
   roster.WriteJson(&json);
   heavy.WriteJson(&json);
-  json.BeginObject("shamir_recover");
-  json.Field("reference_us", shamir_ref_us);
-  json.Field("batch_us", shamir_batch_us);
-  json.Field("speedup", shamir_speedup);
-  json.EndObject();
   json.EndObject();
 
   const char* out_path = "BENCH_e2e.json";

@@ -70,7 +70,6 @@ struct Workload {
                                            size_t epochs = 20) const {
     shapley::TestAccuracyUtility utility(test_set);
     shapley::NativeShapleyConfig config;
-    config.source = shapley::CoalitionModelSource::kRetrainCentralized;
     config.epochs = epochs;
     config.pool = pool;
     shapley::NativeShapley shapley(trainer.get(), &utility, config);

@@ -23,9 +23,10 @@
 # coordinator wiring, plus the snapshot-vs-Reset stress in test_metrics.
 # Since the parallel round engine PR it also covers the owner fan-out
 # (test_round_engine: concurrent train/mask/payload against the
-# allocation-free ParallelFor), the batched Shamir recovery under a pool
-# (test_shamir, test_dropout_recovery) and bench_e2e_rounds --quick,
-# whose pool-1-vs-pool-N sessions run the whole protocol both ways.
+# allocation-free ParallelFor), dropout recovery in pooled sessions
+# (test_dropout_recovery; test_shamir for the sharing it relies on) and
+# bench_e2e_rounds --quick, whose pool-1-vs-pool-N sessions run the
+# whole protocol both ways.
 # Since the byzantine-hardening PR it also covers the Feldman share
 # verification (test_vss, batched ModPow under a pool) and the full
 # accusation/slashing path under a multi-thread pool (test_byzantine),

@@ -10,8 +10,7 @@
 
 namespace bcfl::chain {
 
-/// Append-only durable block log — the steady-state persistence path of
-/// the chain (the compat whole-file snapshot lives in storage.h).
+/// Append-only durable block log — the chain's only persistence format.
 ///
 /// File layout:
 ///   magic "BCLG" (4 bytes) | format version (u32)

@@ -28,14 +28,6 @@ bool ContractHost::VerifyCached(const Transaction& tx) const {
   return true;
 }
 
-void ContractHost::PreVerifySignatures(
-    const std::vector<Transaction>& txs) const {
-  // VerifyCached both skips known-good signatures and records fresh
-  // successes; failures are left uncached for the execution loop to
-  // re-establish (fail-closed).
-  for (const Transaction& tx : txs) (void)VerifyCached(tx);
-}
-
 Result<TxReceipt> ContractHost::ExecuteTransaction(const Transaction& tx,
                                                    ContractState* state) const {
   TxReceipt receipt;
@@ -69,7 +61,6 @@ Result<TxReceipt> ContractHost::ExecuteTransaction(const Transaction& tx,
 
 Result<std::vector<TxReceipt>> ContractHost::ExecuteBlock(
     const std::vector<Transaction>& txs, ContractState* state) const {
-  PreVerifySignatures(txs);
   std::vector<TxReceipt> receipts;
   receipts.reserve(txs.size());
   for (const Transaction& tx : txs) {

@@ -47,12 +47,6 @@ class ContractHost {
   Result<std::vector<TxReceipt>> ExecuteBlock(
       const std::vector<Transaction>& txs, ContractState* state) const;
 
-  /// Verifies the signatures of `txs` up front, in order, and warms the
-  /// shared verification cache so the re-execution loop never pays a
-  /// modexp for a signature any replica already checked. Verdicts are
-  /// not returned: execution re-asks the cache per tx by its id.
-  void PreVerifySignatures(const std::vector<Transaction>& txs) const;
-
   const crypto::Schnorr& scheme() const { return scheme_; }
 
   const SigVerifyCache& sig_cache() const { return sig_cache_; }

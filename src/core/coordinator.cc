@@ -10,7 +10,6 @@
 #include "data/partition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "secureagg/aggregator.h"
 #include "shapley/group_sv.h"
 
 namespace bcfl::core {
@@ -308,10 +307,6 @@ Status BcflCoordinator::RestoreFromState() {
   static auto& replays = obs::MetricsRegistry::Global().GetCounter(
       "core.resume.blocks_replayed");
   obs::ScopedSpan span(obs::Tracer::Global(), "resume_restore", "core");
-  if (config_.keep_local_models) {
-    return Status::InvalidArgument(
-        "resume cannot rebuild per_round_locals; disable keep_local_models");
-  }
   BCFL_ASSIGN_OR_RETURN(SessionCheckpoint cp, LoadCheckpoint(checkpoint_path_));
   if (cp.config_fingerprint != ConfigFingerprint()) {
     return Status::FailedPrecondition(
@@ -552,11 +547,8 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
     return Status::FailedPrecondition("no online owner left to report drops");
   }
 
-  // Collect every missing owner's shares first. The surviving holder set
-  // — online, un-retired, not itself missing — is the same for all of
-  // them, so the whole batch reconstructs off one Lagrange basis
-  // (ShamirSecretSharing::ReconstructBatch), with per-owner share
-  // verification fanned across the pool when one is attached.
+  // Reconstruct every missing owner's key from the shares of the
+  // surviving holders — online, un-retired, not themselves missing.
   //
   // VSS (PR 9): every revealed share is Feldman-verified against the
   // dealer's setup commitment before it may enter the reconstruction. A
@@ -573,8 +565,8 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
   };
   std::map<uint32_t, BadShare> forgers;  // First forged reveal per holder.
   std::vector<uint32_t> targets(missing.begin(), missing.end());
-  std::vector<std::vector<crypto::ShamirShare>> share_sets;
-  share_sets.reserve(targets.size());
+  std::vector<crypto::UInt256> dh_keys;
+  dh_keys.reserve(targets.size());
   for (uint32_t u : targets) {
     dropouts_detected.Add();
     // Strictly fewer shares than the threshold means the recovery must
@@ -609,12 +601,11 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
           "owner " + std::to_string(u) + "'s key survive; threshold is " +
           std::to_string(threshold_) + " — failing closed");
     }
-    share_sets.push_back(std::move(shares));
+    BCFL_ASSIGN_OR_RETURN(Bytes secret, scheme.Reconstruct(shares, 32));
+    BCFL_ASSIGN_OR_RETURN(crypto::UInt256 dh_key,
+                          crypto::UInt256::FromBytes(secret));
+    dh_keys.push_back(dh_key);
   }
-  BCFL_ASSIGN_OR_RETURN(auto secrets,
-                        secureagg::SecureAggregator::ReconstructSecrets32(
-                            share_sets, threshold_, config_.num_owners,
-                            pool_.get()));
 
   // Accusations first: each forger signed its reveal (a holder
   // authenticates the share it hands over), which is exactly what pins
@@ -640,10 +631,7 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
   // signing (RNG) and submission sequence as recovering one at a time.
   for (size_t k = 0; k < targets.size(); ++k) {
     const uint32_t u = targets[k];
-    Bytes secret_bytes(secrets[k].begin(), secrets[k].end());
-    BCFL_ASSIGN_OR_RETURN(crypto::UInt256 dh_key,
-                          crypto::UInt256::FromBytes(secret_bytes));
-
+    const crypto::UInt256& dh_key = dh_keys[k];
     const chain::Transaction tx = chain::Transaction::Sign(
         {.contract = "bcfl",
          .method = "recover",
@@ -814,16 +802,6 @@ Result<BcflRunResult> BcflCoordinator::Run() {
         if (!submitted) missing.insert(i);
       }
     }
-    if (config_.keep_local_models) {
-      std::vector<ml::Matrix> locals(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        if (round_scratch_.slots[i].active) {
-          locals[i] = std::move(round_scratch_.slots[i].local);
-        }
-      }
-      result.per_round_locals.push_back(std::move(locals));
-    }
-
     // Consensus drains the submissions; if owners missed the deadline the
     // survivors then drive the on-chain Shamir recovery, which completes
     // the round with the dropped owners scored zero.

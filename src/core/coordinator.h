@@ -68,11 +68,6 @@ struct BcflConfig {
   /// validations on it and sends the votes in delivery order. Both are
   /// bit-identical for any pool size. 0 = one per hardware thread.
   size_t pool_threads = 0;
-  /// Retain every owner's full local model per round in
-  /// `BcflRunResult::per_round_locals`. Off by default: retention costs
-  /// O(rounds * owners * model) memory and only experiments comparing
-  /// against off-chain baselines need it.
-  bool keep_local_models = false;
 };
 
 /// Durable-session persistence (PR 10): where the append-only block log,
@@ -98,10 +93,6 @@ struct BcflRunResult {
   std::vector<double> total_sv;                  ///< On-chain sv_total per owner.
   std::vector<std::vector<double>> per_round_sv; ///< [round][owner].
   std::vector<double> round_accuracies;          ///< Global model test accuracy.
-  /// Owner-side record of local weights (each owner knows its own) —
-  /// used by experiments to compare against off-chain baselines. Only
-  /// populated when `BcflConfig::keep_local_models` is set.
-  std::vector<std::vector<ml::Matrix>> per_round_locals;
   size_t blocks_committed = 0;
   size_t total_transactions = 0;
   /// On-chain reward claimed by each owner (empty when no pool was

@@ -3,15 +3,21 @@
 #include <algorithm>
 #include <cmath>
 
-#include "crypto/dh.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "secureagg/fixed_point.h"
-#include "secureagg/mask.h"
-#include "secureagg/participant.h"
 #include "shapley/group_sv.h"
 
 namespace bcfl::core {
+
+secureagg::SecureAggregator RosterAggregator(const SetupParams& params) {
+  std::map<secureagg::OwnerId, crypto::UInt256> roster;
+  for (uint32_t i = 0; i < params.dh_public_keys.size(); ++i) {
+    roster[i] = params.dh_public_keys[i];
+  }
+  return secureagg::SecureAggregator(crypto::GroupParams::Default(),
+                                     std::move(roster));
+}
 
 FlContract::FlContract(ml::Dataset validation_set)
     : validation_set_(std::move(validation_set)),
@@ -183,13 +189,8 @@ Status FlContract::ExecuteRecover(const chain::Transaction& tx,
   // "recovery" is rejected deterministically by every miner.
   BCFL_ASSIGN_OR_RETURN(crypto::UInt256 private_key,
                         crypto::UInt256::FromBytes(key_bytes));
-  crypto::DiffieHellman dh;
-  crypto::UInt256 derived = dh.params().g.ModPow(private_key, dh.params().p);
-  if (derived != params.dh_public_keys[dropped]) {
-    return Status::PermissionDenied(
-        "revealed key does not match owner " + std::to_string(dropped) +
-        "'s public key");
-  }
+  BCFL_RETURN_IF_ERROR(
+      RosterAggregator(params).VerifyRevealedKey(dropped, private_key));
   state->Put(keys::Dropped(round, dropped), key_bytes);
   // Retirement record: (round, key). Later rounds read it to count the
   // owner as permanently accounted for and to cancel the residual masks
@@ -274,14 +275,15 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
   const size_t cols = params.weight_cols;
   secureagg::FixedPointCodec codec(
       static_cast<int>(params.fixed_point_bits));
-  crypto::DiffieHellman dh;
+  const secureagg::SecureAggregator aggregator = RosterAggregator(params);
 
   // Collect the revealed keys of every absent member: owners recovered
   // this round plus owners retired by earlier recoveries. Survivors mask
   // against the full group roster (they need not even know who retired),
   // so every absent member's residual masks are regenerated from its
   // on-chain key and removed — the same arithmetic either way.
-  std::map<uint32_t, crypto::UInt256> dropped_keys;
+  secureagg::UnmaskingInfo unmask;
+  auto& dropped_keys = unmask.dropped_private_keys;
   for (const auto& key : state->KeysWithPrefix(keys::DroppedPrefix(round))) {
     // Key layout: "dropped/<round>/<owner>".
     uint32_t owner = static_cast<uint32_t>(
@@ -301,13 +303,14 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
   BCFL_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> groups,
                         shapley::GroupUsers(perm, params.num_groups));
 
-  // Line 3: within-group ring sums over the *survivors*; pairwise masks
-  // between survivors cancel, and each survivor<->dropped residual mask
-  // is regenerated from the revealed key and removed. Decode the mean
-  // over survivors as the group model. Models are held in memory until
-  // the norm gate below passes: a flagged evaluation must leave the state
-  // exactly as it found it (plus the flag markers), or the eventual clean
-  // evaluation would diverge from a run where the offender just crashed.
+  // Line 3: within-group ring sums over the *survivors*, through the
+  // library's aggregator: pairwise masks between survivors cancel, and
+  // each survivor<->dropped residual mask is regenerated from the
+  // revealed key and removed. Decode the mean over survivors as the
+  // group model. Models are held in memory until the norm gate below
+  // passes: a flagged evaluation must leave the state exactly as it
+  // found it (plus the flag markers), or the eventual clean evaluation
+  // would diverge from a run where the offender just crashed.
   struct PendingGroup {
     uint32_t index;
     std::vector<size_t> survivors;
@@ -319,46 +322,25 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
     obs::ScopedSpan unmask_span(obs::Tracer::Global(), "mask_round",
                                 "secureagg");
     for (size_t j = 0; j < groups.size(); ++j) {
+      std::vector<secureagg::OwnerId> members;
       std::vector<size_t> survivors;
-      std::vector<uint32_t> dropped_members;
+      std::map<secureagg::OwnerId, std::vector<uint64_t>> submissions;
       for (size_t member : groups[j]) {
-        if (dropped_keys.count(static_cast<uint32_t>(member)) > 0) {
-          dropped_members.push_back(static_cast<uint32_t>(member));
-        } else {
-          survivors.push_back(member);
-        }
+        const auto id = static_cast<secureagg::OwnerId>(member);
+        members.push_back(id);
+        if (dropped_keys.count(id) > 0) continue;
+        survivors.push_back(member);
+        BCFL_ASSIGN_OR_RETURN(submissions[id],
+                              GetU64Vector(*state, keys::Update(round, id)));
       }
       if (survivors.empty()) {
         // Every member dropped or retired: the group contributes no model
         // this round and GroupSV degrades to the surviving groups.
         continue;
       }
-
-      std::vector<uint64_t> sum(rows * cols, 0);
-      for (size_t member : survivors) {
-        BCFL_ASSIGN_OR_RETURN(
-            std::vector<uint64_t> masked,
-            GetU64Vector(*state,
-                         keys::Update(round, static_cast<uint32_t>(member))));
-        for (size_t k = 0; k < sum.size(); ++k) sum[k] += masked[k];
-      }
-      // Residual-mask removal (the recovery path of Bonawitz et al.).
-      for (uint32_t u : dropped_members) {
-        for (size_t v : survivors) {
-          crypto::UInt256 shared = dh.ComputeShared(
-              dropped_keys[u], params.dh_public_keys[v]);
-          auto pair_key = secureagg::DerivePairKey(
-              shared, u, static_cast<secureagg::OwnerId>(v));
-          std::vector<uint64_t> mask =
-              secureagg::ExpandMask(pair_key, round, sum.size());
-          if (v < u) {
-            // Survivor v added +mask against the (larger-id) dropped u.
-            for (size_t k = 0; k < sum.size(); ++k) sum[k] -= mask[k];
-          } else {
-            for (size_t k = 0; k < sum.size(); ++k) sum[k] += mask[k];
-          }
-        }
-      }
+      BCFL_ASSIGN_OR_RETURN(
+          std::vector<uint64_t> sum,
+          aggregator.SumGroup(round, members, submissions, unmask));
 
       BCFL_ASSIGN_OR_RETURN(std::vector<double> mean,
                             codec.DecodeMean(sum, survivors.size()));

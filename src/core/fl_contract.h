@@ -7,9 +7,16 @@
 #include "core/params.h"
 #include "core/state_keys.h"
 #include "ml/dataset.h"
+#include "secureagg/aggregator.h"
 #include "shapley/utility.h"
 
 namespace bcfl::core {
+
+/// The setup roster as a secure aggregator: the default DH group and the
+/// owners' broadcast DH public keys. Both contracts unmask and check
+/// revealed keys through it, so every miner runs the library's own
+/// aggregation code.
+secureagg::SecureAggregator RosterAggregator(const SetupParams& params);
 
 /// The BCFL smart contract — "Smart contract builds the FL model and
 /// evaluates the contribution" (Sect. III).

@@ -87,8 +87,7 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
     }
     slot.local = std::move(local).value();
     // Byzantine perturbations (PR 9): a poisoning owner encodes scaled
-    // weights (slot.local stays the honest model that per_round_locals
-    // records); an inconsistent-mask
+    // weights (slot.local stays the honest model); an inconsistent-mask
     // owner corrupts the masked vector after honest masking. Injector
     // queries are const per-round sets — safe from workers.
     const double poison =

@@ -1,12 +1,10 @@
 #include "core/slash_contract.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "crypto/dh.h"
 #include "obs/metrics.h"
 #include "secureagg/fixed_point.h"
-#include "secureagg/mask.h"
-#include "secureagg/participant.h"
 #include "shapley/group_sv.h"
 
 namespace bcfl::core {
@@ -138,13 +136,8 @@ Status SlashContract::Execute(const chain::Transaction& tx,
   // can complete over the survivors: g^x == pub, same check as recovery.
   BCFL_ASSIGN_OR_RETURN(crypto::UInt256 offender_key,
                         crypto::UInt256::FromBytes(key_bytes));
-  crypto::DiffieHellman dh;
-  crypto::UInt256 derived = dh.params().g.ModPow(offender_key, dh.params().p);
-  if (derived != params.dh_public_keys[offender]) {
-    return Status::PermissionDenied(
-        "revealed key does not match owner " + std::to_string(offender) +
-        "'s public key");
-  }
+  BCFL_RETURN_IF_ERROR(
+      RosterAggregator(params).VerifyRevealedKey(offender, offender_key));
 
   switch (static_cast<SlashKind>(kind_raw)) {
     case SlashKind::kBadShare:
@@ -268,42 +261,30 @@ Result<double> SlashContract::UnmaskedUpdateNorm(
                         GetU64Vector(state, keys::Update(round, owner)));
 
   // Re-derive the owner's group and strip its pairwise masks with the
-  // revealed key: masked = encoded + sum_{v>owner} mask - sum_{v<owner}.
+  // revealed key.
   std::vector<size_t> perm =
       shapley::PermutationFromSeed(params.seed_e, round, params.num_owners);
   BCFL_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> groups,
                         shapley::GroupUsers(perm, params.num_groups));
   const std::vector<size_t>* group = nullptr;
   for (const auto& candidate : groups) {
-    for (size_t member : candidate) {
-      if (member == owner) {
-        group = &candidate;
-        break;
-      }
+    if (std::find(candidate.begin(), candidate.end(), owner) !=
+        candidate.end()) {
+      group = &candidate;
+      break;
     }
-    if (group != nullptr) break;
   }
   if (group == nullptr) {
     return Status::Internal("owner not in any group");
   }
-  crypto::DiffieHellman dh;
-  for (size_t member : *group) {
-    const uint32_t v = static_cast<uint32_t>(member);
-    if (v == owner) continue;
-    crypto::UInt256 shared =
-        dh.ComputeShared(owner_key, params.dh_public_keys[v]);
-    auto pair_key = secureagg::DerivePairKey(shared, owner, v);
-    std::vector<uint64_t> mask =
-        secureagg::ExpandMask(pair_key, round, masked.size());
-    if (owner < v) {
-      for (size_t k = 0; k < masked.size(); ++k) masked[k] -= mask[k];
-    } else {
-      for (size_t k = 0; k < masked.size(); ++k) masked[k] += mask[k];
-    }
-  }
+  const std::vector<secureagg::OwnerId> members(group->begin(), group->end());
+  BCFL_ASSIGN_OR_RETURN(
+      std::vector<uint64_t> encoded,
+      RosterAggregator(params).UnmaskOwner(round, owner, owner_key, members,
+                                           std::move(masked)));
   secureagg::FixedPointCodec codec(static_cast<int>(params.fixed_point_bits));
   BCFL_ASSIGN_OR_RETURN(std::vector<double> decoded,
-                        codec.DecodeMean(masked, 1));
+                        codec.DecodeMean(encoded, 1));
   double norm_sq = 0.0;
   for (double v : decoded) norm_sq += v * v;
   return std::sqrt(norm_sq);

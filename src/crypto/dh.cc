@@ -25,13 +25,10 @@ GroupParams GroupParams::Default() {
   return GroupParams{p, UInt256(2)};
 }
 
-GroupContext::GroupContext(const GroupParams& params) : params_(params) {
-  bool odd = params.p.Bit(0);
-  if (odd && params.p > UInt256(1)) {
-    mont_ = std::make_unique<Montgomery>(params.p);
-    g_table_ = std::make_unique<FixedBaseTable>(*mont_, params.g);
-  }
-}
+GroupContext::GroupContext(const GroupParams& params)
+    : params_(params),
+      mont_(std::make_unique<Montgomery>(params.p)),
+      g_table_(std::make_unique<FixedBaseTable>(*mont_, params.g)) {}
 
 std::shared_ptr<const GroupContext> GroupContext::Get(
     const GroupParams& params) {
@@ -51,22 +48,15 @@ std::shared_ptr<const GroupContext> GroupContext::Get(
 }
 
 UInt256 GroupContext::PowG(const UInt256& exp) const {
-  if (g_table_ == nullptr) return params_.g.ModPow(exp, params_.p);
   return g_table_->Pow(exp);
 }
 
 UInt256 GroupContext::PowBase(const UInt256& base, const UInt256& exp) const {
-  if (mont_ == nullptr) return base.ModPow(exp, params_.p);
   return mont_->FromMont(PowBaseMont(base, exp));
 }
 
 bool GroupContext::VerifyGsEq(const UInt256& s, const UInt256& r,
                               const UInt256& base, const UInt256& e) const {
-  if (mont_ == nullptr) {
-    UInt256 lhs = params_.g.ModPow(s, params_.p);
-    UInt256 rhs = r.ModMul(base.ModPow(e, params_.p), params_.p);
-    return lhs == rhs;
-  }
   UInt256 lhs = g_table_->PowMont(s);
   UInt256 rhs = mont_->Mul(mont_->ToMont(r), PowBaseMont(base, e));
   return lhs == rhs;
@@ -128,7 +118,11 @@ DhKeyPair DiffieHellman::GenerateKeyPair(Xoshiro256* rng) const {
   UInt256 two(2);
   UInt256 max = params_.p.Sub(UInt256(2));
   UInt256 x = RandomInRange(rng, two, max);
-  return DhKeyPair{x, ctx_->PowG(x)};
+  return DhKeyPair{x, PublicKey(x)};
+}
+
+UInt256 DiffieHellman::PublicKey(const UInt256& private_key) const {
+  return ctx_->PowG(private_key);
 }
 
 UInt256 DiffieHellman::ComputeShared(const UInt256& private_key,

@@ -37,15 +37,13 @@ struct GroupParams {
 /// same parameters shares one context — each miner re-verifying a
 /// block reuses the same g-table and the same pub^e tables.
 ///
-/// Groups whose modulus is even or <= 1 (never the library default) get
-/// no Montgomery state and fall back to UInt256::ModPow, bit-identical.
+/// The modulus must be an odd prime, as in both groups the library
+/// builds (`GroupParams::Default()` and the VSS group); `Montgomery`
+/// asserts it is odd and > 1.
 class GroupContext {
  public:
   /// Returns the shared context for `params`, creating it on first use.
   static std::shared_ptr<const GroupContext> Get(const GroupParams& params);
-
-  /// True when the modulus admits Montgomery arithmetic (odd, > 1).
-  bool fast() const { return mont_ != nullptr; }
 
   /// g^exp mod p via the generator's fixed-base table.
   UInt256 PowG(const UInt256& exp) const;
@@ -66,7 +64,7 @@ class GroupContext {
  private:
   explicit GroupContext(const GroupParams& params);
 
-  /// base^exp in the Montgomery domain; requires fast().
+  /// base^exp in the Montgomery domain.
   UInt256 PowBaseMont(const UInt256& base, const UInt256& exp) const;
 
   struct KeyEntry {
@@ -109,6 +107,10 @@ class DiffieHellman {
   /// key. Deterministic given the RNG state, so protocol runs are
   /// reproducible.
   DhKeyPair GenerateKeyPair(Xoshiro256* rng) const;
+
+  /// The public key g^private_key mod p of any private key, through the
+  /// generator's fixed-base table (the derivation GenerateKeyPair uses).
+  UInt256 PublicKey(const UInt256& private_key) const;
 
   /// Computes the shared group element peer_public^private mod p.
   UInt256 ComputeShared(const UInt256& private_key,

@@ -2,8 +2,6 @@
 
 #include <set>
 
-#include "common/thread_pool.h"
-
 namespace bcfl::crypto {
 
 uint64_t ShamirSecretSharing::FieldAdd(uint64_t a, uint64_t b) {
@@ -234,171 +232,7 @@ Result<VssCommitment> VssCommitment::Deserialize(const Bytes& bytes) {
   return out;
 }
 
-Result<ShamirSecretSharing::LagrangeBasis> ShamirSecretSharing::PrepareBasis(
-    const std::vector<ShamirShare>& shares) const {
-  if (shares.size() < threshold_) {
-    return Status::FailedPrecondition(
-        "insufficient shares: need " + std::to_string(threshold_) + ", have " +
-        std::to_string(shares.size()));
-  }
-  // Use exactly `threshold_` shares; validate coordinates.
-  std::set<uint64_t> seen;
-  LagrangeBasis basis;
-  basis.x.reserve(threshold_);
-  for (const auto& share : shares) {
-    if (share.x == 0 || share.x >= kPrime) {
-      return Status::InvalidArgument("share has invalid x coordinate");
-    }
-    if (!seen.insert(share.x).second) {
-      return Status::InvalidArgument("duplicate share x coordinate");
-    }
-    basis.x.push_back(share.x);
-    if (basis.x.size() == threshold_) break;
-  }
-
-  // Lagrange interpolation at x = 0:
-  //   secret = sum_i y_i * prod_{j != i} x_j / (x_j - x_i).
-  // All denominators are inverted at once with Montgomery's batch trick:
-  // invert the running product of the dens, then peel each den back out
-  // with the prefix products. One FieldInv (a 61-squaring exponentiation)
-  // instead of threshold() of them — exact field arithmetic, so the
-  // coefficients are bit-identical to inverting each den directly.
-  const size_t t = basis.x.size();
-  std::vector<uint64_t> nums(t), dens(t), prefix(t);
-  for (size_t i = 0; i < t; ++i) {
-    uint64_t num = 1, den = 1;
-    for (size_t j = 0; j < t; ++j) {
-      if (j == i) continue;
-      num = FieldMul(num, basis.x[j] % kPrime);
-      den = FieldMul(den, FieldSub(basis.x[j] % kPrime, basis.x[i] % kPrime));
-    }
-    nums[i] = num;
-    dens[i] = den;
-    prefix[i] = i == 0 ? den : FieldMul(prefix[i - 1], den);
-  }
-  // dens[i] != 0 always: the x are distinct mod kPrime (each < kPrime).
-  uint64_t inv_running = FieldInv(prefix[t - 1]);
-  basis.coeffs.resize(t);
-  for (size_t i = t; i-- > 0;) {
-    uint64_t inv_den =
-        i == 0 ? inv_running : FieldMul(inv_running, prefix[i - 1]);
-    basis.coeffs[i] = FieldMul(nums[i], inv_den);
-    inv_running = FieldMul(inv_running, dens[i]);
-  }
-  return basis;
-}
-
-Result<Bytes> ShamirSecretSharing::ReconstructWithBasis(
-    const LagrangeBasis& basis, const std::vector<ShamirShare>& shares,
-    size_t secret_size) const {
-  if (basis.x.size() != threshold_ || basis.coeffs.size() != threshold_) {
-    return Status::InvalidArgument("basis size does not match threshold");
-  }
-  if (shares.size() < threshold_) {
-    return Status::FailedPrecondition(
-        "insufficient shares: need " + std::to_string(threshold_) + ", have " +
-        std::to_string(shares.size()));
-  }
-  // Every holder's share is checked against the basis before any value is
-  // combined — a share at the wrong coordinate would silently corrupt the
-  // secret otherwise.
-  for (size_t i = 0; i < threshold_; ++i) {
-    if (shares[i].x != basis.x[i]) {
-      return Status::InvalidArgument("share x does not match basis");
-    }
-  }
-  size_t num_chunks = shares[0].values.size();
-  for (size_t i = 0; i < threshold_; ++i) {
-    if (shares[i].values.size() != num_chunks) {
-      return Status::InvalidArgument("shares have mismatched chunk counts");
-    }
-  }
-
-  std::vector<uint64_t> chunks(num_chunks, 0);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    uint64_t acc = 0;
-    for (size_t i = 0; i < threshold_; ++i) {
-      acc = FieldAdd(acc, FieldMul(shares[i].values[c], basis.coeffs[i]));
-    }
-    chunks[c] = acc;
-  }
-  return Unpack(chunks, secret_size);
-}
-
 Result<Bytes> ShamirSecretSharing::Reconstruct(
-    const std::vector<ShamirShare>& shares, size_t secret_size) const {
-  auto basis = PrepareBasis(shares);
-  if (!basis.ok()) return basis.status();
-  return ReconstructWithBasis(basis.value(), shares, secret_size);
-}
-
-Result<std::vector<Bytes>> ShamirSecretSharing::ReconstructBatch(
-    const std::vector<std::vector<ShamirShare>>& share_sets,
-    const std::vector<size_t>& secret_sizes, ThreadPool* pool) const {
-  if (share_sets.size() != secret_sizes.size()) {
-    return Status::InvalidArgument(
-        "share_sets and secret_sizes length mismatch");
-  }
-  const size_t n = share_sets.size();
-  std::vector<Bytes> out(n);
-  if (n == 0) return out;
-
-  // One basis per *distinct* coordinate set. A recovery round reveals many
-  // secrets held by the same surviving roster, so in practice this is a
-  // single PrepareBasis for the whole batch; a change of roster mid-batch
-  // just computes a fresh basis for the sets that need it.
-  std::vector<LagrangeBasis> bases;
-  std::vector<size_t> basis_of(n);
-  auto same_coords = [&](const LagrangeBasis& basis,
-                         const std::vector<ShamirShare>& shares) {
-    if (shares.size() < basis.x.size()) return false;
-    for (size_t i = 0; i < basis.x.size(); ++i) {
-      if (shares[i].x != basis.x[i]) return false;
-    }
-    return true;
-  };
-  for (size_t k = 0; k < n; ++k) {
-    size_t found = bases.size();
-    for (size_t b = 0; b < bases.size(); ++b) {
-      if (same_coords(bases[b], share_sets[k])) {
-        found = b;
-        break;
-      }
-    }
-    if (found == bases.size()) {
-      auto basis = PrepareBasis(share_sets[k]);
-      if (!basis.ok()) return basis.status();
-      bases.push_back(std::move(basis).value());
-    }
-    basis_of[k] = found;
-  }
-
-  // Per-set verification + polynomial evaluation is independent across
-  // sets; outputs land in slot k for input k, so any pool size (or none)
-  // produces bit-identical results. Errors fail the whole batch, lowest
-  // set index first, matching a serial loop.
-  std::vector<Status> errors(n, Status::OK());
-  auto run_one = [&](size_t k) {
-    auto secret = ReconstructWithBasis(bases[basis_of[k]], share_sets[k],
-                                       secret_sizes[k]);
-    if (secret.ok()) {
-      out[k] = std::move(secret).value();
-    } else {
-      errors[k] = secret.status();
-    }
-  };
-  if (pool != nullptr && n > 1) {
-    pool->ParallelFor(n, run_one, /*grain=*/1);
-  } else {
-    for (size_t k = 0; k < n; ++k) run_one(k);
-  }
-  for (size_t k = 0; k < n; ++k) {
-    if (!errors[k].ok()) return errors[k];
-  }
-  return out;
-}
-
-Result<Bytes> ShamirSecretSharing::ReconstructReference(
     const std::vector<ShamirShare>& shares, size_t secret_size) const {
   if (shares.size() < threshold_) {
     return Status::FailedPrecondition(

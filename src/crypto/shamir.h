@@ -8,10 +8,6 @@
 #include "common/rng.h"
 #include "crypto/dh.h"
 
-namespace bcfl {
-class ThreadPool;
-}  // namespace bcfl
-
 namespace bcfl::crypto {
 
 /// One participant's share of a secret-shared value.
@@ -100,56 +96,12 @@ class ShamirSecretSharing {
   bool VerifyShareReference(const ShamirShare& share,
                             const VssCommitment& commitment) const;
 
-  /// Lagrange-at-zero basis for one fixed, ordered set of share
-  /// x-coordinates. The basis depends only on the coordinates, not on the
-  /// share values, so one basis serves every secret reconstructed from
-  /// shares at those coordinates (a recovery round reveals many secrets
-  /// held by the same surviving roster).
-  struct LagrangeBasis {
-    std::vector<uint64_t> x;       ///< Coordinates, in use order.
-    std::vector<uint64_t> coeffs;  ///< l_i(0) for each x_i.
-  };
-
-  /// Validates the first threshold() entries of `shares` (non-zero,
-  /// in-field, distinct x) and computes their shared Lagrange basis. All
-  /// threshold() denominators are inverted with one batch inversion
-  /// (Montgomery's trick): a single FieldInv instead of one 61-squaring
-  /// exponentiation per coefficient.
-  Result<LagrangeBasis> PrepareBasis(
-      const std::vector<ShamirShare>& shares) const;
-
-  /// Reconstructs one secret with a precomputed basis. The first
-  /// threshold() shares must present exactly the basis coordinates in
-  /// order, with consistent chunk counts — every holder's share is
-  /// verified against the basis before any value is combined.
-  Result<Bytes> ReconstructWithBasis(const LagrangeBasis& basis,
-                                     const std::vector<ShamirShare>& shares,
-                                     size_t secret_size) const;
-
   /// Reconstructs the secret from >= threshold() shares with distinct,
-  /// valid x coordinates. `secret_size` restores the exact original
-  /// length (packing pads the final chunk). Equivalent to PrepareBasis +
-  /// ReconstructWithBasis.
+  /// valid x coordinates, by Lagrange interpolation at zero over the
+  /// first threshold() of them. `secret_size` restores the exact
+  /// original length (packing pads the final chunk).
   Result<Bytes> Reconstruct(const std::vector<ShamirShare>& shares,
                             size_t secret_size) const;
-
-  /// Reconstructs `share_sets.size()` secrets in one call. The basis is
-  /// computed once per *distinct* x-coordinate set (consecutive sets from
-  /// the same surviving roster share it), and the per-set share
-  /// verification + polynomial evaluation runs on `pool` when one is
-  /// given (nullptr = serial). Outputs land in slot `k` for input `k`,
-  /// so the result is bit-identical for any pool size.
-  Result<std::vector<Bytes>> ReconstructBatch(
-      const std::vector<std::vector<ShamirShare>>& share_sets,
-      const std::vector<size_t>& secret_sizes,
-      ThreadPool* pool = nullptr) const;
-
-  /// The seed-faithful single-secret path (per-call basis, one field
-  /// exponentiation per coefficient) kept verbatim as the reference the
-  /// batched/basis paths are regression-tested against — mirrors the
-  /// `reference::` escape hatches in the kernel and crypto layers.
-  Result<Bytes> ReconstructReference(const std::vector<ShamirShare>& shares,
-                                     size_t secret_size) const;
 
   // Field helpers, exposed for tests.
   static uint64_t FieldAdd(uint64_t a, uint64_t b);

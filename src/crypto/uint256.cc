@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 namespace bcfl::crypto {
 
@@ -258,6 +259,7 @@ Montgomery::Montgomery(const UInt256& modulus) : m_(modulus) {
   // The class is only meaningful for odd moduli > 1; the library routes
   // even-modulus arithmetic (exponent math mod p-1) through the plain
   // ModMul/ModAdd path.
+  assert(m_.Bit(0) && m_ > UInt256(1) && "modulus must be odd and > 1");
   n0inv_ = NegInv64(m_.limb(0));
   // R mod m via one restoring-division reduction of 2^256.
   std::array<uint64_t, 8> r_wide{};

@@ -8,7 +8,32 @@ namespace bcfl::secureagg {
 
 SecureAggregator::SecureAggregator(
     crypto::GroupParams params, std::map<OwnerId, crypto::UInt256> public_keys)
-    : params_(params), public_keys_(std::move(public_keys)) {}
+    : dh_(params), public_keys_(std::move(public_keys)) {}
+
+Result<std::array<uint8_t, 32>> SecureAggregator::PairKeyFrom(
+    const crypto::UInt256& private_key, OwnerId owner, OwnerId peer) const {
+  auto pub_it = public_keys_.find(peer);
+  if (pub_it == public_keys_.end()) {
+    return Status::NotFound("no public key on chain for owner " +
+                            std::to_string(peer));
+  }
+  return DerivePairKey(dh_.ComputeShared(private_key, pub_it->second), owner,
+                       peer);
+}
+
+Status SecureAggregator::VerifyRevealedKey(
+    OwnerId owner, const crypto::UInt256& private_key) const {
+  auto pub_it = public_keys_.find(owner);
+  if (pub_it == public_keys_.end()) {
+    return Status::NotFound("no public key on chain for owner " +
+                            std::to_string(owner));
+  }
+  if (dh_.PublicKey(private_key) != pub_it->second) {
+    return Status::PermissionDenied("revealed key does not match owner " +
+                                    std::to_string(owner) + "'s public key");
+  }
+  return Status::OK();
+}
 
 Result<std::vector<uint64_t>> SecureAggregator::SumGroup(
     uint64_t round, const std::vector<OwnerId>& group_members,
@@ -59,9 +84,8 @@ Result<std::vector<uint64_t>> SecureAggregator::SumGroup(
   }
 
   // Remove residual pairwise masks left by dropped members: survivor v's
-  // submission contains sign(v, u) * m_uv for every dropped u in the
-  // group; regenerate each from u's reconstructed DH private key.
-  crypto::DiffieHellman dh(params_);
+  // submission carries v's side of the pair mask with every dropped u in
+  // the group; regenerate each from u's reconstructed DH private key.
   for (OwnerId u : dropped) {
     auto key_it = unmask.dropped_private_keys.find(u);
     if (key_it == unmask.dropped_private_keys.end()) {
@@ -69,52 +93,32 @@ Result<std::vector<uint64_t>> SecureAggregator::SumGroup(
           "missing private key for dropped member " + std::to_string(u));
     }
     for (OwnerId v : survivors) {
-      auto pub_it = public_keys_.find(v);
-      if (pub_it == public_keys_.end()) {
-        return Status::NotFound("no public key on chain for owner " +
-                                std::to_string(v));
-      }
-      crypto::UInt256 shared = dh.ComputeShared(key_it->second, pub_it->second);
-      ExpandMaskInto(DerivePairKey(shared, u, v), round, length, &mask);
-      if (v < u) {
-        // v added +mask; cancel it.
-        for (size_t i = 0; i < length; ++i) sum[i] -= mask[i];
-      } else {
-        for (size_t i = 0; i < length; ++i) sum[i] += mask[i];
-      }
+      BCFL_ASSIGN_OR_RETURN(auto pair_key, PairKeyFrom(key_it->second, u, v));
+      FoldPairMask(pair_key, v, u, round, /*cancel=*/true, &mask, &sum);
     }
   }
 
   return sum;
 }
 
-Result<std::array<uint8_t, 32>> SecureAggregator::ReconstructSecret32(
-    const std::vector<crypto::ShamirShare>& shares, size_t threshold,
-    size_t roster_size) {
-  BCFL_ASSIGN_OR_RETURN(
-      crypto::ShamirSecretSharing scheme,
-      crypto::ShamirSecretSharing::Create(threshold, roster_size));
-  BCFL_ASSIGN_OR_RETURN(Bytes secret, scheme.Reconstruct(shares, 32));
-  std::array<uint8_t, 32> out;
-  std::copy(secret.begin(), secret.end(), out.begin());
-  return out;
-}
-
-Result<std::vector<std::array<uint8_t, 32>>>
-SecureAggregator::ReconstructSecrets32(
-    const std::vector<std::vector<crypto::ShamirShare>>& share_sets,
-    size_t threshold, size_t roster_size, ThreadPool* pool) {
-  BCFL_ASSIGN_OR_RETURN(
-      crypto::ShamirSecretSharing scheme,
-      crypto::ShamirSecretSharing::Create(threshold, roster_size));
-  std::vector<size_t> sizes(share_sets.size(), 32);
-  BCFL_ASSIGN_OR_RETURN(std::vector<Bytes> secrets,
-                        scheme.ReconstructBatch(share_sets, sizes, pool));
-  std::vector<std::array<uint8_t, 32>> out(secrets.size());
-  for (size_t k = 0; k < secrets.size(); ++k) {
-    std::copy(secrets[k].begin(), secrets[k].end(), out[k].begin());
+Result<std::vector<uint64_t>> SecureAggregator::UnmaskOwner(
+    uint64_t round, OwnerId owner, const crypto::UInt256& private_key,
+    const std::vector<OwnerId>& group_members,
+    std::vector<uint64_t> masked) const {
+  if (std::find(group_members.begin(), group_members.end(), owner) ==
+      group_members.end()) {
+    return Status::InvalidArgument("owner " + std::to_string(owner) +
+                                   " not in the given group");
   }
-  return out;
+  std::vector<uint64_t> mask;
+  for (OwnerId peer : group_members) {
+    if (peer == owner) continue;
+    BCFL_ASSIGN_OR_RETURN(auto pair_key,
+                          PairKeyFrom(private_key, owner, peer));
+    FoldPairMask(pair_key, owner, peer, round, /*cancel=*/true, &mask,
+                 &masked);
+  }
+  return masked;
 }
 
 }  // namespace bcfl::secureagg

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "crypto/dh.h"
 #include "secureagg/participant.h"
 
@@ -41,26 +40,29 @@ class SecureAggregator {
       const std::map<OwnerId, std::vector<uint64_t>>& submissions,
       const UnmaskingInfo& unmask = {}, bool self_masks_in_use = false) const;
 
-  /// Reconstructs a participant's 32-byte secret from threshold shares
-  /// (helper used by the protocol driver and the contracts for both the
-  /// self-seed and, via ToBytes, the DH key path).
-  static Result<std::array<uint8_t, 32>> ReconstructSecret32(
-      const std::vector<crypto::ShamirShare>& shares, size_t threshold,
-      size_t roster_size);
+  /// Checks a revealed DH private key against `owner`'s public key on
+  /// the roster: g^x must equal it. g^x goes through the group's shared
+  /// fixed-base table, as at key generation.
+  Status VerifyRevealedKey(OwnerId owner,
+                           const crypto::UInt256& private_key) const;
 
-  /// Batch companion of `ReconstructSecret32`: reconstructs one 32-byte
-  /// secret per share-set in a single call. A recovery round reveals every
-  /// missing owner's secret from the *same* surviving holder set, so the
-  /// Lagrange basis is computed once for the whole batch and the per-set
-  /// share verification/evaluation runs on `pool` (nullptr = serial).
-  /// Output k corresponds to share_sets[k]; bit-identical to calling
-  /// ReconstructSecret32 per set, for any pool size.
-  static Result<std::vector<std::array<uint8_t, 32>>> ReconstructSecrets32(
-      const std::vector<std::vector<crypto::ShamirShare>>& share_sets,
-      size_t threshold, size_t roster_size, ThreadPool* pool = nullptr);
+  /// Strips `owner`'s pairwise masks from its own masked submission with
+  /// the owner's private key: the inverse of
+  /// `SecureAggParticipant::MaskUpdateInto` for a participant without a
+  /// self mask. `group_members` is the roster the owner masked against
+  /// and must contain it.
+  Result<std::vector<uint64_t>> UnmaskOwner(
+      uint64_t round, OwnerId owner, const crypto::UInt256& private_key,
+      const std::vector<OwnerId>& group_members,
+      std::vector<uint64_t> masked) const;
 
  private:
-  crypto::GroupParams params_;
+  /// The pair key `owner` shares with `peer`, from `owner`'s private key
+  /// and `peer`'s public key on the roster.
+  Result<std::array<uint8_t, 32>> PairKeyFrom(
+      const crypto::UInt256& private_key, OwnerId owner, OwnerId peer) const;
+
+  crypto::DiffieHellman dh_;
   std::map<OwnerId, crypto::UInt256> public_keys_;
 };
 

@@ -24,6 +24,18 @@ std::array<uint8_t, 32> DerivePairKey(const crypto::UInt256& shared,
   return key;
 }
 
+void FoldPairMask(const std::array<uint8_t, 32>& pair_key, OwnerId owner,
+                  OwnerId peer, uint64_t round, bool cancel,
+                  std::vector<uint64_t>* scratch, std::vector<uint64_t>* vec) {
+  ExpandMaskInto(pair_key, round, vec->size(), scratch);
+  const std::vector<uint64_t>& mask = *scratch;
+  if ((owner < peer) != cancel) {
+    for (size_t i = 0; i < vec->size(); ++i) (*vec)[i] += mask[i];
+  } else {
+    for (size_t i = 0; i < vec->size(); ++i) (*vec)[i] -= mask[i];
+  }
+}
+
 SecureAggParticipant::SecureAggParticipant(OwnerId id,
                                            const crypto::DiffieHellman& dh,
                                            Xoshiro256* rng, bool use_self_mask)
@@ -97,15 +109,10 @@ Status SecureAggParticipant::MaskUpdateInto(
     }
   }
   *out = encoded;
-  const std::vector<uint64_t>& mask = scratch->mask;
   for (OwnerId peer : group_members) {
     if (peer == id_) continue;
-    ExpandMaskInto(pair_keys_.at(peer), round, out->size(), &scratch->mask);
-    if (id_ < peer) {
-      for (size_t i = 0; i < out->size(); ++i) (*out)[i] += mask[i];
-    } else {
-      for (size_t i = 0; i < out->size(); ++i) (*out)[i] -= mask[i];
-    }
+    FoldPairMask(pair_keys_.at(peer), id_, peer, round, /*cancel=*/false,
+                 &scratch->mask, out);
   }
   if (use_self_mask_) {
     ExpandSelfMaskInto(self_seed_, round, out->size(), &scratch->self_mask);

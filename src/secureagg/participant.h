@@ -124,4 +124,15 @@ class SecureAggParticipant {
 std::array<uint8_t, 32> DerivePairKey(const crypto::UInt256& shared,
                                       OwnerId a, OwnerId b);
 
+/// Expands the pair mask of `pair_key` for `round` into `*scratch` and
+/// folds it into `*vec` with the sign `owner`'s submission gives it
+/// against `peer`: the lower id of the pair adds the mask and the higher
+/// subtracts it, so the pair cancels in a group sum. `cancel` folds the
+/// opposite sign, which removes the mask again. Masking and both
+/// unmasking paths (`SecureAggregator::SumGroup` and `UnmaskOwner`) go
+/// through this one sign rule.
+void FoldPairMask(const std::array<uint8_t, 32>& pair_key, OwnerId owner,
+                  OwnerId peer, uint64_t round, bool cancel,
+                  std::vector<uint64_t>* scratch, std::vector<uint64_t>* vec);
+
 }  // namespace bcfl::secureagg

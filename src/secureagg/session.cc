@@ -84,19 +84,18 @@ Result<std::vector<std::array<uint8_t, 32>>> SecureAggSession::RevealSecrets(
     const std::vector<RevealJob>& jobs, const std::set<OwnerId>& dropped) {
   std::vector<std::array<uint8_t, 32>> out(jobs.size());
   // Only shares held by *online* roster members can be revealed, and
-  // which holders are online is a property of `dropped` alone — computed
-  // once for the whole batch. The availability check runs before the
-  // cache is consulted: a reveal with fewer than `threshold_` live
-  // holders must fail closed even if an earlier call with a smaller
-  // dropout set already reconstructed the secret.
+  // which holders are online is a property of `dropped` alone. The
+  // availability check runs before the cache is consulted: a reveal with
+  // fewer than `threshold_` live holders must fail closed even if an
+  // earlier call with a smaller dropout set already reconstructed the
+  // secret.
   std::vector<size_t> holders;
   holders.reserve(participants_.size());
   for (size_t holder = 0; holder < participants_.size(); ++holder) {
     if (dropped.count(static_cast<OwnerId>(holder)) > 0) continue;
     holders.push_back(holder);
   }
-  std::vector<size_t> pending;
-  std::vector<std::vector<crypto::ShamirShare>> share_sets;
+  std::vector<size_t> fresh;
   BCFL_ASSIGN_OR_RETURN(
       const crypto::ShamirSecretSharing scheme,
       crypto::ShamirSecretSharing::Create(threshold_, participants_.size()));
@@ -138,23 +137,14 @@ Result<std::vector<std::array<uint8_t, 32>>> SecureAggSession::RevealSecrets(
           "'s secret survive; threshold is " + std::to_string(threshold_) +
           " — failing closed");
     }
-    pending.push_back(j);
-    share_sets.push_back(std::move(available));
+    BCFL_ASSIGN_OR_RETURN(Bytes secret, scheme.Reconstruct(available, 32));
+    std::copy(secret.begin(), secret.end(), out[j].begin());
+    fresh.push_back(j);
   }
-  if (!pending.empty()) {
-    // Every pending set shares its x-coordinates (the surviving holder
-    // indices), so the batch reconstructs them all off one Lagrange
-    // basis. Errors surface for the lowest job index, like a serial loop.
-    BCFL_ASSIGN_OR_RETURN(
-        auto secrets,
-        SecureAggregator::ReconstructSecrets32(share_sets, threshold_,
-                                               participants_.size()));
-    for (size_t k = 0; k < pending.size(); ++k) {
-      const RevealJob& job = jobs[pending[k]];
-      out[pending[k]] = secrets[k];
-      reveal_cache_.emplace(std::make_pair(job.id, job.dh_key), secrets[k]);
-      if (job.dh_key) recoveries_counter_->Add();
-    }
+  // Cached and counted only once every job of the call has succeeded.
+  for (size_t j : fresh) {
+    reveal_cache_.emplace(std::make_pair(jobs[j].id, jobs[j].dh_key), out[j]);
+    if (jobs[j].dh_key) recoveries_counter_->Add();
   }
   return out;
 }

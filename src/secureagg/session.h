@@ -64,13 +64,12 @@ class SecureAggSession {
   };
 
   /// Reconstructs the listed owners' 32-byte secrets from the distributed
-  /// shares, simulating the share-reveal step of the protocol — batched:
-  /// the surviving holder set is a property of `dropped` alone, so the
-  /// availability check and the Lagrange basis are shared by every job in
-  /// the call. Successful reconstructions are cached, so re-recovering
-  /// the same owner (e.g. a retried round) neither redoes the Lagrange
-  /// work nor double-counts the recovery metrics; the availability check
-  /// still runs before the cache is consulted (fail-closed).
+  /// shares, one `Reconstruct` per owner, simulating the share-reveal
+  /// step of the protocol. Successful reconstructions are cached, so
+  /// re-recovering the same owner (e.g. a retried round) neither redoes
+  /// the Lagrange work nor double-counts the recovery metrics; the
+  /// availability check still runs before the cache is consulted
+  /// (fail-closed).
   Result<std::vector<std::array<uint8_t, 32>>> RevealSecrets(
       const std::vector<RevealJob>& jobs, const std::set<OwnerId>& dropped);
 

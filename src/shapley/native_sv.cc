@@ -12,17 +12,10 @@ NativeShapley::NativeShapley(const fl::FederatedTrainer* trainer,
                              NativeShapleyConfig config)
     : trainer_(trainer), utility_(utility), config_(config) {}
 
-Result<NativeShapleyResult> NativeShapley::Compute(
-    const std::vector<ml::Matrix>* final_locals) const {
+Result<NativeShapleyResult> NativeShapley::Compute() const {
   const size_t n = trainer_->num_clients();
   if (n == 0 || n > 20) {
     return Status::InvalidArgument("owner count must be in [1, 20]");
-  }
-  if (config_.source == CoalitionModelSource::kAggregateFromLocals) {
-    if (final_locals == nullptr || final_locals->size() != n) {
-      return Status::InvalidArgument(
-          "kAggregateFromLocals requires one final local weight per owner");
-    }
   }
   const uint64_t full = 1ULL << n;
 
@@ -31,55 +24,47 @@ Result<NativeShapleyResult> NativeShapley::Compute(
   CoalitionEngine engine(utility_, engine_config);
   NativeShapleyResult result;
 
-  if (config_.source == CoalitionModelSource::kAggregateFromLocals) {
-    // Coalition models are means of the members' final local weights —
-    // exactly the engine's subset-sum construction (the empty coalition
-    // is the zero, i.e. untrained, model for zero-initialised training).
-    BCFL_ASSIGN_OR_RETURN(result.utility_table,
-                          engine.EvaluateMeanCoalitions(*final_locals));
-  } else {
-    // Stage 1: retrain one coalition model per mask. Training dominates,
-    // so dispatch with grain 1 for the best load balance; slots are
-    // index-addressed and training is RNG-free, keeping the output
-    // bit-identical for any pool size.
-    static auto& retrains = obs::MetricsRegistry::Global().GetCounter(
-        "shapley.native.coalition_retrains");
-    retrains.Add(full);
-    std::vector<ml::Matrix> models(full);
-    std::vector<Status> statuses(full, Status::OK());
-    {
-      obs::ScopedSpan retrain_span(obs::Tracer::Global(), "coalition_retrain",
-                                   "shapley");
-      auto build_model = [&](size_t mask) {
-        std::vector<size_t> members;
-        for (size_t i = 0; i < n; ++i) {
-          if (mask & (1ULL << i)) members.push_back(i);
-        }
-        auto model = trainer_->TrainCentralized(members, config_.epochs);
-        if (model.ok()) {
-          models[mask] = std::move(model).value();
-        } else {
-          statuses[mask] = model.status();
-        }
-      };
-      if (config_.pool != nullptr) {
-        config_.pool->ParallelFor(full, build_model, /*grain=*/1);
+  // Stage 1: retrain one coalition model per mask. Training dominates,
+  // so dispatch with grain 1 for the best load balance; slots are
+  // index-addressed and training is RNG-free, keeping the output
+  // bit-identical for any pool size.
+  static auto& retrains = obs::MetricsRegistry::Global().GetCounter(
+      "shapley.native.coalition_retrains");
+  retrains.Add(full);
+  std::vector<ml::Matrix> models(full);
+  std::vector<Status> statuses(full, Status::OK());
+  {
+    obs::ScopedSpan retrain_span(obs::Tracer::Global(), "coalition_retrain",
+                                 "shapley");
+    auto build_model = [&](size_t mask) {
+      std::vector<size_t> members;
+      for (size_t i = 0; i < n; ++i) {
+        if (mask & (1ULL << i)) members.push_back(i);
+      }
+      auto model = trainer_->TrainCentralized(members, config_.epochs);
+      if (model.ok()) {
+        models[mask] = std::move(model).value();
       } else {
-        for (uint64_t mask = 0; mask < full; ++mask) {
-          build_model(static_cast<size_t>(mask));
-        }
+        statuses[mask] = model.status();
+      }
+    };
+    if (config_.pool != nullptr) {
+      config_.pool->ParallelFor(full, build_model, /*grain=*/1);
+    } else {
+      for (uint64_t mask = 0; mask < full; ++mask) {
+        build_model(static_cast<size_t>(mask));
       }
     }
-    for (const Status& s : statuses) {
-      BCFL_RETURN_IF_ERROR(s);
-    }
-
-    // Stage 2: utility of every coalition model, in parallel. Utilities
-    // are required to be thread-safe (see UtilityFunction); results land
-    // in index-addressed slots, so the table is deterministic.
-    BCFL_ASSIGN_OR_RETURN(result.utility_table,
-                          engine.EvaluateModelTable(models));
   }
+  for (const Status& s : statuses) {
+    BCFL_RETURN_IF_ERROR(s);
+  }
+
+  // Stage 2: utility of every coalition model, in parallel. Utilities
+  // are required to be thread-safe (see UtilityFunction); results land
+  // in index-addressed slots, so the table is deterministic.
+  BCFL_ASSIGN_OR_RETURN(result.utility_table,
+                        engine.EvaluateModelTable(models));
 
   // Stage 3: Eq. 1.
   BCFL_ASSIGN_OR_RETURN(result.values,

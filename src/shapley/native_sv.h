@@ -9,19 +9,7 @@
 
 namespace bcfl::shapley {
 
-/// How coalition models are obtained for the native (Eq. 1) SV.
-enum class CoalitionModelSource {
-  /// Retrain a centralized model on the union of the coalition's data —
-  /// the paper's ground truth ("we build 2^n models based on the data
-  /// coalitions"). Expensive: 2^n trainings.
-  kRetrainCentralized,
-  /// Aggregate the coalition model from the members' final-round local
-  /// weights (Song et al. [4] style) — cheap but approximate.
-  kAggregateFromLocals,
-};
-
 struct NativeShapleyConfig {
-  CoalitionModelSource source = CoalitionModelSource::kRetrainCentralized;
   /// Training epochs per coalition model (0 = trainer default).
   size_t epochs = 0;
   /// Optional worker pool parallelising coalition training and utility
@@ -41,6 +29,10 @@ struct NativeShapleyResult {
 
 /// Native Shapley value over data owners (Eq. 1 of the paper).
 ///
+/// Each coalition's model is retrained centrally on the union of the
+/// coalition's data — the paper's ground truth ("we build 2^n models
+/// based on the data coalitions"), at 2^n trainings.
+///
 /// This is the transparency *baseline*: it needs every coalition's model,
 /// which is impossible on masked updates — exactly the incompatibility
 /// GroupSV resolves. The library keeps it for ground truth (Fig. 1), for
@@ -50,10 +42,8 @@ class NativeShapley {
   NativeShapley(const fl::FederatedTrainer* trainer, UtilityFunction* utility,
                 NativeShapleyConfig config = {});
 
-  /// Computes SVs for all owners. With `kAggregateFromLocals`,
-  /// `final_locals` must hold each owner's final local weights.
-  Result<NativeShapleyResult> Compute(
-      const std::vector<ml::Matrix>* final_locals = nullptr) const;
+  /// Computes SVs for all owners.
+  Result<NativeShapleyResult> Compute() const;
 
  private:
   const fl::FederatedTrainer* trainer_;

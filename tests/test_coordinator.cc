@@ -38,9 +38,7 @@ TEST(CoordinatorTest, CreateRejectsDegenerateConfigs) {
 }
 
 TEST(CoordinatorTest, EndToEndRunProducesConsistentResults) {
-  BcflConfig config = SmallConfig();
-  config.keep_local_models = true;
-  auto coordinator = BcflCoordinator::Create(config);
+  auto coordinator = BcflCoordinator::Create(SmallConfig());
   ASSERT_TRUE(coordinator.ok());
   auto result = (*coordinator)->Run();
   ASSERT_TRUE(result.ok());
@@ -49,7 +47,6 @@ TEST(CoordinatorTest, EndToEndRunProducesConsistentResults) {
   EXPECT_EQ(result->total_sv.size(), 4u);
   EXPECT_EQ(result->per_round_sv.size(), 2u);
   EXPECT_EQ(result->round_accuracies.size(), 2u);
-  EXPECT_EQ(result->per_round_locals.size(), 2u);
   EXPECT_GT(result->blocks_committed, 0u);
   // Setup tx committed during Create is not counted; 8 update txs are.
   EXPECT_EQ(result->total_transactions, 8u);
@@ -67,36 +64,41 @@ TEST(CoordinatorTest, EndToEndRunProducesConsistentResults) {
 }
 
 TEST(CoordinatorTest, OnChainGroupSvMatchesOffChainReference) {
-  BcflConfig config = SmallConfig();
-  config.keep_local_models = true;
+  const BcflConfig config = SmallConfig();
   auto coordinator = BcflCoordinator::Create(config);
   ASSERT_TRUE(coordinator.ok());
   auto result = (*coordinator)->Run();
   ASSERT_TRUE(result.ok());
 
-  // Recompute GroupSV off chain from the recorded plain local weights.
+  // Recompute GroupSV off chain from plain local weights. Local training
+  // is deterministic, so each owner's round-r model is retrained here
+  // from its own partition and the global model of round r-1 on chain.
+  const std::vector<ml::Dataset> datasets = (*coordinator)->OwnerDatasets();
+  const chain::ContractState& state =
+      (*coordinator)->engine().CanonicalState();
+  ml::Matrix global(datasets[0].num_features() + 1,
+                    datasets[0].num_classes());
   shapley::TestAccuracyUtility utility((*coordinator)->test_set());
-  shapley::GroupShapley reference(4, {2, SmallConfig().seed_e}, &utility);
+  shapley::GroupShapley reference(4, {2, config.seed_e}, &utility);
   for (uint64_t round = 0; round < 2; ++round) {
-    auto expected =
-        reference.EvaluateRound(round, result->per_round_locals[round]);
+    std::vector<ml::Matrix> locals;
+    for (uint32_t i = 0; i < 4; ++i) {
+      const fl::FlClient owner(i, datasets[i], config.local);
+      auto local = owner.LocalUpdate(global);
+      ASSERT_TRUE(local.ok());
+      locals.push_back(std::move(local).value());
+    }
+    auto expected = reference.EvaluateRound(round, locals);
     ASSERT_TRUE(expected.ok());
     for (size_t i = 0; i < 4; ++i) {
       EXPECT_NEAR(result->per_round_sv[round][i], expected->user_values[i],
                   1e-3)
           << "round " << round << " owner " << i;
     }
+    auto next = GetMatrix(state, keys::GlobalModel(round));
+    ASSERT_TRUE(next.ok());
+    global = std::move(next).value();
   }
-}
-
-TEST(CoordinatorTest, LocalModelRetentionIsOptIn) {
-  // keep_local_models defaults off: the per-round local weights are an
-  // experiment-only retention that costs O(rounds * owners * model).
-  auto coordinator = BcflCoordinator::Create(SmallConfig());
-  ASSERT_TRUE(coordinator.ok());
-  auto result = (*coordinator)->Run();
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->per_round_locals.empty());
 }
 
 TEST(CoordinatorTest, AllMinersConvergeToSameState) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace bcfl::crypto {
 namespace {
 
@@ -20,6 +22,26 @@ TEST(DiffieHellmanTest, KeyPairHasValidRange) {
   EXPECT_LT(pair.private_key, dh.params().p);
   EXPECT_FALSE(pair.public_key.IsZero());
   EXPECT_LT(pair.public_key, dh.params().p);
+}
+
+TEST(DiffieHellmanTest, PublicKeyMatchesModPowForAnyExponent) {
+  // A revealed key is any 32 bytes, so the fixed-base table must agree
+  // with plain square-and-multiply on the whole 256-bit range, including
+  // exponents at or above p.
+  DiffieHellman dh;
+  const UInt256& p = dh.params().p;
+  const UInt256& g = dh.params().g;
+  Xoshiro256 rng(5);
+  std::vector<UInt256> exponents = {UInt256(0), UInt256(1), p,
+                                    UInt256(~0ULL, ~0ULL, ~0ULL, ~0ULL)};
+  for (int i = 0; i < 4; ++i) {
+    exponents.emplace_back(rng.Next(), rng.Next(), rng.Next(), rng.Next());
+  }
+  for (const UInt256& x : exponents) {
+    EXPECT_EQ(dh.PublicKey(x), g.ModPow(x, p)) << x.ToHex();
+  }
+  DhKeyPair pair = dh.GenerateKeyPair(&rng);
+  EXPECT_EQ(dh.PublicKey(pair.private_key), pair.public_key);
 }
 
 class DhAgreementTest : public ::testing::TestWithParam<uint64_t> {};

@@ -143,24 +143,6 @@ TEST(NativeShapleyTest, BitIdenticalForPoolSizes1_2_8) {
   }
 }
 
-TEST(NativeShapleyTest, AggregateFromLocalsUsesProvidedWeights) {
-  Fixture f = Fixture::Make(3, 0.0);
-  auto run = f.trainer->Run();
-  ASSERT_TRUE(run.ok());
-  const auto& finals = run->per_round_locals.back();
-
-  NativeShapleyConfig config;
-  config.source = CoalitionModelSource::kAggregateFromLocals;
-  NativeShapley shapley(f.trainer.get(), f.utility.get(), config);
-  auto result = shapley.Compute(&finals);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->values.size(), 3u);
-  // Missing locals is an error.
-  EXPECT_FALSE(shapley.Compute(nullptr).ok());
-  std::vector<ml::Matrix> short_list = {finals[0]};
-  EXPECT_FALSE(shapley.Compute(&short_list).ok());
-}
-
 TEST(NativeShapleyTest, RejectsTooManyOwners) {
   Fixture f = Fixture::Make(2, 0.0);
   // Fabricate an oversized trainer via config check: n > 20 guard is in

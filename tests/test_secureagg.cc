@@ -151,6 +151,72 @@ TEST(PairwiseMaskingTest, SubgroupMasksCancelOnlyWithinThatGroup) {
   }
 }
 
+/// Five key-registered participants without self masks, and the
+/// aggregator over their public-key roster.
+struct Roster {
+  std::vector<std::unique_ptr<SecureAggParticipant>> parts;
+  std::unique_ptr<SecureAggregator> aggregator;
+
+  explicit Roster(uint64_t seed) {
+    crypto::DiffieHellman dh;
+    Xoshiro256 rng(seed);
+    std::map<OwnerId, crypto::UInt256> public_keys;
+    for (OwnerId i = 0; i < 5; ++i) {
+      parts.push_back(std::make_unique<SecureAggParticipant>(
+          i, dh, &rng, /*use_self_mask=*/false));
+      public_keys[i] = parts.back()->public_key();
+    }
+    for (auto& p : parts) {
+      for (const auto& [peer, pub] : public_keys) {
+        if (peer == p->id()) continue;
+        EXPECT_TRUE(p->RegisterPeer(peer, pub).ok());
+      }
+    }
+    aggregator = std::make_unique<SecureAggregator>(dh.params(),
+                                                    std::move(public_keys));
+  }
+};
+
+TEST(AggregatorTest, UnmaskOwnerInvertsMaskUpdate) {
+  Roster roster(41);
+  Xoshiro256 rng(42);
+  // Listed out of id order: the sign of each pair mask follows the ids,
+  // not the roster position.
+  const std::vector<OwnerId> group = {3, 1, 4};
+  // The lowest, a middle and the highest id of the group: each adds some
+  // pair masks, subtracts others, or both.
+  for (OwnerId owner : {1u, 3u, 4u}) {
+    std::vector<uint64_t> encoded(37);
+    for (auto& v : encoded) v = rng.Next();
+    auto masked = roster.parts[owner]->MaskUpdate(9, group, encoded);
+    ASSERT_TRUE(masked.ok());
+    ASSERT_NE(*masked, encoded);
+    auto unmasked = roster.aggregator->UnmaskOwner(
+        9, owner, roster.parts[owner]->private_key(), group, *masked);
+    ASSERT_TRUE(unmasked.ok()) << unmasked.status().ToString();
+    EXPECT_EQ(*unmasked, encoded) << "owner " << owner;
+  }
+  // An owner outside the group has no masks in it to strip.
+  EXPECT_TRUE(roster.aggregator
+                  ->UnmaskOwner(9, 0, roster.parts[0]->private_key(), group,
+                                std::vector<uint64_t>(37, 0))
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(AggregatorTest, VerifyRevealedKeyMatchesTheRoster) {
+  Roster roster(43);
+  EXPECT_TRUE(roster.aggregator
+                  ->VerifyRevealedKey(2, roster.parts[2]->private_key())
+                  .ok());
+  EXPECT_TRUE(roster.aggregator
+                  ->VerifyRevealedKey(2, roster.parts[3]->private_key())
+                  .IsPermissionDenied());
+  EXPECT_TRUE(roster.aggregator
+                  ->VerifyRevealedKey(5, roster.parts[2]->private_key())
+                  .IsNotFound());
+}
+
 TEST(SessionTest, AggregateEqualsPlainMean) {
   auto session = SecureAggSession::Create(6, {});
   ASSERT_TRUE(session.ok());

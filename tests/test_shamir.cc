@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "common/thread_pool.h"
-
 namespace bcfl::crypto {
 namespace {
 
@@ -168,152 +164,6 @@ TEST(ShamirTest, ExtraSharesBeyondThresholdIgnoredConsistently) {
   EXPECT_EQ(*back, secret);
 }
 
-TEST(ShamirBasisTest, BasisPathMatchesReferenceReconstruction) {
-  // The hoisted-basis path (batch-inverted Lagrange coefficients) must be
-  // bit-identical to the seed-faithful per-call reference.
-  auto scheme = SSS::Create(5, 9);
-  ASSERT_TRUE(scheme.ok());
-  Xoshiro256 rng(77);
-  for (int trial = 0; trial < 8; ++trial) {
-    Bytes secret(1 + static_cast<size_t>(trial) * 5);
-    for (auto& b : secret) b = static_cast<uint8_t>(rng.Next());
-    auto shares = scheme->Split(secret, &rng);
-    std::vector<ShamirShare> quorum(shares.begin(), shares.begin() + 5);
-
-    auto reference = scheme->ReconstructReference(quorum, secret.size());
-    auto via_reconstruct = scheme->Reconstruct(quorum, secret.size());
-    auto basis = scheme->PrepareBasis(quorum);
-    ASSERT_TRUE(reference.ok());
-    ASSERT_TRUE(via_reconstruct.ok());
-    ASSERT_TRUE(basis.ok());
-    auto via_basis =
-        scheme->ReconstructWithBasis(*basis, quorum, secret.size());
-    ASSERT_TRUE(via_basis.ok());
-    EXPECT_EQ(*reference, secret);
-    EXPECT_EQ(*via_reconstruct, *reference);
-    EXPECT_EQ(*via_basis, *reference);
-  }
-}
-
-TEST(ShamirBasisTest, BasisIsReusableAcrossSecrets) {
-  // One basis serves every secret shared at the same x-coordinates — the
-  // recovery-round shape (many secrets, one surviving roster).
-  auto scheme = SSS::Create(3, 5);
-  ASSERT_TRUE(scheme.ok());
-  Xoshiro256 rng(78);
-  std::vector<Bytes> secrets;
-  std::vector<std::vector<ShamirShare>> quorums;
-  for (int s = 0; s < 4; ++s) {
-    Bytes secret(32);
-    for (auto& b : secret) b = static_cast<uint8_t>(rng.Next());
-    auto shares = scheme->Split(secret, &rng);
-    quorums.emplace_back(shares.begin() + 1, shares.begin() + 4);
-    secrets.push_back(std::move(secret));
-  }
-  auto basis = scheme->PrepareBasis(quorums[0]);
-  ASSERT_TRUE(basis.ok());
-  for (size_t s = 0; s < secrets.size(); ++s) {
-    auto back = scheme->ReconstructWithBasis(*basis, quorums[s], 32);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(*back, secrets[s]);
-  }
-}
-
-TEST(ShamirBasisTest, MismatchedCoordinatesRejected) {
-  auto scheme = SSS::Create(3, 5);
-  ASSERT_TRUE(scheme.ok());
-  Xoshiro256 rng(79);
-  auto shares = scheme->Split(Bytes{1, 2, 3}, &rng);
-  std::vector<ShamirShare> quorum(shares.begin(), shares.begin() + 3);
-  auto basis = scheme->PrepareBasis(quorum);
-  ASSERT_TRUE(basis.ok());
-  // Same shares in a different order: positional verification must fail
-  // rather than silently combining values with the wrong coefficients.
-  std::vector<ShamirShare> swapped = {quorum[1], quorum[0], quorum[2]};
-  EXPECT_TRUE(scheme->ReconstructWithBasis(*basis, swapped, 3)
-                  .status()
-                  .IsInvalidArgument());
-  // A share from a different roster position likewise.
-  std::vector<ShamirShare> other = {shares[3], quorum[1], quorum[2]};
-  EXPECT_TRUE(scheme->ReconstructWithBasis(*basis, other, 3)
-                  .status()
-                  .IsInvalidArgument());
-}
-
-TEST(ShamirBatchTest, BatchMatchesReferencePerSecret) {
-  auto scheme = SSS::Create(5, 9);
-  ASSERT_TRUE(scheme.ok());
-  Xoshiro256 rng(80);
-  std::vector<std::vector<ShamirShare>> share_sets;
-  std::vector<size_t> sizes;
-  std::vector<Bytes> secrets;
-  for (int s = 0; s < 6; ++s) {
-    Bytes secret(32);
-    for (auto& b : secret) b = static_cast<uint8_t>(rng.Next());
-    auto shares = scheme->Split(secret, &rng);
-    share_sets.emplace_back(shares.begin() + 2, shares.begin() + 7);
-    sizes.push_back(secret.size());
-    secrets.push_back(std::move(secret));
-  }
-  // Serial batch, then pooled batch: both must equal the reference.
-  auto serial = scheme->ReconstructBatch(share_sets, sizes, nullptr);
-  ASSERT_TRUE(serial.ok());
-  ThreadPool pool(4);
-  auto pooled = scheme->ReconstructBatch(share_sets, sizes, &pool);
-  ASSERT_TRUE(pooled.ok());
-  ASSERT_EQ(serial->size(), share_sets.size());
-  for (size_t s = 0; s < share_sets.size(); ++s) {
-    auto reference = scheme->ReconstructReference(share_sets[s], sizes[s]);
-    ASSERT_TRUE(reference.ok());
-    EXPECT_EQ(*reference, secrets[s]);
-    EXPECT_EQ((*serial)[s], *reference) << "secret " << s;
-    EXPECT_EQ((*pooled)[s], *reference) << "secret " << s;
-  }
-}
-
-TEST(ShamirBatchTest, BatchHandlesMixedRosters) {
-  // Sets from different surviving rosters force a basis recomputation
-  // mid-batch; outputs must still land slot-addressed.
-  auto scheme = SSS::Create(3, 6);
-  ASSERT_TRUE(scheme.ok());
-  Xoshiro256 rng(81);
-  std::vector<std::vector<ShamirShare>> share_sets;
-  std::vector<size_t> sizes;
-  std::vector<Bytes> secrets;
-  for (int s = 0; s < 4; ++s) {
-    Bytes secret(16);
-    for (auto& b : secret) b = static_cast<uint8_t>(rng.Next());
-    auto shares = scheme->Split(secret, &rng);
-    size_t offset = (s % 2 == 0) ? 0 : 2;  // Alternate rosters.
-    share_sets.emplace_back(shares.begin() + offset,
-                            shares.begin() + offset + 3);
-    sizes.push_back(secret.size());
-    secrets.push_back(std::move(secret));
-  }
-  auto batch = scheme->ReconstructBatch(share_sets, sizes, nullptr);
-  ASSERT_TRUE(batch.ok());
-  for (size_t s = 0; s < secrets.size(); ++s) {
-    EXPECT_EQ((*batch)[s], secrets[s]) << "secret " << s;
-  }
-}
-
-TEST(ShamirBatchTest, BatchErrorNamesLowestFailingSet) {
-  auto scheme = SSS::Create(2, 4);
-  ASSERT_TRUE(scheme.ok());
-  Xoshiro256 rng(82);
-  auto good = scheme->Split(Bytes{1, 2}, &rng);
-  auto bad = scheme->Split(Bytes{3, 4}, &rng);
-  bad[0].x = 0;  // Invalid coordinate.
-  std::vector<std::vector<ShamirShare>> sets = {
-      {good[0], good[1]}, {bad[0], bad[1]}, {good[2], good[3]}};
-  std::vector<size_t> sizes = {2, 2, 2};
-  EXPECT_TRUE(
-      scheme->ReconstructBatch(sets, sizes, nullptr).status().IsInvalidArgument());
-  ThreadPool pool(3);
-  EXPECT_TRUE(
-      scheme->ReconstructBatch(sets, sizes, &pool).status().IsInvalidArgument());
-}
-
 TEST(ShamirVssTest, VerifiedQuorumReconstructsAfterDroppingForgery) {
   // The recovery-path contract (PR 9): verify every revealed share
   // against the dealer's Feldman commitment, drop what fails, and
@@ -369,18 +219,6 @@ TEST(ShamirVssTest, ExactlyThresholdRosterEveryShareVerifies) {
   auto back = scheme->Reconstruct(shares, secret.size());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, secret);
-}
-
-TEST(ShamirBatchTest, SizesLengthMismatchRejected) {
-  auto scheme = SSS::Create(2, 3);
-  ASSERT_TRUE(scheme.ok());
-  Xoshiro256 rng(83);
-  auto shares = scheme->Split(Bytes{7}, &rng);
-  std::vector<std::vector<ShamirShare>> sets = {
-      {shares[0], shares[1]}};
-  EXPECT_TRUE(scheme->ReconstructBatch(sets, {1, 1}, nullptr)
-                  .status()
-                  .IsInvalidArgument());
 }
 
 }  // namespace

@@ -133,8 +133,8 @@ TEST_F(SigCacheHostTest, PreVerifyCachesValidSignaturesOnly) {
   bad.r = crypto::UInt256(0);
   txs[3] = Transaction(txs[3].body(), txs[3].sender(), bad);
 
-  host_->PreVerifySignatures(txs);
-  EXPECT_EQ(host_->sig_cache().Size(), txs.size() - 1);
+  // Each tx's signature is checked before its contract runs, and only
+  // the valid verdicts are cached (fail-closed).
   ContractState state;
   auto receipts = host_->ExecuteBlock(txs, &state);
   ASSERT_TRUE(receipts.ok());
@@ -144,6 +144,7 @@ TEST_F(SigCacheHostTest, PreVerifyCachesValidSignaturesOnly) {
   }
   EXPECT_EQ((*receipts)[3].error, "invalid signature");
   EXPECT_EQ(host_->sig_cache().Size(), txs.size() - 1);
+  EXPECT_FALSE(host_->sig_cache().Contains(txs[3].Hash()));
 }
 
 }  // namespace
