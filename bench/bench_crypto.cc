@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "common/rng.h"
 #include "crypto/chacha20.h"
 #include "crypto/dh.h"
@@ -24,7 +26,31 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+// 5,208 bytes is the weight serialization behind each CachingUtility key.
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(5208)->Arg(65536);
+
+// Each compressor alone over whole blocks, so both paths are measured on
+// one machine whichever Sha256 dispatches to. 82 blocks is the padded
+// 5,208-byte message.
+template <void (*Blocks)(uint32_t*, const uint8_t*, size_t)>
+void BM_Sha256Blocks(benchmark::State& state) {
+  if (Blocks == Sha256BlocksShaNi && std::string(Sha256Path()) != "sha_ni") {
+    state.SkipWithError("CPU lacks the SHA extensions");
+    return;
+  }
+  const size_t blocks = static_cast<size_t>(state.range(0));
+  Bytes data(64 * blocks, 0xab);
+  uint32_t digest_state[8] = {};
+  for (auto _ : state) {
+    Blocks(digest_state, data.data(), blocks);
+    benchmark::DoNotOptimize(digest_state);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 64 *
+                          state.range(0));
+}
+BENCHMARK_TEMPLATE(BM_Sha256Blocks, Sha256BlocksScalar)->Arg(1)->Arg(82);
+BENCHMARK_TEMPLATE(BM_Sha256Blocks, Sha256BlocksShaNi)->Arg(1)->Arg(82);
 
 void BM_ChaCha20Keystream(benchmark::State& state) {
   std::array<uint8_t, 32> key{};

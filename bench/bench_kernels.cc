@@ -163,9 +163,10 @@ bool CheckChaChaBatched() {
       return false;
     }
   }
-  // ExpandMask must equal the per-word NextU64 expansion it replaced.
+  // ExpandMaskInto must equal the per-word NextU64 expansion it replaced.
   const uint64_t round = 3;
-  std::vector<uint64_t> fast = secureagg::ExpandMask(key, round, 1001);
+  std::vector<uint64_t> fast;
+  secureagg::ExpandMaskInto(key, round, 1001, &fast);
   std::array<uint8_t, 12> mask_nonce{};
   for (int i = 0; i < 8; ++i) {
     mask_nonce[static_cast<size_t>(i)] = static_cast<uint8_t>(round >> (8 * i));
@@ -174,7 +175,8 @@ bool CheckChaChaBatched() {
   crypto::ChaCha20 cipher(key, mask_nonce);
   for (size_t i = 0; i < fast.size(); ++i) {
     if (fast[i] != cipher.NextU64()) {
-      std::printf("  !! ExpandMask diverged from per-word expansion at %zu\n",
+      std::printf("  !! ExpandMaskInto diverged from per-word expansion at "
+                  "%zu\n",
                   i);
       return false;
     }
@@ -330,9 +332,10 @@ int main(int argc, char** argv) {
     std::array<uint8_t, 32> key{};
     key[0] = 0x7f;
     const size_t words = 65000;
+    std::vector<uint64_t> mask;
     const double s = TimeBest(
         [&] {
-          std::vector<uint64_t> mask = secureagg::ExpandMask(key, 1, words);
+          secureagg::ExpandMaskInto(key, 1, words, &mask);
           volatile uint64_t sink = mask[0];
           (void)sink;
         },

@@ -85,7 +85,8 @@ int main() {
   auto encoded = codec.EncodeMatrix(w_after);
   std::array<uint8_t, 32> pair_key{};
   pair_key[0] = 99;
-  auto mask = secureagg::ExpandMask(pair_key, 0, encoded.size());
+  std::vector<uint64_t> mask;
+  secureagg::ExpandMaskInto(pair_key, 0, encoded.size(), &mask);
   for (size_t i = 0; i < encoded.size(); ++i) encoded[i] += mask[i];
   auto masked_after =
       codec.DecodeMatrix(encoded, w_after.rows(), w_after.cols()).value();

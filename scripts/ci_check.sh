@@ -34,9 +34,18 @@
 # leaders, replay on resume, block-log recovery), the immutable
 # transaction type (signing, moves, the parts constructor and every tx
 # decoder), and the compute kernels, masking and coalition engine with
-# their reused scratch buffers, with -DBCFL_SANITIZE=address in their own
-# build dir (<build-dir>-asan), so a dangling journal entry, a
-# use-after-rollback, a use-after-move or a scratch overrun fails CI.
+# their reused scratch buffers, and SHA-256 (whose SHA-NI path loads 16
+# bytes at a time straight from callers' buffers), with
+# -DBCFL_SANITIZE=address in their own build dir (<build-dir>-asan), so a
+# dangling journal entry, a use-after-rollback, a use-after-move or a
+# scratch overrun fails CI.
+# An UndefinedBehaviorSanitizer stage then rebuilds everything with
+# -DBCFL_SANITIZE=undefined in <build-dir>-ubsan and runs the whole ctest
+# suite with UBSAN_OPTIONS=halt_on_error=1, so any undefined behaviour
+# (a null pointer handed to memcpy, a misaligned load, signed overflow)
+# fails CI.
+# The smoke session's metrics.json must name the SHA-256 compressor that
+# produced its timings ("sha256_path": "sha_ni" or "scalar").
 #
 # Usage: scripts/ci_check.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -52,16 +61,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # AddressSanitizer stage: in-place execution means every trial execution
 # writes the live state and undoes it from the journal; ASan checks those
-# paths, the transaction type's moves and decoders, and the kernels'
-# and masking's reused scratch buffers, for use-after-free and
-# out-of-bounds access.
+# paths, the transaction type's moves and decoders, the kernels'
+# and masking's reused scratch buffers, and SHA-256's whole-block reads
+# from callers' buffers, for use-after-free and out-of-bounds access.
 ASAN_DIR="${BUILD_DIR}-asan"
 ASAN_SUITES=(test_state_contract test_consensus test_adversary test_byzantine
              test_resume test_block_log test_transaction_block test_merkle
              test_sig_cache test_serialization_fuzz test_blockchain
              test_fl_contract test_slash_contract test_kernels test_matrix
              test_logreg test_secureagg test_edge_cases test_native_sv
-             test_coalition_engine test_round_engine)
+             test_coalition_engine test_round_engine test_sha256)
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBCFL_SANITIZE=address \
@@ -73,6 +82,19 @@ for SUITE in "${ASAN_SUITES[@]}"; do
     "$ASAN_DIR/tests/$SUITE"
 done
 echo "ASan: ${#ASAN_SUITES[@]} suites clean"
+
+# UndefinedBehaviorSanitizer stage: the whole ctest suite, halting on the
+# first report.
+UBSAN_DIR="${BUILD_DIR}-ubsan"
+cmake -B "$UBSAN_DIR" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DBCFL_SANITIZE=undefined \
+  -DBCFL_BUILD_BENCHMARKS=OFF \
+  -DBCFL_BUILD_EXAMPLES=OFF
+cmake --build "$UBSAN_DIR" -j "$(nproc)"
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  ctest --test-dir "$UBSAN_DIR" --output-on-failure -j "$(nproc)"
+echo "UBSan: ctest suite clean"
 
 # End-to-end smoke: a tiny session must finish and export artifacts.
 ARTIFACT_DIR="$(mktemp -d)"
@@ -186,11 +208,13 @@ if e2e["pool_threads"] >= 4:
     assert e2e_speedup >= 2.0, \
         f"round engine speedup {e2e_speedup:.2f}x below the 2x floor"
 assert metrics["round_engine_pool_threads"] >= 1, metrics
+assert metrics["sha256_path"] in {"sha_ni", "scalar"}, metrics
 
 print(f"artifacts OK: {len(counters)} counters, "
       f"{len(trace['traceEvents'])} spans, categories {sorted(categories)}, "
       f"{len(ledger)} ledger records over {len(ledgered)} histograms, "
       f"kernel path {kernels['kernel_path']}, "
+      f"sha256 path {metrics['sha256_path']}, "
       f"{speedup:.0f}x schnorr verify, "
       f"{e2e_speedup:.2f}x training-heavy fan-out")
 EOF
@@ -199,6 +223,7 @@ else
   grep -q '"fl.rounds":'"$ROUNDS" "$ARTIFACT_DIR/metrics.json"
   grep -q '"traceEvents"' "$ARTIFACT_DIR/trace.json"
   grep -q '"phase_us"' "$ARTIFACT_DIR/ledger.jsonl"
+  grep -Eq '"sha256_path":"(sha_ni|scalar)"' "$ARTIFACT_DIR/metrics.json"
   grep -q '"all_equivalent":true' "$ARTIFACT_DIR/BENCH_kernels.json"
   grep -q '"all_equivalent":true' "$ARTIFACT_DIR/BENCH_chain.json"
   echo "artifacts OK (python3 unavailable; grep-level validation only)"

@@ -1,7 +1,16 @@
 #include "crypto/sha256.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#define BCFL_SHA_HAVE_SHA_NI 1
+#define BCFL_SHA_TARGET_SHA_NI __attribute__((target("sha,sse4.1")))
+#include <immintrin.h>
+#else
+#define BCFL_SHA_HAVE_SHA_NI 0
+#endif
 
 namespace bcfl::crypto {
 
@@ -26,7 +35,156 @@ constexpr std::array<uint32_t, 8> kInitialState = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#if BCFL_SHA_HAVE_SHA_NI
+// Four rounds: adds their round constants to the schedule words `w`, and
+// sha256rnds2 runs two rounds on each half.
+BCFL_SHA_TARGET_SHA_NI inline __attribute__((always_inline)) void Rounds4(
+    __m128i& abef, __m128i& cdgh, __m128i w, const uint32_t* k) {
+  const __m128i msg = _mm_add_epi32(
+      w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(k)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(msg, 0x0E));
+}
+
+// The schedule words W[t..t+3] from the four groups before them.
+BCFL_SHA_TARGET_SHA_NI inline __attribute__((always_inline)) __m128i
+NextSchedule(__m128i w0, __m128i w1, __m128i w2, __m128i w3) {
+  return _mm_sha256msg2_epu32(
+      _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4)),
+      w3);
+}
+#endif
+
+using BlocksFn = void (*)(uint32_t*, const uint8_t*, size_t);
+
+// Picked once, on first use: a function-local static has no init-order
+// hazard, even for a hash taken during another file's static init (hence
+// the explicit __builtin_cpu_init, which may not have run yet then).
+BlocksFn ActiveBlocks() {
+#if BCFL_SHA_HAVE_SHA_NI
+  static const BlocksFn kBlocks = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")
+               ? Sha256BlocksShaNi
+               : Sha256BlocksScalar;
+  }();
+  return kBlocks;
+#else
+  return Sha256BlocksScalar;
+#endif
+}
+
 }  // namespace
+
+void Sha256BlocksScalar(uint32_t state[8], const uint8_t* blocks, size_t n) {
+  for (; n > 0; --n, blocks += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = static_cast<uint32_t>(blocks[4 * i]) << 24 |
+             static_cast<uint32_t>(blocks[4 * i + 1]) << 16 |
+             static_cast<uint32_t>(blocks[4 * i + 2]) << 8 |
+             static_cast<uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if BCFL_SHA_HAVE_SHA_NI
+// Intel SHA Extensions (Gulley et al., 2013). sha256rnds2 keeps the eight
+// working variables as two vectors, ABEF and CDGH, so the state is
+// permuted into that layout once per call and back at the end.
+BCFL_SHA_TARGET_SHA_NI void Sha256BlocksShaNi(uint32_t state[8],
+                                              const uint8_t* blocks,
+                                              size_t n) {
+  // Byte-reverses each 32-bit word: the message words are big-endian.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const uint32_t* k = kRoundConstants.data();
+
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; n > 0; --n, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w0 = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks)), bswap);
+    __m128i w1 = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16)), bswap);
+    __m128i w2 = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 32)), bswap);
+    __m128i w3 = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 48)), bswap);
+    Rounds4(abef, cdgh, w0, k);
+    Rounds4(abef, cdgh, w1, k + 4);
+    Rounds4(abef, cdgh, w2, k + 8);
+    Rounds4(abef, cdgh, w3, k + 12);
+    for (int t = 16; t < 64; t += 4) {
+      const __m128i w4 = NextSchedule(w0, w1, w2, w3);
+      Rounds4(abef, cdgh, w4, k + t);
+      w0 = w1;
+      w1 = w2;
+      w2 = w3;
+      w3 = w4;
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+#else
+void Sha256BlocksShaNi(uint32_t*, const uint8_t*, size_t) {
+  // Never selected: Sha256Path() is "scalar" off x86.
+  std::abort();
+}
+#endif
+
+const char* Sha256Path() {
+  return ActiveBlocks() == Sha256BlocksScalar ? "scalar" : "sha_ni";
+}
 
 Sha256::Sha256() { Reset(); }
 
@@ -37,34 +195,42 @@ void Sha256::Reset() {
 }
 
 void Sha256::Update(const uint8_t* data, size_t size) {
+  if (size == 0) return;
   total_len_ += size;
-  while (size > 0) {
-    size_t take = std::min(size, sizeof(buffer_) - buffer_len_);
+  if (buffer_len_ > 0) {
+    const size_t take = std::min(size, 64 - buffer_len_);
     std::memcpy(buffer_ + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     size -= take;
-    if (buffer_len_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    ActiveBlocks()(state_.data(), buffer_, 1);
+    buffer_len_ = 0;
+  }
+  // Whole blocks compress straight from the caller's buffer.
+  const size_t blocks = size / 64;
+  if (blocks > 0) {
+    ActiveBlocks()(state_.data(), data, blocks);
+    data += 64 * blocks;
+    size -= 64 * blocks;
+  }
+  if (size > 0) {
+    std::memcpy(buffer_, data, size);
+    buffer_len_ = size;
   }
 }
 
 Digest Sha256::Finish() {
-  // Append 0x80, pad with zeros, then the 64-bit big-endian bit length.
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0x00;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_bytes[8];
+  // Append 0x80, zeros, then the 64-bit big-endian bit length: one block
+  // if the tail leaves room for the 9 bytes, two otherwise.
+  const uint64_t bit_len = total_len_ * 8;
+  const size_t padded = buffer_len_ < 56 ? 64 : 128;
+  buffer_[buffer_len_] = 0x80;
+  std::memset(buffer_ + buffer_len_ + 1, 0, padded - 8 - buffer_len_ - 1);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[padded - 8 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Bypass total_len_ bookkeeping for the length field itself.
-  std::memcpy(buffer_ + 56, len_bytes, 8);
-  ProcessBlock(buffer_);
+  ActiveBlocks()(state_.data(), buffer_, padded / 64);
   buffer_len_ = 0;
 
   Digest out;
@@ -75,50 +241,6 @@ Digest Sha256::Finish() {
     out[4 * i + 3] = static_cast<uint8_t>(state_[i]);
   }
   return out;
-}
-
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<uint32_t>(block[4 * i]) << 24 |
-           static_cast<uint32_t>(block[4 * i + 1]) << 16 |
-           static_cast<uint32_t>(block[4 * i + 2]) << 8 |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 Digest Sha256::Hash(const uint8_t* data, size_t size) {

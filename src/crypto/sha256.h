@@ -18,11 +18,16 @@ using Digest = std::array<uint8_t, 32>;
 /// vectors ("abc", empty string, million 'a's, ...). Used for block and
 /// transaction hashing, Merkle trees, key derivation and the Schnorr
 /// challenge hash.
+///
+/// Whole 64-byte blocks go to one of two compressors, picked once per
+/// process from the CPU's features (Sha256Path()): the Intel SHA
+/// Extensions path where `__builtin_cpu_supports("sha")` holds, the
+/// portable scalar path everywhere else. Both produce the same digests.
 class Sha256 {
  public:
   Sha256();
 
-  /// Absorbs `size` bytes.
+  /// Absorbs `size` bytes. `data` may be null when `size` is 0.
   void Update(const uint8_t* data, size_t size);
   void Update(const Bytes& data) { Update(data.data(), data.size()); }
   void Update(std::string_view data) {
@@ -42,13 +47,22 @@ class Sha256 {
   static Digest Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   std::array<uint32_t, 8> state_;
-  uint8_t buffer_[64];
+  // Two blocks, so Finish() can pad a tail of 56 or more bytes in place.
+  uint8_t buffer_[128];
   size_t buffer_len_;
   uint64_t total_len_;
 };
+
+/// The two compressors behind Sha256, exposed so tests can check each one
+/// directly. Each runs the SHA-256 compression function over `n`
+/// consecutive 64-byte blocks starting at `blocks`, updating `state`.
+/// Sha256BlocksShaNi may only be called where Sha256Path() is "sha_ni".
+void Sha256BlocksScalar(uint32_t state[8], const uint8_t* blocks, size_t n);
+void Sha256BlocksShaNi(uint32_t state[8], const uint8_t* blocks, size_t n);
+
+/// "sha_ni" or "scalar": the compressor Sha256 uses on this machine.
+const char* Sha256Path();
 
 /// Lowercase hex encoding of a digest.
 std::string DigestToHex(const Digest& digest);

@@ -50,14 +50,6 @@ void ExpandInto(const std::array<uint8_t, crypto::ChaCha20::kKeySize>& key,
 
 }  // namespace
 
-std::vector<uint64_t> ExpandMask(
-    const std::array<uint8_t, crypto::ChaCha20::kKeySize>& pair_key,
-    uint64_t round, size_t length) {
-  std::vector<uint64_t> out;
-  ExpandInto(pair_key, round, /*domain=*/0x01, length, &out);
-  return out;
-}
-
 void ExpandMaskInto(
     const std::array<uint8_t, crypto::ChaCha20::kKeySize>& pair_key,
     uint64_t round, size_t length, std::vector<uint64_t>* out) {

@@ -13,15 +13,10 @@ namespace bcfl::secureagg {
 /// Expands a 32-byte pairwise key and an FL round number into `length`
 /// ring elements via ChaCha20 (key = pairwise key, nonce = round). Both
 /// endpoints of a pair derive identical masks; one adds, one subtracts,
-/// so the pair contributes zero to the within-group sum.
-std::vector<uint64_t> ExpandMask(
-    const std::array<uint8_t, crypto::ChaCha20::kKeySize>& pair_key,
-    uint64_t round, size_t length);
-
-/// Allocation-reusing variant of ExpandMask: `out` is resized to `length`
-/// (keeping its capacity across rounds) and overwritten with the same
-/// keystream, so the round engine's per-owner scratch can mask every
-/// round without reallocating mask buffers.
+/// so the pair contributes zero to the within-group sum. `out` is resized
+/// to `length` (keeping its capacity across rounds) and overwritten, so
+/// the round engine's per-owner scratch can mask every round without
+/// reallocating mask buffers.
 void ExpandMaskInto(
     const std::array<uint8_t, crypto::ChaCha20::kKeySize>& pair_key,
     uint64_t round, size_t length, std::vector<uint64_t>* out);

@@ -27,9 +27,11 @@ std::vector<double> PlainMean(const std::vector<std::vector<double>>& updates,
 TEST(MaskTest, DeterministicAndRoundSeparated) {
   std::array<uint8_t, 32> key{};
   key[0] = 7;
-  auto m1 = ExpandMask(key, 3, 10);
-  auto m2 = ExpandMask(key, 3, 10);
-  auto m3 = ExpandMask(key, 4, 10);
+  std::vector<uint64_t> m1, m2, m3;
+  ExpandMaskInto(key, 3, 10, &m1);
+  ExpandMaskInto(key, 3, 10, &m2);
+  ExpandMaskInto(key, 4, 10, &m3);
+  EXPECT_EQ(m1.size(), 10u);
   EXPECT_EQ(m1, m2);
   EXPECT_NE(m1, m3);
   std::vector<uint64_t> self;

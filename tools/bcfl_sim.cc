@@ -26,6 +26,7 @@
 #include "common/logging.h"
 #include "core/coordinator.h"
 #include "core/session_summary.h"
+#include "crypto/sha256.h"
 #include "fault/fault_plan.h"
 #include "obs/exporter.h"
 #include "obs/http_exporter.h"
@@ -547,6 +548,9 @@ int main(int argc, char** argv) {
   // How wide the round engine's pool was.
   paths.metrics_extra["round_engine_pool_threads"] =
       std::to_string((*coordinator)->pool_threads_in_use());
+  // Which SHA-256 compressor produced this run's timings.
+  paths.metrics_extra["sha256_path"] =
+      std::string("\"").append(bcfl::crypto::Sha256Path()).append("\"");
   if (auto* injector = (*coordinator)->fault_injector(); injector != nullptr) {
     // The *executed* schedule (what actually fired, including view
     // changes and recoveries) plus the input plan, for triage.
