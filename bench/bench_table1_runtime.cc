@@ -19,9 +19,10 @@
 // Flags: --skip-native omits the (slow) 2^9-retraining baseline.
 // --quick runs the CI observability-overhead gate instead of the full
 // table: the m=9 engine evaluation is timed with instruments live and
-// with BCFL_OBS-style disablement (interleaved, min-of-reps), the two
-// SV outputs must stay bit-identical, and the run fails when the
-// instrumented path is more than 3% slower. Writes
+// with BCFL_OBS-style disablement (21 on/off pairs, alternating which
+// runs first), the two SV outputs must stay bit-identical, and the run
+// fails when the median per-pair ratio puts the instrumented path more
+// than 3% slower. Writes
 // BENCH_obs_overhead.json (the full-table BENCH_table1.json baseline
 // schema is untouched).
 
@@ -124,11 +125,14 @@ bool BitIdentical(const std::vector<double>& a,
 /// The --quick CI gate: per-coalition histogram/span recording on the
 /// m=9 hot path must cost < 3% wall time and must not perturb the SV
 /// numbers. Timed serially (no pool) so the comparison isn't at the
-/// mercy of scheduler jitter, interleaved on/off with min-of-reps so
-/// thermal drift hits both sides equally.
+/// mercy of scheduler jitter. Each of kPairs pairs times one obs-on and
+/// one obs-off evaluation back to back, alternating which side runs
+/// first so drift within a pair favours neither, and the gate reads the
+/// median of the per-pair on/off ratios, so a burst of host noise that
+/// skews a pair or two barely moves it.
 int RunObsOverheadGate(uint64_t seed_e) {
   constexpr size_t kGateGroups = 9;
-  constexpr int kReps = 5;
+  constexpr size_t kPairs = 21;
   constexpr double kMaxOverhead = 0.03;
 
   ThreadPool pool(std::max<size_t>(
@@ -137,53 +141,56 @@ int RunObsOverheadGate(uint64_t seed_e) {
                                      /*instances=*/2000);
   auto run = workload.trainer->Run(&pool).value();
 
-  double best_on_s = HUGE_VAL;
-  double best_off_s = HUGE_VAL;
+  // Times one evaluation with the instruments on or off; leaves them on.
+  auto timed = [&](bool obs_on, double* seconds) {
+    obs::MetricsRegistry::set_enabled(obs_on);
+    obs::Tracer::Global().set_enabled(obs_on);
+    Stopwatch timer;
+    auto totals = EngineGroupTotals(run.per_round_locals, Workload::kOwners,
+                                    kGateGroups, seed_e, workload.test_set,
+                                    nullptr);
+    *seconds = timer.ElapsedSeconds();
+    obs::MetricsRegistry::set_enabled(true);
+    obs::Tracer::Global().set_enabled(true);
+    return totals;
+  };
+
+  std::vector<double> on_s(kPairs), off_s(kPairs), ratios(kPairs);
   bool identical = true;
-  for (int rep = 0; rep < kReps; ++rep) {
-    obs::MetricsRegistry::set_enabled(true);
-    obs::Tracer::Global().set_enabled(true);
-    Stopwatch on_timer;
-    auto with_obs = EngineGroupTotals(run.per_round_locals, Workload::kOwners,
-                                      kGateGroups, seed_e, workload.test_set,
-                                      nullptr);
-    best_on_s = std::min(best_on_s, on_timer.ElapsedSeconds());
-
-    obs::MetricsRegistry::set_enabled(false);
-    obs::Tracer::Global().set_enabled(false);
-    Stopwatch off_timer;
-    auto without_obs = EngineGroupTotals(run.per_round_locals,
-                                         Workload::kOwners, kGateGroups,
-                                         seed_e, workload.test_set, nullptr);
-    best_off_s = std::min(best_off_s, off_timer.ElapsedSeconds());
-    obs::MetricsRegistry::set_enabled(true);
-    obs::Tracer::Global().set_enabled(true);
-
-    if (!with_obs.ok() || !without_obs.ok()) {
+  for (size_t pair = 0; pair < kPairs; ++pair) {
+    const bool on_first = pair % 2 == 0;
+    auto first = timed(on_first, on_first ? &on_s[pair] : &off_s[pair]);
+    auto second = timed(!on_first, on_first ? &off_s[pair] : &on_s[pair]);
+    if (!first.ok() || !second.ok()) {
       std::printf("obs-overhead gate: evaluation failed at m=%zu\n",
                   kGateGroups);
       return 1;
     }
-    identical = identical && BitIdentical(*with_obs, *without_obs);
+    identical = identical && BitIdentical(*first, *second);
+    ratios[pair] = off_s[pair] > 0 ? on_s[pair] / off_s[pair] : 1.0;
   }
 
-  const double overhead =
-      best_off_s > 0 ? best_on_s / best_off_s - 1.0 : 0.0;
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double overhead = median(ratios) - 1.0;
   const bool within_budget = overhead < kMaxOverhead;
-  std::printf("obs-overhead gate (m=%zu, min of %d reps): "
+  std::printf("obs-overhead gate (m=%zu, median of %zu on/off pairs): "
               "on %.4f s, off %.4f s, overhead %+.2f%% (budget %.0f%%) — "
               "%s; SV outputs %s\n",
-              kGateGroups, kReps, best_on_s, best_off_s, overhead * 100.0,
-              kMaxOverhead * 100.0, within_budget ? "ok" : "OVER BUDGET",
+              kGateGroups, kPairs, median(on_s), median(off_s),
+              overhead * 100.0, kMaxOverhead * 100.0,
+              within_budget ? "ok" : "OVER BUDGET",
               identical ? "bit-identical" : "DIVERGED");
 
   JsonWriter json;
   json.BeginObject();
   json.Field("bench", "table1_obs_overhead");
   json.Field("m", kGateGroups);
-  json.Field("reps", static_cast<size_t>(kReps));
-  json.Field("obs_on_s", best_on_s);
-  json.Field("obs_off_s", best_off_s);
+  json.Field("pairs", kPairs);
+  json.Field("obs_on_median_s", median(on_s));
+  json.Field("obs_off_median_s", median(off_s));
   json.Field("overhead_frac", overhead);
   json.Field("overhead_budget_frac", kMaxOverhead);
   json.Field("obs_overhead_ok", within_budget);

@@ -34,11 +34,13 @@
 # leaders, replay on resume, block-log recovery), the immutable
 # transaction type (signing, moves, the parts constructor and every tx
 # decoder), and the compute kernels, masking and coalition engine with
-# their reused scratch buffers, and SHA-256 (whose SHA-NI path loads 16
-# bytes at a time straight from callers' buffers), with
-# -DBCFL_SANITIZE=address in their own build dir (<build-dir>-asan), so a
-# dangling journal entry, a use-after-rollback, a use-after-move or a
-# scratch overrun fails CI.
+# their reused scratch buffers, SHA-256 (whose SHA-NI path loads 16
+# bytes at a time straight from callers' buffers), and the byte codec
+# with its callers that decode whole checkpoints and setup params (whose
+# bulk vector and matrix paths copy straight out of and into callers'
+# buffers), with -DBCFL_SANITIZE=address in their own build dir
+# (<build-dir>-asan), so a dangling journal entry, a use-after-rollback,
+# a use-after-move or a scratch or codec overrun fails CI.
 # An UndefinedBehaviorSanitizer stage then rebuilds everything with
 # -DBCFL_SANITIZE=undefined in <build-dir>-ubsan and runs the whole ctest
 # suite with UBSAN_OPTIONS=halt_on_error=1, so any undefined behaviour
@@ -62,15 +64,18 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # AddressSanitizer stage: in-place execution means every trial execution
 # writes the live state and undoes it from the journal; ASan checks those
 # paths, the transaction type's moves and decoders, the kernels'
-# and masking's reused scratch buffers, and SHA-256's whole-block reads
-# from callers' buffers, for use-after-free and out-of-bounds access.
+# and masking's reused scratch buffers, SHA-256's whole-block reads from
+# callers' buffers, and the byte codec's whole-array copies (test_bytes,
+# test_matrix, and the checkpoint and setup-params decoders), for
+# use-after-free and out-of-bounds access.
 ASAN_DIR="${BUILD_DIR}-asan"
 ASAN_SUITES=(test_state_contract test_consensus test_adversary test_byzantine
              test_resume test_block_log test_transaction_block test_merkle
              test_sig_cache test_serialization_fuzz test_blockchain
              test_fl_contract test_slash_contract test_kernels test_matrix
              test_logreg test_secureagg test_edge_cases test_native_sv
-             test_coalition_engine test_round_engine test_sha256)
+             test_coalition_engine test_round_engine test_sha256 test_bytes
+             test_checkpoint test_params)
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBCFL_SANITIZE=address \

@@ -27,6 +27,13 @@ Result<Bytes> FromHex(std::string_view hex);
 /// All on-chain payloads (transactions, model updates, contract state) are
 /// serialized through this writer so that hashing and re-execution are
 /// byte-deterministic across miners.
+///
+/// Bulk path: on a little-endian host a scalar is appended in one copy,
+/// and a u64/double array (`WriteU64Vector`, `WriteDoubleVector`,
+/// `WriteDoubles`, hence `ml::Matrix::Serialize`) is appended whole in
+/// one copy after its prefix, since its in-memory bytes are already the
+/// wire bytes. Big-endian hosts write byte by byte; both produce the
+/// same bytes.
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -46,6 +53,9 @@ class ByteWriter {
   void WriteDoubleVector(const std::vector<double>& v);
   /// Length-prefixed (u32) vector of u64.
   void WriteU64Vector(const std::vector<uint64_t>& v);
+  /// `count` doubles with no length prefix (for a caller that frames
+  /// them itself, as `ml::Matrix` does with its shape).
+  void WriteDoubles(const double* data, size_t count);
   /// Raw bytes with no length prefix (for fixed-width fields).
   void WriteRaw(const uint8_t* data, size_t size);
 
@@ -54,6 +64,9 @@ class ByteWriter {
   size_t size() const { return buffer_.size(); }
 
  private:
+  /// Appends `count` 8-byte words (u64 or double storage) little-endian.
+  void WriteWords(const void* words, size_t count);
+
   Bytes buffer_;
 };
 
@@ -62,6 +75,13 @@ class ByteWriter {
 /// Every read is bounds-checked and returns `Status`/`Result`; corrupt or
 /// truncated payloads surface as `Corruption` instead of undefined
 /// behaviour.
+///
+/// Bulk path: on a little-endian host a scalar is one copy, and a
+/// u64/double array (`ReadU64Vector`, `ReadDoubleVector`, `ReadDoubles`,
+/// hence `ml::Matrix::Deserialize`) is bounds-checked once for the whole
+/// array, before anything is allocated for it, then copied into its
+/// destination in one `memcpy`. Big-endian hosts assemble each element
+/// byte by byte; both decode the same values and fail the same way.
 class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
@@ -78,6 +98,10 @@ class ByteReader {
   Result<std::string> ReadString();
   Result<std::vector<double>> ReadDoubleVector();
   Result<std::vector<uint64_t>> ReadU64Vector();
+  /// Reads `count` doubles with no length prefix into `out[0..count)`.
+  /// Fails with `Corruption`, writing nothing, when fewer than
+  /// `8 * count` bytes remain.
+  Status ReadDoubles(double* out, size_t count);
   /// Reads exactly `size` raw bytes (no prefix).
   Result<Bytes> ReadRaw(size_t size);
 
@@ -89,6 +113,9 @@ class ByteReader {
 
  private:
   Status CheckAvailable(size_t n) const;
+  /// Copies `count` 8-byte words into `out` (u64 or double storage).
+  /// The caller has checked that `8 * count` bytes remain.
+  void ReadWords(void* out, size_t count);
 
   const uint8_t* data_;
   size_t size_;

@@ -135,7 +135,8 @@ Result<std::unique_ptr<BcflCoordinator>> BcflCoordinator::Create(
   BCFL_RETURN_IF_ERROR(params.Validate());
   coord->params_ = params;
 
-  // --- The session's one pool: owner fan-out and proposal validation. --
+  // --- The session's one pool: owner fan-out, proposal validation and
+  // the FlContract's coalition scoring. ------------------------------
   const size_t threads = config.pool_threads != 0
                              ? config.pool_threads
                              : ThreadPool::DefaultThreads();
@@ -143,7 +144,8 @@ Result<std::unique_ptr<BcflCoordinator>> BcflCoordinator::Create(
 
   // --- Chain: contract host, consensus engine, setup transaction. ------
   coord->host_ = std::make_shared<chain::ContractHost>(coord->schnorr_);
-  auto fl_contract = std::make_shared<FlContract>(coord->test_set_);
+  auto fl_contract =
+      std::make_shared<FlContract>(coord->test_set_, coord->pool_.get());
   BCFL_RETURN_IF_ERROR(coord->host_->Register(fl_contract));
   BCFL_RETURN_IF_ERROR(
       coord->host_->Register(std::make_shared<RewardContract>()));

@@ -272,10 +272,11 @@ class BcflCoordinator {
   std::vector<std::unique_ptr<secureagg::SecureAggParticipant>> participants_;
   std::vector<crypto::SchnorrKeyPair> schnorr_keys_;
   crypto::Schnorr schnorr_;
-  std::shared_ptr<chain::ContractHost> host_;
-  /// The session's pool, shared by the consensus engine and the round
-  /// engine; declared before both so it outlives them.
+  /// The session's pool, shared by the contract host's FlContract, the
+  /// consensus engine and the round engine; declared before all three so
+  /// it outlives them.
   std::unique_ptr<ThreadPool> pool_;
+  std::shared_ptr<chain::ContractHost> host_;
   std::unique_ptr<chain::ConsensusEngine> engine_;
   std::unique_ptr<Xoshiro256> rng_;
   SetupParams params_;

@@ -19,8 +19,9 @@ secureagg::SecureAggregator RosterAggregator(const SetupParams& params) {
                                      std::move(roster));
 }
 
-FlContract::FlContract(ml::Dataset validation_set)
+FlContract::FlContract(ml::Dataset validation_set, ThreadPool* pool)
     : validation_set_(std::move(validation_set)),
+      pool_(pool),
       utility_(std::make_unique<shapley::CachingUtility>(
           std::make_unique<shapley::TestAccuracyUtility>(validation_set_))) {}
 
@@ -391,7 +392,7 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
   // SVs, per-user assignment. Dropped owners appear in no group and
   // score zero for the round.
   shapley::GroupShapley evaluator(
-      n, {params.num_groups, params.seed_e}, utility_.get());
+      n, {params.num_groups, params.seed_e, pool_}, utility_.get());
   BCFL_ASSIGN_OR_RETURN(shapley::GroupShapleyRound result,
                         evaluator.EvaluateRoundFromGroupModels(
                             surviving_groups, std::move(group_models)));

@@ -10,6 +10,10 @@
 #include "secureagg/aggregator.h"
 #include "shapley/utility.h"
 
+namespace bcfl {
+class ThreadPool;
+}  // namespace bcfl
+
 namespace bcfl::core {
 
 /// The setup roster as a secure aggregator: the default DH group and the
@@ -50,8 +54,12 @@ secureagg::SecureAggregator RosterAggregator(const SetupParams& params);
 /// every miner (a `TestAccuracyUtility` over the agreed test split).
 class FlContract : public chain::SmartContract {
  public:
-  /// `validation_set`: the public test split agreed at setup.
-  explicit FlContract(ml::Dataset validation_set);
+  /// `validation_set`: the public test split agreed at setup. `pool`
+  /// (not owned, may be null) scores a round's 2^m coalitions; it must
+  /// outlive the contract. An execution that already runs on a worker
+  /// of a pool scores inline on that worker, and the scores are
+  /// bit-identical for every pool size and for none.
+  explicit FlContract(ml::Dataset validation_set, ThreadPool* pool = nullptr);
 
   std::string name() const override { return "bcfl"; }
 
@@ -92,6 +100,7 @@ class FlContract : public chain::SmartContract {
                        chain::ContractState* state);
 
   ml::Dataset validation_set_;
+  ThreadPool* pool_;
   /// Shared memoizing utility (pure function of the weights, so sharing
   /// one instance across miner replicas cannot break determinism).
   std::unique_ptr<shapley::CachingUtility> utility_;

@@ -82,7 +82,7 @@ bool Matrix::operator==(const Matrix& other) const {
 void Matrix::Serialize(ByteWriter* writer) const {
   writer->WriteU32(static_cast<uint32_t>(rows_));
   writer->WriteU32(static_cast<uint32_t>(cols_));
-  for (double v : data_) writer->WriteDouble(v);
+  writer->WriteDoubles(data_.data(), data_.size());
 }
 
 Result<Matrix> Matrix::Deserialize(ByteReader* reader) {
@@ -99,10 +99,7 @@ Result<Matrix> Matrix::Deserialize(ByteReader* reader) {
     return Status::Corruption("matrix shape exceeds payload");
   }
   Matrix m(rows, cols);
-  for (uint64_t i = 0; i < count; ++i) {
-    BCFL_ASSIGN_OR_RETURN(double v, reader->ReadDouble());
-    m.mutable_data()[i] = v;
-  }
+  BCFL_RETURN_IF_ERROR(reader->ReadDoubles(m.data_.data(), m.data_.size()));
   return m;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "chain/contract_host.h"
+#include "common/thread_pool.h"
 #include "secureagg/fixed_point.h"
 #include "secureagg/participant.h"
 #include "shapley/group_sv.h"
@@ -28,16 +29,21 @@ ml::Dataset TinyValidationSet(uint64_t seed = 1) {
   return ml::Dataset(std::move(x), std::move(y), 3);
 }
 
-class FlContractFixture : public ::testing::Test {
- protected:
-  static constexpr uint32_t kOwners = 4;
-  static constexpr uint32_t kGroups = 2;
+/// A session of `owners` owners in `groups` groups: the owners' keys,
+/// the setup params and a host running a pool-less FlContract, plus
+/// builders for the session's signed transactions.
+class ContractSession {
+ public:
   static constexpr uint32_t kRows = 5;   // 4 features + bias.
   static constexpr uint32_t kCols = 3;
 
-  FlContractFixture() : rng_(11), validation_(TinyValidationSet()) {
+  ContractSession(uint32_t owners, uint32_t groups)
+      : owners_(owners),
+        groups_(groups),
+        rng_(11),
+        validation_(TinyValidationSet()) {
     crypto::DiffieHellman dh;
-    for (uint32_t i = 0; i < kOwners; ++i) {
+    for (uint32_t i = 0; i < owners_; ++i) {
       schnorr_keys_.push_back(schnorr_.GenerateKeyPair(&rng_));
       participants_.push_back(
           std::make_unique<secureagg::SecureAggParticipant>(
@@ -50,14 +56,14 @@ class FlContractFixture : public ::testing::Test {
         }
       }
     }
-    params_.num_owners = kOwners;
+    params_.num_owners = owners_;
     params_.rounds = 3;
-    params_.num_groups = kGroups;
+    params_.num_groups = groups_;
     params_.seed_e = 5;
     params_.fixed_point_bits = 24;
     params_.weight_rows = kRows;
     params_.weight_cols = kCols;
-    for (uint32_t i = 0; i < kOwners; ++i) {
+    for (uint32_t i = 0; i < owners_; ++i) {
       params_.schnorr_public_keys.push_back(schnorr_keys_[i].public_key);
       params_.dh_public_keys.push_back(participants_[i]->public_key());
     }
@@ -101,19 +107,21 @@ class FlContractFixture : public ::testing::Test {
   }
 
   std::vector<std::vector<size_t>> CurrentGroups(uint64_t round) const {
-    auto perm = shapley::PermutationFromSeed(params_.seed_e, round, kOwners);
-    return *shapley::GroupUsers(perm, kGroups);
+    auto perm = shapley::PermutationFromSeed(params_.seed_e, round, owners_);
+    return *shapley::GroupUsers(perm, groups_);
   }
 
   std::vector<ml::Matrix> RandomLocals(uint64_t seed) {
     Xoshiro256 rng(seed);
     std::vector<ml::Matrix> locals;
-    for (uint32_t i = 0; i < kOwners; ++i) {
+    for (uint32_t i = 0; i < owners_; ++i) {
       locals.push_back(ml::Matrix::Gaussian(kRows, kCols, 0.5, &rng));
     }
     return locals;
   }
 
+  uint32_t owners_;
+  uint32_t groups_;
   crypto::Schnorr schnorr_;
   Xoshiro256 rng_;
   ml::Dataset validation_;
@@ -121,6 +129,14 @@ class FlContractFixture : public ::testing::Test {
   std::vector<std::unique_ptr<secureagg::SecureAggParticipant>> participants_;
   SetupParams params_;
   std::unique_ptr<chain::ContractHost> host_;
+};
+
+class FlContractFixture : public ::testing::Test, public ContractSession {
+ protected:
+  static constexpr uint32_t kOwners = 4;
+  static constexpr uint32_t kGroups = 2;
+
+  FlContractFixture() : ContractSession(kOwners, kGroups) {}
 };
 
 TEST_F(FlContractFixture, SetupStoresParamsOnce) {
@@ -377,6 +393,45 @@ TEST_F(FlContractFixture, RecoveryFromNonOwnerRejected) {
   auto receipt = host_->ExecuteTransaction(recover, &state);
   ASSERT_TRUE(receipt.ok());
   EXPECT_FALSE(receipt->success);
+}
+
+// The session pool scores a round's 2^m coalitions; it must move no bit
+// of what the round writes. At m = 9 the 512 coalitions spread over
+// every worker.
+TEST(FlContractPoolTest, PooledCoalitionScoringMatchesSerial) {
+  constexpr uint32_t kOwners = 9;
+  ThreadPool pool(4);
+  for (uint32_t groups : {3u, 9u}) {
+    ContractSession session(kOwners, groups);
+    std::vector<chain::Transaction> txs = {session.SetupTx()};
+    auto locals = session.RandomLocals(17);
+    for (uint32_t i = 0; i < kOwners; ++i) {
+      txs.push_back(session.SubmitTx(i, 0, locals[i]));
+    }
+    chain::ContractHost serial_host(session.schnorr_);
+    chain::ContractHost pooled_host(session.schnorr_);
+    ASSERT_TRUE(serial_host
+                    .Register(std::make_shared<FlContract>(session.validation_))
+                    .ok());
+    ASSERT_TRUE(pooled_host
+                    .Register(std::make_shared<FlContract>(
+                        session.validation_, &pool))
+                    .ok());
+    chain::ContractState serial, pooled;
+    ASSERT_TRUE(serial_host.ExecuteBlock(txs, &serial).ok());
+    ASSERT_TRUE(pooled_host.ExecuteBlock(txs, &pooled).ok());
+    ASSERT_TRUE(serial.Has(keys::RoundComplete(0))) << "m = " << groups;
+    ASSERT_TRUE(pooled.Has(keys::RoundComplete(0))) << "m = " << groups;
+    EXPECT_EQ(serial.StateRoot(), pooled.StateRoot()) << "m = " << groups;
+    for (uint32_t i = 0; i < kOwners; ++i) {
+      auto serial_sv = GetDouble(serial, keys::RoundSv(0, i));
+      auto pooled_sv = GetDouble(pooled, keys::RoundSv(0, i));
+      ASSERT_TRUE(serial_sv.ok());
+      ASSERT_TRUE(pooled_sv.ok());
+      EXPECT_EQ(std::memcmp(&*serial_sv, &*pooled_sv, sizeof(double)), 0)
+          << "m = " << groups << ", owner " << i;
+    }
+  }
 }
 
 TEST_F(FlContractFixture, ReExecutionIsDeterministic) {

@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace bcfl::ml {
 namespace {
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
 
 TEST(MatrixTest, ConstructionAndShape) {
   Matrix m(3, 4);
@@ -100,6 +107,70 @@ TEST(MatrixTest, SerializeRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, m);
   EXPECT_TRUE(reader.exhausted());
+}
+
+// Wire bytes pinned before the codec moved whole matrices at once.
+TEST(MatrixTest, SerializeBytesArePinned) {
+  Matrix m(2, 3);
+  m.mutable_data() = {0.5, -1.0, 2.0, 0.25, -0.0, 1024.0};
+  ByteWriter writer;
+  m.Serialize(&writer);
+  EXPECT_EQ(ToHex(writer.buffer()),
+            "02000000" "03000000"
+            "000000000000e03f" "000000000000f0bf" "0000000000000040"
+            "000000000000d03f" "0000000000000080" "0000000000009040");
+}
+
+// Shapes 1 x n for n in 0..1024 at an odd offset inside a larger
+// buffer, against the byte-at-a-time format.
+TEST(MatrixTest, BulkSerializeMatchesBytewiseCodecAtOddOffsets) {
+  Xoshiro256 rng(29);
+  for (size_t n = 0; n <= 1024; ++n) {
+    Matrix m(1, n);
+    for (double& v : m.mutable_data()) {
+      const uint64_t bits = rng.Next();
+      std::memcpy(&v, &bits, sizeof(v));
+    }
+    ByteWriter writer;
+    writer.WriteU8(0xa5);
+    m.Serialize(&writer);
+    writer.WriteU8(0x5a);
+
+    Bytes expected = {0xa5, 1, 0, 0, 0};
+    for (int i = 0; i < 4; ++i) {
+      expected.push_back(static_cast<uint8_t>(n >> (8 * i)));
+    }
+    for (double v : m.data()) {
+      for (int i = 0; i < 8; ++i) {
+        expected.push_back(static_cast<uint8_t>(Bits(v) >> (8 * i)));
+      }
+    }
+    expected.push_back(0x5a);
+    ASSERT_EQ(writer.buffer(), expected) << "n = " << n;
+
+    ByteReader reader(expected.data() + 1, expected.size() - 2);
+    auto back = Matrix::Deserialize(&reader);
+    ASSERT_TRUE(back.ok()) << "n = " << n;
+    ASSERT_EQ(back->rows(), 1u);
+    ASSERT_EQ(back->cols(), n);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(Bits(back->data()[i]), Bits(m.data()[i]))
+          << "n = " << n << ", i = " << i;
+    }
+    EXPECT_TRUE(reader.exhausted()) << "n = " << n;
+  }
+}
+
+TEST(MatrixTest, EveryTruncatedMatrixIsCorruption) {
+  Xoshiro256 rng(31);
+  Matrix m = Matrix::Gaussian(3, 4, 1.0, &rng);
+  ByteWriter writer;
+  m.Serialize(&writer);
+  for (size_t len = 0; len < writer.size(); ++len) {
+    ByteReader reader(writer.buffer().data(), len);
+    EXPECT_TRUE(Matrix::Deserialize(&reader).status().IsCorruption())
+        << "len = " << len;
+  }
 }
 
 TEST(MatrixTest, DeserializeRejectsHugeShapes) {
