@@ -6,9 +6,10 @@
 // captured once before that loop was deleted. The fan-out engine must
 // reproduce them at every pool size, so a change that keeps pool-size
 // invariance but alters what lands on chain (submission or signing order,
-// a byzantine perturbation, the recovery path) still fails. Each vector
-// names the test and config it was captured on; a vector only applies to
-// exactly that config.
+// a byzantine perturbation, the recovery path) still fails. The fourth,
+// kBadShareRewardSession, was captured later from the fan-out engine to pin
+// the conviction, reward and claim records. Each vector names the test and
+// config it was captured on; a vector only applies to exactly that config.
 
 namespace bcfl::core::frozen {
 
@@ -52,5 +53,20 @@ inline constexpr char kByzantineSession[] =
     R"("2a8c0e32af95397f43b69b59520e92c7573121129b35e272bb7c7792f6b41e17",)"
     R"("accuracy_digest":)"
     R"("29a230ad271ab810bb6ceddda1a67a3391360a3ca2e616ef3c51074cc2616eb2"})";
+
+/// ByzantineTest.BadShareRewardSessionIsPoolSizeInvariant: ByzantineConfig()
+/// in test_byzantine.cc with reward_pool = 1'000'000 and "crash owner 1
+/// @1; bad-share owner 3 @1" — a bad-share conviction, a reward
+/// distribution with a burn, and the survivors' claims.
+inline constexpr char kBadShareRewardSession[] =
+    R"({"chain_tip_height":6,"chain_tip_hash":)"
+    R"("33b0dd53b7579d6994043d7d72a35d3a6d571f31ee5bcc25e3e81981bda759d4",)"
+    R"("blocks_committed":5,"transactions":23,"recover_transactions":1,)"
+    R"("submission_retries":0,"slash_transactions":1,"sv_digest":)"
+    R"("ca7bbb78ae82f75b5b212de88c046f939125bbf9a4412bb39e411953b0df5801",)"
+    R"("weights_digest":)"
+    R"("d425685c224fc307c8bc14782e93c5434d75ab3933b3af4293511677879ead83",)"
+    R"("accuracy_digest":)"
+    R"("8b952552019c69b71f78016dc09d89f23d9595c2e5e2aff3004fb481c91912eb"})";
 
 }  // namespace bcfl::core::frozen

@@ -183,6 +183,22 @@ TEST(ByzantineTest, MixedByzantinePlanIsPoolSizeInvariant) {
   EXPECT_EQ(pooled_summary.ToJson(), frozen::kByzantineSession);
 }
 
+TEST(ByzantineTest, BadShareRewardSessionIsPoolSizeInvariant) {
+  // A bad-share conviction during a recovery, then the reward phase:
+  // distribution burns the forger's allocation and the survivors claim.
+  // The chain tip pins every conviction, allocation and claim record.
+  BcflConfig config = ByzantineConfig();
+  config.reward_pool = 1'000'000;
+  const char* plan = "crash owner 1 @1; bad-share owner 3 @1";
+  for (size_t pool_threads : {size_t{1}, size_t{3}}) {
+    SessionSummary summary;
+    auto result = RunPlan(config, plan, pool_threads, &summary);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(summary.ToJson(), frozen::kBadShareRewardSession)
+        << "pool " << pool_threads;
+  }
+}
+
 TEST(ByzantineTest, PoisonWithoutNormBoundGoesUndetected) {
   // The gate is opt-in: with no agreed bound the poisoned round still
   // completes (and converges worse) — documenting why deployments set
