@@ -38,9 +38,11 @@
 # bytes at a time straight from callers' buffers), and the byte codec
 # with its callers that decode whole checkpoints and setup params (whose
 # bulk vector and matrix paths copy straight out of and into callers'
-# buffers), with -DBCFL_SANITIZE=address in their own build dir
-# (<build-dir>-asan), so a dangling journal entry, a use-after-rollback,
-# a use-after-move or a scratch or codec overrun fails CI.
+# buffers), the contract-state record helpers with the reward records,
+# and the verified share reveal of dropout recovery, with
+# -DBCFL_SANITIZE=address in their own build dir (<build-dir>-asan), so a
+# dangling journal entry, a use-after-rollback, a use-after-move or a
+# scratch or codec overrun fails CI.
 # An UndefinedBehaviorSanitizer stage then rebuilds everything with
 # -DBCFL_SANITIZE=undefined in <build-dir>-ubsan and runs the whole ctest
 # suite with UBSAN_OPTIONS=halt_on_error=1, so any undefined behaviour
@@ -67,7 +69,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # and masking's reused scratch buffers, SHA-256's whole-block reads from
 # callers' buffers, and the byte codec's whole-array copies (test_bytes,
 # test_matrix, and the checkpoint and setup-params decoders), for
-# use-after-free and out-of-bounds access.
+# use-after-free and out-of-bounds access. Every contract-state record is
+# written and read through core/state_keys (test_state_keys, and the
+# reward records in test_reward), and every share reveal goes through
+# ShamirSecretSharing::RevealVerified (test_dropout_recovery).
 ASAN_DIR="${BUILD_DIR}-asan"
 ASAN_SUITES=(test_state_contract test_consensus test_adversary test_byzantine
              test_resume test_block_log test_transaction_block test_merkle
@@ -75,7 +80,8 @@ ASAN_SUITES=(test_state_contract test_consensus test_adversary test_byzantine
              test_fl_contract test_slash_contract test_kernels test_matrix
              test_logreg test_secureagg test_edge_cases test_native_sv
              test_coalition_engine test_round_engine test_sha256 test_bytes
-             test_checkpoint test_params)
+             test_checkpoint test_params test_reward test_dropout_recovery
+             test_state_keys)
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBCFL_SANITIZE=address \

@@ -191,7 +191,7 @@ Result<CommitResult> ConsensusEngine::TryPropose(uint64_t height,
     static auto& view_changes = obs::MetricsRegistry::Global().GetCounter(
         "chain.consensus.view_changes");
     view_changes.Add();
-    network_.AdvanceClock(config_.view_change_timeout_us);
+    network_.AdvanceClock(kViewChangeTimeoutUs);
     injector_->RecordExecuted(
         injector_->current_round(),
         "view change past leader " + std::to_string(leader_id) +

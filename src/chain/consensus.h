@@ -15,14 +15,15 @@
 
 namespace bcfl::chain {
 
+/// Simulated time burned waiting for a crashed or unreachable leader
+/// before rotating to the next one in the schedule.
+inline constexpr uint64_t kViewChangeTimeoutUs = 50'000;
+
 /// Parameters of the consensus engine.
 struct ConsensusConfig {
   uint64_t leader_seed = 2021;
   size_t max_txs_per_block = 0;   ///< 0 = no cap.
   uint32_t max_retries = 8;       ///< Leader rotations before giving up.
-  /// Simulated time burned waiting for a crashed or unreachable leader
-  /// before rotating to the next one in the schedule.
-  uint64_t view_change_timeout_us = 50'000;
   net::NetworkConfig network;
 };
 

@@ -13,7 +13,7 @@ chain::MinerBehavior MakeSvInflationBehavior(uint32_t beneficiary_owner,
     double current = 0.0;
     auto existing = GetDouble(*state, key);
     if (existing.ok()) current = *existing;
-    (void)PutDouble(state, key, current + inflation);
+    PutDouble(state, key, current + inflation);
   };
   return behavior;
 }
@@ -23,7 +23,7 @@ chain::MinerBehavior MakeSvSuppressionBehavior(uint32_t victim_owner) {
   behavior.tamper_state = [victim_owner](chain::ContractState* state) {
     std::string key = keys::TotalSv(victim_owner);
     if (state->Has(key)) {
-      (void)PutDouble(state, key, 0.0);
+      PutDouble(state, key, 0.0);
     }
   };
   return behavior;
@@ -40,19 +40,11 @@ chain::MinerBehavior MakeBogusSlashBehavior(uint32_t victim_owner,
   chain::MinerBehavior behavior;
   behavior.tamper_state = [victim_owner, round](chain::ContractState* state) {
     // The records a real conviction would write — minus any evidence that
-    // re-verifies. The revealed "key" is zero bytes: honest re-execution
-    // never produces these entries, so the roots diverge.
-    const Bytes zero_key(32, 0);
-    state->Delete(keys::Update(round, victim_owner));
-    state->Put(keys::Dropped(round, victim_owner), zero_key);
-    ByteWriter retired;
-    retired.WriteU64(round);
-    retired.WriteRaw(zero_key.data(), zero_key.size());
-    state->Put(keys::Retired(victim_owner), retired.Take());
-    ByteWriter slashed;
-    slashed.WriteU64(round);
-    slashed.WriteU8(3);  // Claims a norm violation nobody can re-verify.
-    state->Put(keys::Slashed(victim_owner), slashed.Take());
+    // re-verifies. It claims a norm violation nobody can re-verify, with a
+    // zero "key": honest re-execution never produces these entries, so
+    // the roots diverge.
+    ConvictOwner(state, round, victim_owner, crypto::UInt256(),
+                 SlashKind::kNormViolation);
   };
   return behavior;
 }

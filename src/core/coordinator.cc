@@ -10,7 +10,6 @@
 #include "data/partition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "shapley/group_sv.h"
 
 namespace bcfl::core {
 
@@ -95,12 +94,9 @@ Result<std::unique_ptr<BcflCoordinator>> BcflCoordinator::Create(
   // Recovery material: each owner Shamir-shares its DH private key over
   // the roster, so a threshold of survivors can reveal a dropped owner's
   // key to the on-chain `recover` method (Bonawitz et al.).
-  coord->threshold_ = config.secure_agg_threshold != 0
-                          ? config.secure_agg_threshold
-                          : config.num_owners / 2 + 1;
-  if (coord->threshold_ > config.num_owners) {
-    return Status::InvalidArgument("recovery threshold exceeds owner count");
-  }
+  // ShareSecrets rejects a threshold above the roster.
+  coord->threshold_ = crypto::ResolveThreshold(config.secure_agg_threshold,
+                                               config.num_owners);
   coord->dh_shares_.reserve(config.num_owners);
   coord->dh_commitments_.reserve(config.num_owners);
   for (auto& p : coord->participants_) {
@@ -221,13 +217,14 @@ uint64_t BcflCoordinator::ConfigFingerprint() const {
   writer.WriteDouble(config_.local.l2_penalty);
   writer.WriteU64(config_.digits.num_instances);
   writer.WriteU64(config_.digits.seed);
-  writer.WriteU32(static_cast<uint32_t>(config_.digits.max_shift));
-  writer.WriteDouble(config_.digits.pixel_jitter);
-  writer.WriteDouble(config_.digits.stroke_dropout);
+  // Former knobs keep their place as constants: old checkpoints resume.
+  writer.WriteU32(static_cast<uint32_t>(data::kDigitsMaxShift));
+  writer.WriteDouble(data::kDigitsPixelJitter);
+  writer.WriteDouble(data::kDigitsStrokeDropout);
   writer.WriteU64(config_.consensus.leader_seed);
   writer.WriteU64(config_.consensus.max_txs_per_block);
   writer.WriteU32(config_.consensus.max_retries);
-  writer.WriteU64(config_.consensus.view_change_timeout_us);
+  writer.WriteU64(chain::kViewChangeTimeoutUs);
   writer.WriteU64(config_.consensus.network.min_latency_us);
   writer.WriteU64(config_.consensus.network.max_latency_us);
   writer.WriteDouble(config_.consensus.network.drop_probability);
@@ -236,9 +233,9 @@ uint64_t BcflCoordinator::ConfigFingerprint() const {
   writer.WriteString(config_.fault_plan.ToString());
   writer.WriteU64(config_.secure_agg_threshold);
   writer.WriteDouble(config_.update_norm_bound);
-  writer.WriteU64(config_.submit_deadline_us);
-  writer.WriteU64(config_.submit_backoff_us);
-  writer.WriteU32(config_.max_submit_attempts);
+  writer.WriteU64(kSubmitDeadlineUs);
+  writer.WriteU64(kSubmitBackoffUs);
+  writer.WriteU32(kMaxSubmitAttempts);
   const crypto::Digest digest = crypto::Sha256::Hash(writer.buffer());
   uint64_t fingerprint = 0;
   for (int i = 0; i < 8; ++i) {
@@ -433,13 +430,15 @@ Status BcflCoordinator::DisarmJournaledKills() {
   return Status::OK();
 }
 
-Result<uint32_t> BcflCoordinator::FindReporter(uint32_t excluding) const {
+Result<uint32_t> BcflCoordinator::FindReporter(
+    const std::set<uint32_t>& excluded) const {
   for (uint32_t j = 0; j < config_.num_owners; ++j) {
-    if (j == excluding || retired_.count(j) > 0) continue;
+    if (excluded.count(j) > 0 || retired_.count(j) > 0) continue;
     if (injector_ != nullptr && injector_->OwnerOffline(j)) continue;
     return j;
   }
-  return Status::FailedPrecondition("no online owner left to accuse");
+  return Status::FailedPrecondition(
+      "no online owner left to sign an accusation or a recovery");
 }
 
 Status BcflCoordinator::SubmitSlash(uint64_t round, uint32_t offender,
@@ -487,7 +486,7 @@ Status BcflCoordinator::SlashEquivocator(uint32_t owner, uint64_t round,
   const chain::Transaction second = chain::Transaction::Sign(
       std::move(twin), schnorr_, schnorr_keys_[owner], rng_.get());
 
-  BCFL_ASSIGN_OR_RETURN(uint32_t reporter, FindReporter(owner));
+  BCFL_ASSIGN_OR_RETURN(uint32_t reporter, FindReporter({owner}));
   const Bytes evidence = SlashContract::EncodeEquivocation(
       round, owner, participants_[owner]->private_key(), first, second);
   return SubmitSlash(round, owner, reporter, evidence, "equivocation",
@@ -503,9 +502,8 @@ Result<bool> BcflCoordinator::SubmitPreparedWithRetries(
   uint64_t extra = injector_ != nullptr ? injector_->OwnerExtraDelayUs(owner)
                                         : 0;
   if (extra > 0) network.AdvanceClock(extra);
-  uint64_t backoff = config_.submit_backoff_us;
-  for (uint32_t attempt = 0; attempt < config_.max_submit_attempts;
-       ++attempt) {
+  uint64_t backoff = kSubmitBackoffUs;
+  for (uint32_t attempt = 0; attempt < kMaxSubmitAttempts; ++attempt) {
     if (network.clock().NowMicros() > deadline_us) break;
     if (injector_ != nullptr && injector_->DropSubmissionAttempt(owner)) {
       retries_counter.Add();
@@ -538,16 +536,7 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
 
   // The lowest online survivor signs the recovery transactions (any
   // registered owner may; the reveal is collective, not one's secret).
-  uint32_t reporter = config_.num_owners;
-  for (uint32_t j = 0; j < config_.num_owners; ++j) {
-    if (missing.count(j) > 0 || retired_.count(j) > 0) continue;
-    if (injector_ != nullptr && injector_->OwnerOffline(j)) continue;
-    reporter = j;
-    break;
-  }
-  if (reporter == config_.num_owners) {
-    return Status::FailedPrecondition("no online owner left to report drops");
-  }
+  BCFL_ASSIGN_OR_RETURN(const uint32_t reporter, FindReporter(missing));
 
   // Reconstruct every missing owner's key from the shares of the
   // surviving holders — online, un-retired, not themselves missing.
@@ -557,7 +546,8 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
   // share that fails is skipped — the next surviving holder serves, so
   // the accepted holder sequence is exactly the one a run where the
   // forger had crashed would use — and the forger is accused below with
-  // the signed forged share as on-chain evidence.
+  // the signed forged share as on-chain evidence. Below the threshold the
+  // reveal fails closed: never a wrong key, only no key.
   BCFL_ASSIGN_OR_RETURN(
       const crypto::ShamirSecretSharing scheme,
       crypto::ShamirSecretSharing::Create(threshold_, config_.num_owners));
@@ -571,14 +561,10 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
   dh_keys.reserve(targets.size());
   for (uint32_t u : targets) {
     dropouts_detected.Add();
-    // Strictly fewer shares than the threshold means the recovery must
-    // fail closed — a wrong key can never be reconstructed, only no key.
-    std::vector<crypto::ShamirShare> shares;
+    std::vector<uint32_t> holders;
+    std::vector<crypto::ShamirShare> candidates;
     for (uint32_t holder = 0; holder < config_.num_owners; ++holder) {
-      if (holder == u || missing.count(holder) > 0 ||
-          retired_.count(holder) > 0) {
-        continue;
-      }
+      if (missing.count(holder) > 0 || retired_.count(holder) > 0) continue;
       if (injector_ != nullptr && injector_->OwnerOffline(holder)) continue;
       crypto::ShamirShare share = dh_shares_[u][holder];
       if (injector_ != nullptr && injector_->OwnerForgesShare(holder)) {
@@ -589,23 +575,19 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
           value = crypto::ShamirSecretSharing::FieldAdd(value, 1);
         }
       }
-      if (!dh_commitments_[u].empty() &&
-          !scheme.VerifyShare(share, dh_commitments_[u])) {
-        forgers.emplace(holder, BadShare{u, std::move(share)});
-        continue;
-      }
-      shares.push_back(std::move(share));
-      if (shares.size() == threshold_) break;
+      holders.push_back(holder);
+      candidates.push_back(std::move(share));
     }
-    if (shares.size() < threshold_) {
-      return Status::FailedPrecondition(
-          "only " + std::to_string(shares.size()) + " verifiable shares of " +
-          "owner " + std::to_string(u) + "'s key survive; threshold is " +
-          std::to_string(threshold_) + " — failing closed");
+    auto reveal = scheme.RevealVerified(candidates, dh_commitments_[u], 32);
+    if (!reveal.ok()) {
+      return reveal.status().WithContext("revealing owner " +
+                                         std::to_string(u) + "'s key");
     }
-    BCFL_ASSIGN_OR_RETURN(Bytes secret, scheme.Reconstruct(shares, 32));
+    for (size_t k : reveal->rejected) {
+      forgers.emplace(holders[k], BadShare{u, std::move(candidates[k])});
+    }
     BCFL_ASSIGN_OR_RETURN(crypto::UInt256 dh_key,
-                          crypto::UInt256::FromBytes(secret));
+                          crypto::UInt256::FromBytes(reveal->secret));
     dh_keys.push_back(dh_key);
   }
 
@@ -662,14 +644,11 @@ Status BcflCoordinator::AuditFlaggedGroups(uint64_t round,
   audits.Add();
   obs::ScopedSpan span(obs::Tracer::Global(), "norm_audit", "fl");
 
-  std::vector<size_t> perm = shapley::PermutationFromSeed(
-      config_.seed_e, round, config_.num_owners);
   BCFL_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> groups,
-                        shapley::GroupUsers(perm, config_.num_groups));
+                        params_.RoundGroups(round));
   for (const auto& key : flagged) {
-    // Key layout: "flagged/<round>/<group>".
-    const uint32_t group_index = static_cast<uint32_t>(
-        std::stoul(key.substr(key.rfind('/') + 1)));
+    BCFL_ASSIGN_OR_RETURN(const uint32_t group_index,
+                          keys::TrailingIndex(key));
     if (group_index >= groups.size()) {
       return Status::Internal("flag marker for unknown group");
     }
@@ -687,7 +666,7 @@ Status BcflCoordinator::AuditFlaggedGroups(uint64_t round,
               params_, round, suspect,
               participants_[suspect]->private_key(), state));
       if (norm <= config_.update_norm_bound) continue;
-      BCFL_ASSIGN_OR_RETURN(uint32_t reporter, FindReporter(suspect));
+      BCFL_ASSIGN_OR_RETURN(uint32_t reporter, FindReporter({suspect}));
       const Bytes evidence = SlashContract::EncodeNormViolation(
           round, suspect, participants_[suspect]->private_key());
       BCFL_RETURN_IF_ERROR(SubmitSlash(round, suspect, reporter, evidence,
@@ -756,17 +735,14 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     // Owners derive the round's grouping locally from the agreed seed.
     // Retired owners stay in the grouping (survivors keep masking against
     // them; the contract cancels those masks from the on-chain keys).
-    std::vector<size_t> perm =
-        shapley::PermutationFromSeed(config_.seed_e, round, n);
     BCFL_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> groups,
-                          shapley::GroupUsers(perm, config_.num_groups));
+                          params_.RoundGroups(round));
 
     // Local training + masked submissions with a per-round deadline.
     // Owners that are retired, offline, or miss the deadline after the
     // retry budget are collected for the recovery phase.
     const uint64_t deadline_us =
-        engine_->mutable_network().clock().NowMicros() +
-        config_.submit_deadline_us;
+        engine_->mutable_network().clock().NowMicros() + kSubmitDeadlineUs;
     std::set<uint32_t> missing;
     {
       // Fan the per-owner work (train, encode, mask, payload) across the
@@ -969,9 +945,11 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     const chain::ContractState& state = engine_->CanonicalState();
     result.rewards.resize(n);
     for (uint32_t i = 0; i < n; ++i) {
-      result.rewards[i] = ReadU64OrZero(state, RewardContract::ClaimedKey(i));
+      BCFL_ASSIGN_OR_RETURN(result.rewards[i],
+                            GetU64OrZero(state, keys::RewardClaimed(i)));
     }
-    result.reward_burned = ReadU64OrZero(state, RewardContract::BurnedKey());
+    BCFL_ASSIGN_OR_RETURN(result.reward_burned,
+                          GetU64OrZero(state, keys::RewardBurned()));
   }
   if (have_pending_final_record) {
     obs::AddPhaseDeltas(reward0, registry.Snapshot(),

@@ -25,6 +25,13 @@
 
 namespace bcfl::core {
 
+/// Submission policy on the simulated clock: an owner whose update has not
+/// landed by the round's deadline is dropped and recovered; lost attempts
+/// are retried with doubling backoff, at most kMaxSubmitAttempts times.
+inline constexpr uint64_t kSubmitDeadlineUs = 2'000'000;
+inline constexpr uint64_t kSubmitBackoffUs = 10'000;
+inline constexpr uint32_t kMaxSubmitAttempts = 5;
+
 /// End-to-end configuration of a BCFL session.
 struct BcflConfig {
   uint32_t num_owners = 9;
@@ -47,21 +54,14 @@ struct BcflConfig {
   /// the round driver. Empty = fault-free run (the default). Plans must
   /// pass `FaultPlan::Validate` for this roster and threshold.
   fault::FaultPlan fault_plan;
-  /// Shamir threshold for the owners' recovery shares;
-  /// 0 = floor(num_owners / 2) + 1.
+  /// Shamir threshold for the owners' recovery shares; 0 = a strict
+  /// majority (`crypto::ResolveThreshold`).
   size_t secure_agg_threshold = 0;
   /// L2 norm bound on decoded group aggregates, agreed at setup (PR 9).
   /// When positive, the contract's norm gate holds a round open whenever
   /// a group's decoded model exceeds the bound, and the coordinator's
   /// audit slashes the violating owner. 0 disables the gate.
   double update_norm_bound = 0.0;
-  /// Per-round submission deadline on the simulated clock; an owner whose
-  /// update has not landed by then is declared dropped and recovered.
-  uint64_t submit_deadline_us = 2'000'000;
-  /// Base of the exponential backoff between submission attempts.
-  uint64_t submit_backoff_us = 10'000;
-  /// Submission attempts before the coordinator gives an owner up.
-  uint32_t max_submit_attempts = 5;
   /// Worker threads of the session's pool. The round engine fans each
   /// round's train/mask/payload work across it and replays submissions
   /// in canonical owner order; the consensus engine runs each proposal's
@@ -145,8 +145,6 @@ class BcflCoordinator {
 
   /// The chaos injector driving this run (nullptr for fault-free runs).
   fault::FaultInjector* fault_injector() { return injector_.get(); }
-  /// Shamir threshold of the distributed recovery shares.
-  size_t recovery_threshold() const { return threshold_; }
   /// Worker threads of the session's pool.
   size_t pool_threads_in_use() const { return pool_->num_threads(); }
 
@@ -216,21 +214,20 @@ class BcflCoordinator {
                                          BcflRunResult* result);
 
   /// Drives the on-chain `recover` transaction for every owner in
-  /// `missing`: collects Shamir shares from online survivors (fails
-  /// closed below the threshold), reconstructs the DH private key and
-  /// submits the recovery. Successfully recovered owners are retired.
-  /// Every revealed share is Feldman-verified against the dealer's setup
-  /// commitment first; a share that fails is skipped (the next holder
-  /// serves) and its sender is slashed with the forged share + its reveal
-  /// signature as on-chain evidence (PR 9).
+  /// `missing`: reveals its DH private key from the online survivors'
+  /// shares with `ShamirSecretSharing::RevealVerified` (fails closed
+  /// below the threshold) and submits the recovery. Successfully
+  /// recovered owners are retired. A share that fails its Feldman check
+  /// is skipped (the next holder serves) and its sender is slashed with
+  /// the forged share + its reveal signature as on-chain evidence (PR 9).
   Status RecoverMissingOwners(uint64_t round,
                               const std::set<uint32_t>& missing,
                               BcflRunResult* result);
 
-  /// Lowest online, un-retired owner other than `excluding` — the party
-  /// that signs accusation transactions (any registered owner may; the
-  /// evidence, not the sender, carries the conviction).
-  Result<uint32_t> FindReporter(uint32_t excluding) const;
+  /// Lowest online, un-retired owner outside `excluded` — the party that
+  /// signs accusation and recovery transactions (any registered owner
+  /// may; the evidence or the revealed key, not the sender, carries it).
+  Result<uint32_t> FindReporter(const std::set<uint32_t>& excluded) const;
 
   /// Signs and submits one slash transaction, retires the offender
   /// locally and records the conviction in `result`.

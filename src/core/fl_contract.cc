@@ -1,7 +1,7 @@
 #include "core/fl_contract.h"
 
-#include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -89,12 +89,7 @@ Status FlContract::ExecuteSetup(const chain::Transaction& tx,
 
 Status FlContract::ExecuteSubmitUpdate(const chain::Transaction& tx,
                                        chain::ContractState* state) {
-  auto params_bytes = state->Get(keys::SetupParams());
-  if (!params_bytes.ok()) {
-    return Status::FailedPrecondition("setup has not run");
-  }
-  BCFL_ASSIGN_OR_RETURN(SetupParams params,
-                        SetupParams::Deserialize(*params_bytes));
+  BCFL_ASSIGN_OR_RETURN(SetupParams params, LoadSetupParams(*state));
 
   ByteReader reader(tx.payload());
   BCFL_ASSIGN_OR_RETURN(uint64_t round, reader.ReadU64());
@@ -104,12 +99,7 @@ Status FlContract::ExecuteSubmitUpdate(const chain::Transaction& tx,
     return Status::Corruption("trailing bytes in submit_update payload");
   }
 
-  if (owner >= params.num_owners) {
-    return Status::InvalidArgument("unknown owner id");
-  }
-  if (round >= params.rounds) {
-    return Status::InvalidArgument("round beyond the agreed horizon");
-  }
+  BCFL_RETURN_IF_ERROR(params.CheckSlot(round, owner));
   // Authentication: the tx must be signed with the owner's key published
   // at setup (the host already checked the signature itself).
   if (tx.sender() != params.schnorr_public_keys[owner]) {
@@ -136,18 +126,13 @@ Status FlContract::ExecuteSubmitUpdate(const chain::Transaction& tx,
     return Status::FailedPrecondition("owner " + std::to_string(owner) +
                                       " was retired by an earlier recovery");
   }
-  BCFL_RETURN_IF_ERROR(PutU64Vector(state, update_key, masked));
+  PutU64Vector(state, update_key, masked);
   return MaybeEvaluateRound(params, round, state);
 }
 
 Status FlContract::ExecuteRecover(const chain::Transaction& tx,
                                   chain::ContractState* state) {
-  auto params_bytes = state->Get(keys::SetupParams());
-  if (!params_bytes.ok()) {
-    return Status::FailedPrecondition("setup has not run");
-  }
-  BCFL_ASSIGN_OR_RETURN(SetupParams params,
-                        SetupParams::Deserialize(*params_bytes));
+  BCFL_ASSIGN_OR_RETURN(SetupParams params, LoadSetupParams(*state));
 
   ByteReader reader(tx.payload());
   BCFL_ASSIGN_OR_RETURN(uint64_t round, reader.ReadU64());
@@ -156,22 +141,10 @@ Status FlContract::ExecuteRecover(const chain::Transaction& tx,
   if (!reader.exhausted()) {
     return Status::Corruption("trailing bytes in recover payload");
   }
-  if (dropped >= params.num_owners) {
-    return Status::InvalidArgument("unknown owner id");
-  }
-  if (round >= params.rounds) {
-    return Status::InvalidArgument("round beyond the agreed horizon");
-  }
+  BCFL_RETURN_IF_ERROR(params.CheckSlot(round, dropped));
   // Any *registered* owner may submit the recovery (it is the product
   // of a threshold of share reveals, not one party's secret).
-  bool sender_registered = false;
-  for (const auto& key : params.schnorr_public_keys) {
-    if (tx.sender() == key) {
-      sender_registered = true;
-      break;
-    }
-  }
-  if (!sender_registered) {
+  if (!params.IsOwnerKey(tx.sender())) {
     return Status::PermissionDenied("recovery must come from an owner");
   }
   if (state->Has(keys::Update(round, dropped))) {
@@ -192,43 +165,13 @@ Status FlContract::ExecuteRecover(const chain::Transaction& tx,
                         crypto::UInt256::FromBytes(key_bytes));
   BCFL_RETURN_IF_ERROR(
       RosterAggregator(params).VerifyRevealedKey(dropped, private_key));
-  state->Put(keys::Dropped(round, dropped), key_bytes);
-  // Retirement record: (round, key). Later rounds read it to count the
-  // owner as permanently accounted for and to cancel the residual masks
-  // survivors still generate against it.
-  ByteWriter retired;
-  retired.WriteU64(round);
-  retired.WriteRaw(key_bytes.data(), key_bytes.size());
-  state->Put(keys::Retired(dropped), retired.Take());
+  RetireOwner(state, round, dropped, private_key);
   return MaybeEvaluateRound(params, round, state);
-}
-
-Result<std::map<uint32_t, crypto::UInt256>> FlContract::RetiredBefore(
-    const chain::ContractState& state, uint64_t round) {
-  std::map<uint32_t, crypto::UInt256> retired;
-  for (const auto& key : state.KeysWithPrefix(keys::RetiredPrefix())) {
-    uint32_t owner = static_cast<uint32_t>(
-        std::stoul(key.substr(key.rfind('/') + 1)));
-    BCFL_ASSIGN_OR_RETURN(Bytes record, state.Get(key));
-    ByteReader reader(record);
-    BCFL_ASSIGN_OR_RETURN(uint64_t retired_round, reader.ReadU64());
-    BCFL_ASSIGN_OR_RETURN(Bytes key_bytes, reader.ReadRaw(32));
-    if (retired_round >= round) continue;  // Counted by this round's drops.
-    BCFL_ASSIGN_OR_RETURN(crypto::UInt256 priv,
-                          crypto::UInt256::FromBytes(key_bytes));
-    retired[owner] = priv;
-  }
-  return retired;
 }
 
 Status FlContract::EvaluateIfComplete(uint64_t round,
                                       chain::ContractState* state) {
-  auto params_bytes = state->Get(keys::SetupParams());
-  if (!params_bytes.ok()) {
-    return Status::FailedPrecondition("setup has not run");
-  }
-  BCFL_ASSIGN_OR_RETURN(SetupParams params,
-                        SetupParams::Deserialize(*params_bytes));
+  BCFL_ASSIGN_OR_RETURN(SetupParams params, LoadSetupParams(*state));
   if (round >= params.rounds) {
     return Status::InvalidArgument("round beyond the agreed horizon");
   }
@@ -286,23 +229,18 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
   secureagg::UnmaskingInfo unmask;
   auto& dropped_keys = unmask.dropped_private_keys;
   for (const auto& key : state->KeysWithPrefix(keys::DroppedPrefix(round))) {
-    // Key layout: "dropped/<round>/<owner>".
-    uint32_t owner = static_cast<uint32_t>(
-        std::stoul(key.substr(key.rfind('/') + 1)));
+    BCFL_ASSIGN_OR_RETURN(uint32_t owner, keys::TrailingIndex(key));
     BCFL_ASSIGN_OR_RETURN(Bytes key_bytes, state->Get(key));
-    BCFL_ASSIGN_OR_RETURN(crypto::UInt256 priv,
+    BCFL_ASSIGN_OR_RETURN(dropped_keys[owner],
                           crypto::UInt256::FromBytes(key_bytes));
-    dropped_keys[owner] = priv;
   }
   BCFL_ASSIGN_OR_RETURN(auto retired_keys, RetiredBefore(*state, round));
   dropped_keys.insert(retired_keys.begin(), retired_keys.end());
 
   // Derive the deterministic grouping for this round (Algorithm 1,
   // lines 1-2) — identical on every miner.
-  std::vector<size_t> perm =
-      shapley::PermutationFromSeed(params.seed_e, round, n);
   BCFL_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> groups,
-                        shapley::GroupUsers(perm, params.num_groups));
+                        params.RoundGroups(round));
 
   // Line 3: within-group ring sums over the *survivors*, through the
   // library's aggregator: pairwise masks between survivors cancel, and
@@ -365,8 +303,7 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
       for (double v : group.model.data()) norm_sq += v * v;
       const double norm = std::sqrt(norm_sq);
       if (norm > params.update_norm_bound) {
-        BCFL_RETURN_IF_ERROR(
-            PutDouble(state, keys::Flagged(round, group.index), norm));
+        PutDouble(state, keys::Flagged(round, group.index), norm);
         any_flagged = true;
       }
     }
@@ -382,8 +319,7 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
   std::vector<ml::Matrix> group_models;
   group_models.reserve(pending.size());
   for (auto& group : pending) {
-    BCFL_RETURN_IF_ERROR(PutMatrix(
-        state, keys::GroupModel(round, group.index), group.model));
+    PutMatrix(state, keys::GroupModel(round, group.index), group.model);
     surviving_groups.push_back(std::move(group.survivors));
     group_models.push_back(std::move(group.model));
   }
@@ -398,17 +334,15 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
                             surviving_groups, std::move(group_models)));
 
   for (uint32_t i = 0; i < n; ++i) {
-    BCFL_RETURN_IF_ERROR(
-        PutDouble(state, keys::RoundSv(round, i), result.user_values[i]));
-    double total = 0.0;
-    auto prev = GetDouble(*state, keys::TotalSv(i));
-    if (prev.ok()) total = *prev;
-    BCFL_RETURN_IF_ERROR(
-        PutDouble(state, keys::TotalSv(i), total + result.user_values[i]));
+    PutDouble(state, keys::RoundSv(round, i), result.user_values[i]);
+    double total = 0.0;  // Absent before the owner's first evaluation.
+    if (state->Has(keys::TotalSv(i))) {
+      BCFL_ASSIGN_OR_RETURN(total, GetDouble(*state, keys::TotalSv(i)));
+    }
+    PutDouble(state, keys::TotalSv(i), total + result.user_values[i]);
   }
 
-  BCFL_RETURN_IF_ERROR(
-      PutMatrix(state, keys::GlobalModel(round), result.global_model));
+  PutMatrix(state, keys::GlobalModel(round), result.global_model);
   ByteWriter marker;
   marker.WriteU8(1);
   state->Put(keys::RoundComplete(round), marker.Take());

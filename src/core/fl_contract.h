@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "chain/contract.h"
@@ -87,10 +86,6 @@ class FlContract : public chain::SmartContract {
                              chain::ContractState* state);
   Status ExecuteRecover(const chain::Transaction& tx,
                         chain::ContractState* state);
-  /// Owners retired by recoveries in rounds before `round`, with their
-  /// on-chain revealed DH private keys.
-  static Result<std::map<uint32_t, crypto::UInt256>> RetiredBefore(
-      const chain::ContractState& state, uint64_t round);
   /// Evaluates the round once every owner has submitted, been recovered
   /// this round, or retired in an earlier one.
   Status MaybeEvaluateRound(const SetupParams& params, uint64_t round,

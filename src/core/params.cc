@@ -1,6 +1,33 @@
 #include "core/params.h"
 
+#include <algorithm>
+
+#include "shapley/group_sv.h"
+
 namespace bcfl::core {
+
+namespace {
+
+// A key roster: u32 count, then 32 bytes per key.
+void WriteKeys(ByteWriter* writer, const std::vector<crypto::UInt256>& keys) {
+  writer->WriteU32(static_cast<uint32_t>(keys.size()));
+  for (const auto& key : keys) writer->WriteRaw(key.ToBytes().data(), 32);
+}
+
+Result<std::vector<crypto::UInt256>> ReadKeys(ByteReader* reader) {
+  BCFL_ASSIGN_OR_RETURN(uint32_t count, reader->ReadU32());
+  if (static_cast<uint64_t>(count) * 32 > reader->remaining()) {
+    return Status::Corruption("key count exceeds payload");
+  }
+  std::vector<crypto::UInt256> keys(count);
+  for (auto& key : keys) {
+    BCFL_ASSIGN_OR_RETURN(Bytes raw, reader->ReadRaw(32));
+    BCFL_ASSIGN_OR_RETURN(key, crypto::UInt256::FromBytes(raw));
+  }
+  return keys;
+}
+
+}  // namespace
 
 Bytes SetupParams::Serialize() const {
   ByteWriter writer;
@@ -11,14 +38,8 @@ Bytes SetupParams::Serialize() const {
   writer.WriteU32(fixed_point_bits);
   writer.WriteU32(weight_rows);
   writer.WriteU32(weight_cols);
-  writer.WriteU32(static_cast<uint32_t>(schnorr_public_keys.size()));
-  for (const auto& key : schnorr_public_keys) {
-    writer.WriteRaw(key.ToBytes().data(), 32);
-  }
-  writer.WriteU32(static_cast<uint32_t>(dh_public_keys.size()));
-  for (const auto& key : dh_public_keys) {
-    writer.WriteRaw(key.ToBytes().data(), 32);
-  }
+  WriteKeys(&writer, schnorr_public_keys);
+  WriteKeys(&writer, dh_public_keys);
   writer.WriteU32(shamir_threshold);
   writer.WriteDouble(update_norm_bound);
   writer.WriteU32(static_cast<uint32_t>(vss_commitments.size()));
@@ -39,26 +60,8 @@ Result<SetupParams> SetupParams::Deserialize(const Bytes& bytes) {
   BCFL_ASSIGN_OR_RETURN(params.weight_rows, reader.ReadU32());
   BCFL_ASSIGN_OR_RETURN(params.weight_cols, reader.ReadU32());
 
-  BCFL_ASSIGN_OR_RETURN(uint32_t schnorr_count, reader.ReadU32());
-  if (static_cast<uint64_t>(schnorr_count) * 32 > reader.remaining()) {
-    return Status::Corruption("key count exceeds payload");
-  }
-  params.schnorr_public_keys.reserve(schnorr_count);
-  for (uint32_t i = 0; i < schnorr_count; ++i) {
-    BCFL_ASSIGN_OR_RETURN(Bytes raw, reader.ReadRaw(32));
-    BCFL_ASSIGN_OR_RETURN(crypto::UInt256 key, crypto::UInt256::FromBytes(raw));
-    params.schnorr_public_keys.push_back(key);
-  }
-  BCFL_ASSIGN_OR_RETURN(uint32_t dh_count, reader.ReadU32());
-  if (static_cast<uint64_t>(dh_count) * 32 > reader.remaining()) {
-    return Status::Corruption("key count exceeds payload");
-  }
-  params.dh_public_keys.reserve(dh_count);
-  for (uint32_t i = 0; i < dh_count; ++i) {
-    BCFL_ASSIGN_OR_RETURN(Bytes raw, reader.ReadRaw(32));
-    BCFL_ASSIGN_OR_RETURN(crypto::UInt256 key, crypto::UInt256::FromBytes(raw));
-    params.dh_public_keys.push_back(key);
-  }
+  BCFL_ASSIGN_OR_RETURN(params.schnorr_public_keys, ReadKeys(&reader));
+  BCFL_ASSIGN_OR_RETURN(params.dh_public_keys, ReadKeys(&reader));
   BCFL_ASSIGN_OR_RETURN(params.shamir_threshold, reader.ReadU32());
   BCFL_ASSIGN_OR_RETURN(params.update_norm_bound, reader.ReadDouble());
   BCFL_ASSIGN_OR_RETURN(uint32_t vss_count, reader.ReadU32());
@@ -109,6 +112,25 @@ Status SetupParams::Validate() const {
         "vss commitment roster size does not match num_owners");
   }
   return Status::OK();
+}
+
+Status SetupParams::CheckSlot(uint64_t round, uint32_t owner) const {
+  if (owner >= num_owners) return Status::InvalidArgument("unknown owner id");
+  if (round >= rounds) {
+    return Status::InvalidArgument("round beyond the agreed horizon");
+  }
+  return Status::OK();
+}
+
+bool SetupParams::IsOwnerKey(const crypto::UInt256& key) const {
+  return std::find(schnorr_public_keys.begin(), schnorr_public_keys.end(),
+                   key) != schnorr_public_keys.end();
+}
+
+Result<std::vector<std::vector<size_t>>> SetupParams::RoundGroups(
+    uint64_t round) const {
+  return shapley::GroupUsers(
+      shapley::PermutationFromSeed(seed_e, round, num_owners), num_groups);
 }
 
 }  // namespace bcfl::core

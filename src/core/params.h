@@ -23,9 +23,10 @@ struct SetupParams {
   uint32_t weight_rows = 65;   ///< Model shape: (features + 1).
   uint32_t weight_cols = 10;   ///< Classes.
 
-  /// Shamir recovery threshold the owners agreed on; 0 = floor(n/2) + 1.
-  /// Published so every miner can verify revealed shares against the VSS
-  /// commitments with the right polynomial degree.
+  /// Shamir recovery threshold the owners agreed on; 0 = a strict
+  /// majority (`crypto::ResolveThreshold`). Published so every miner can
+  /// verify revealed shares against the VSS commitments with the right
+  /// polynomial degree.
   uint32_t shamir_threshold = 0;
   /// L2 norm gate on decoded group aggregates (PR 9): a group model whose
   /// norm exceeds the bound is flagged instead of evaluated, pending an
@@ -46,6 +47,17 @@ struct SetupParams {
 
   /// Sanity checks (key counts match num_owners, m <= n, etc.).
   Status Validate() const;
+
+  // Rules every miner derives from the setup alone.
+
+  /// InvalidArgument unless `owner` is on the roster and `round` is
+  /// within the agreed horizon.
+  Status CheckSlot(uint64_t round, uint32_t owner) const;
+  /// True iff `key` is a registered owner's Schnorr public key.
+  bool IsOwnerKey(const crypto::UInt256& key) const;
+  /// The round's grouping (Algorithm 1, lines 1-2): the permutation from
+  /// `seed_e` and `round`, split into `num_groups` groups.
+  Result<std::vector<std::vector<size_t>>> RoundGroups(uint64_t round) const;
 };
 
 }  // namespace bcfl::core

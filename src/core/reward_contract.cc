@@ -3,42 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/params.h"
 #include "core/state_keys.h"
 
 namespace bcfl::core {
-
-namespace {
-
-void WriteU64(chain::ContractState* state, const std::string& key,
-              uint64_t value) {
-  ByteWriter writer;
-  writer.WriteU64(value);
-  state->Put(key, writer.Take());
-}
-
-}  // namespace
-
-uint64_t ReadU64OrZero(const chain::ContractState& state,
-                       const std::string& key) {
-  auto raw = state.Get(key);
-  if (!raw.ok()) return 0;
-  ByteReader reader(*raw);
-  auto value = reader.ReadU64();
-  return value.ok() ? *value : 0;
-}
-
-std::string RewardContract::AllocationKey(uint32_t owner) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08u", owner);
-  return std::string("reward/allocation/") + buf;
-}
-
-std::string RewardContract::ClaimedKey(uint32_t owner) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08u", owner);
-  return std::string("reward/claimed/") + buf;
-}
 
 Bytes RewardContract::EncodeFund(uint64_t amount) {
   ByteWriter writer;
@@ -62,7 +29,7 @@ Status RewardContract::Execute(const chain::Transaction& tx,
 
 Status RewardContract::ExecuteFund(const chain::Transaction& tx,
                                    chain::ContractState* state) {
-  if (state->Has(DistributedKey())) {
+  if (state->Has(keys::RewardDistributed())) {
     return Status::FailedPrecondition("pool already distributed");
   }
   ByteReader reader(tx.payload());
@@ -73,30 +40,27 @@ Status RewardContract::ExecuteFund(const chain::Transaction& tx,
   if (amount == 0) {
     return Status::InvalidArgument("cannot fund zero");
   }
-  uint64_t pool = ReadU64OrZero(*state, PoolKey());
+  BCFL_ASSIGN_OR_RETURN(uint64_t pool,
+                        GetU64OrZero(*state, keys::RewardPool()));
   if (pool + amount < pool) {
     return Status::OutOfRange("pool overflow");
   }
-  WriteU64(state, PoolKey(), pool + amount);
+  PutU64(state, keys::RewardPool(), pool + amount);
   return Status::OK();
 }
 
 Status RewardContract::ExecuteDistribute(chain::ContractState* state) {
-  if (state->Has(DistributedKey())) {
+  if (state->Has(keys::RewardDistributed())) {
     return Status::AlreadyExists("already distributed");
   }
-  auto params_bytes = state->Get(keys::SetupParams());
-  if (!params_bytes.ok()) {
-    return Status::FailedPrecondition("setup has not run");
-  }
-  BCFL_ASSIGN_OR_RETURN(SetupParams params,
-                        SetupParams::Deserialize(*params_bytes));
+  BCFL_ASSIGN_OR_RETURN(SetupParams params, LoadSetupParams(*state));
   // All agreed rounds must have completed.
   if (!state->Has(keys::RoundComplete(params.rounds - 1))) {
     return Status::FailedPrecondition(
         "training has not finished: final round incomplete");
   }
-  uint64_t pool = ReadU64OrZero(*state, PoolKey());
+  BCFL_ASSIGN_OR_RETURN(uint64_t pool,
+                        GetU64OrZero(*state, keys::RewardPool()));
   if (pool == 0) {
     return Status::FailedPrecondition("reward pool is empty");
   }
@@ -107,8 +71,9 @@ Status RewardContract::ExecuteDistribute(chain::ContractState* state) {
   std::vector<double> scores(params.num_owners, 0.0);
   double total = 0;
   for (uint32_t i = 0; i < params.num_owners; ++i) {
-    auto sv = GetDouble(*state, keys::TotalSv(i));
-    scores[i] = sv.ok() ? std::max(0.0, *sv) : 0.0;
+    if (!state->Has(keys::TotalSv(i))) continue;  // Never scored.
+    BCFL_ASSIGN_OR_RETURN(double sv, GetDouble(*state, keys::TotalSv(i)));
+    scores[i] = std::max(0.0, sv);
     total += scores[i];
   }
   std::vector<uint64_t> allocations(params.num_owners, 0);
@@ -149,19 +114,19 @@ Status RewardContract::ExecuteDistribute(chain::ContractState* state) {
     }
   }
   if (burned > 0) {
-    WriteU64(state, BurnedKey(), burned);
+    PutU64(state, keys::RewardBurned(), burned);
   }
 
   for (uint32_t i = 0; i < params.num_owners; ++i) {
-    WriteU64(state, AllocationKey(i), allocations[i]);
+    PutU64(state, keys::RewardAllocation(i), allocations[i]);
   }
-  WriteU64(state, DistributedKey(), 1);
+  PutU64(state, keys::RewardDistributed(), 1);
   return Status::OK();
 }
 
 Status RewardContract::ExecuteClaim(const chain::Transaction& tx,
                                     chain::ContractState* state) {
-  if (!state->Has(DistributedKey())) {
+  if (!state->Has(keys::RewardDistributed())) {
     return Status::FailedPrecondition("rewards not yet distributed");
   }
   ByteReader reader(tx.payload());
@@ -169,9 +134,7 @@ Status RewardContract::ExecuteClaim(const chain::Transaction& tx,
   if (!reader.exhausted()) {
     return Status::Corruption("trailing bytes in claim payload");
   }
-  BCFL_ASSIGN_OR_RETURN(Bytes params_bytes, state->Get(keys::SetupParams()));
-  BCFL_ASSIGN_OR_RETURN(SetupParams params,
-                        SetupParams::Deserialize(params_bytes));
+  BCFL_ASSIGN_OR_RETURN(SetupParams params, LoadSetupParams(*state));
   if (owner >= params.num_owners) {
     return Status::InvalidArgument("unknown owner id");
   }
@@ -180,11 +143,12 @@ Status RewardContract::ExecuteClaim(const chain::Transaction& tx,
         "claim signed with a key not registered for owner " +
         std::to_string(owner));
   }
-  if (state->Has(ClaimedKey(owner))) {
+  if (state->Has(keys::RewardClaimed(owner))) {
     return Status::AlreadyExists("already claimed");
   }
-  uint64_t allocation = ReadU64OrZero(*state, AllocationKey(owner));
-  WriteU64(state, ClaimedKey(owner), allocation);
+  BCFL_ASSIGN_OR_RETURN(uint64_t allocation,
+                        GetU64OrZero(*state, keys::RewardAllocation(owner)));
+  PutU64(state, keys::RewardClaimed(owner), allocation);
   return Status::OK();
 }
 

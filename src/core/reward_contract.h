@@ -31,9 +31,9 @@ namespace bcfl::core {
 /// misbehavior forfeits the pending reward without inflating anyone
 /// else's share (PR 9).
 ///
-/// State keys: "reward/pool", "reward/distributed",
-/// "reward/allocation/<owner>", "reward/claimed/<owner>",
-/// "reward/burned".
+/// State keys (core/state_keys.h): `keys::RewardPool`,
+/// `RewardDistributed`, `RewardAllocation`, `RewardClaimed` and
+/// `RewardBurned`, each holding a u64.
 class RewardContract : public chain::SmartContract {
  public:
   std::string name() const override { return "reward"; }
@@ -44,13 +44,6 @@ class RewardContract : public chain::SmartContract {
   static Bytes EncodeFund(uint64_t amount);
   static Bytes EncodeClaim(uint32_t owner);
 
-  // State-key helpers (shared with tests and read-back code).
-  static std::string PoolKey() { return "reward/pool"; }
-  static std::string DistributedKey() { return "reward/distributed"; }
-  static std::string AllocationKey(uint32_t owner);
-  static std::string ClaimedKey(uint32_t owner);
-  static std::string BurnedKey() { return "reward/burned"; }
-
  private:
   Status ExecuteFund(const chain::Transaction& tx,
                      chain::ContractState* state);
@@ -58,9 +51,5 @@ class RewardContract : public chain::SmartContract {
   Status ExecuteClaim(const chain::Transaction& tx,
                       chain::ContractState* state);
 };
-
-/// Reads a u64 counter stored at `key` (0 when absent).
-uint64_t ReadU64OrZero(const chain::ContractState& state,
-                       const std::string& key);
 
 }  // namespace bcfl::core

@@ -1,11 +1,10 @@
 #include "core/round_engine.h"
 
-#include <algorithm>
-
 #include "common/rng.h"
 #include "core/fl_contract.h"
 #include "obs/trace.h"
 #include "secureagg/fixed_point.h"
+#include "shapley/group_sv.h"
 
 namespace bcfl::core {
 
@@ -53,18 +52,8 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
     if (deps_.retired != nullptr && deps_.retired->count(i) > 0) continue;
     if (deps_.injector != nullptr && deps_.injector->OwnerOffline(i)) continue;
     OwnerRoundSlot& slot = scratch->slots[i];
-    for (const auto& group : groups) {
-      if (std::find(group.begin(), group.end(), i) != group.end()) {
-        for (size_t member : group) {
-          slot.group_members.push_back(
-              static_cast<secureagg::OwnerId>(member));
-        }
-        break;
-      }
-    }
-    if (slot.group_members.empty()) {
-      return Status::Internal("owner missing from grouping");
-    }
+    BCFL_ASSIGN_OR_RETURN(const size_t group, shapley::GroupOf(groups, i));
+    slot.group_members.assign(groups[group].begin(), groups[group].end());
     slot.active = true;
     active.push_back(i);
   }

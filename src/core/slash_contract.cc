@@ -1,6 +1,5 @@
 #include "core/slash_contract.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -23,11 +22,6 @@ Result<crypto::ShamirShare> ReadShare(ByteReader* reader) {
   BCFL_ASSIGN_OR_RETURN(share.x, reader->ReadU64());
   BCFL_ASSIGN_OR_RETURN(share.values, reader->ReadU64Vector());
   return share;
-}
-
-size_t EffectiveThreshold(const SetupParams& params) {
-  return params.shamir_threshold != 0 ? params.shamir_threshold
-                                      : params.num_owners / 2 + 1;
 }
 
 }  // namespace
@@ -94,12 +88,7 @@ Status SlashContract::Execute(const chain::Transaction& tx,
   if (tx.method() != "slash") {
     return Status::Unimplemented("unknown method: " + tx.method());
   }
-  auto params_bytes = state->Get(keys::SetupParams());
-  if (!params_bytes.ok()) {
-    return Status::FailedPrecondition("setup has not run");
-  }
-  BCFL_ASSIGN_OR_RETURN(SetupParams params,
-                        SetupParams::Deserialize(*params_bytes));
+  BCFL_ASSIGN_OR_RETURN(SetupParams params, LoadSetupParams(*state));
 
   ByteReader reader(tx.payload());
   BCFL_ASSIGN_OR_RETURN(uint64_t round, reader.ReadU64());
@@ -107,22 +96,10 @@ Status SlashContract::Execute(const chain::Transaction& tx,
   BCFL_ASSIGN_OR_RETURN(uint8_t kind_raw, reader.ReadU8());
   BCFL_ASSIGN_OR_RETURN(Bytes key_bytes, reader.ReadRaw(32));
 
-  if (offender >= params.num_owners) {
-    return Status::InvalidArgument("unknown offender id");
-  }
-  if (round >= params.rounds) {
-    return Status::InvalidArgument("round beyond the agreed horizon");
-  }
+  BCFL_RETURN_IF_ERROR(params.CheckSlot(round, offender));
   // Accusations come from registered owners (in this simulation, the
   // coordinator acting as the reporting watchdog).
-  bool sender_registered = false;
-  for (const auto& key : params.schnorr_public_keys) {
-    if (tx.sender() == key) {
-      sender_registered = true;
-      break;
-    }
-  }
-  if (!sender_registered) {
+  if (!params.IsOwnerKey(tx.sender())) {
     return Status::PermissionDenied("accusation must come from an owner");
   }
   if (state->Has(keys::Slashed(offender))) {
@@ -139,7 +116,8 @@ Status SlashContract::Execute(const chain::Transaction& tx,
   BCFL_RETURN_IF_ERROR(
       RosterAggregator(params).VerifyRevealedKey(offender, offender_key));
 
-  switch (static_cast<SlashKind>(kind_raw)) {
+  const auto kind = static_cast<SlashKind>(kind_raw);
+  switch (kind) {
     case SlashKind::kBadShare:
       BCFL_RETURN_IF_ERROR(VerifyBadShare(params, round, offender, &reader));
       break;
@@ -162,16 +140,7 @@ Status SlashContract::Execute(const chain::Transaction& tx,
   // residual-mask arithmetic and SV degradation run exactly as a crash
   // would produce), retire it permanently, and record the slash so the
   // reward distribution burns its allocation.
-  state->Delete(keys::Update(round, offender));
-  state->Put(keys::Dropped(round, offender), key_bytes);
-  ByteWriter retired;
-  retired.WriteU64(round);
-  retired.WriteRaw(key_bytes.data(), key_bytes.size());
-  state->Put(keys::Retired(offender), retired.Take());
-  ByteWriter slashed;
-  slashed.WriteU64(round);
-  slashed.WriteU8(kind_raw);
-  state->Put(keys::Slashed(offender), slashed.Take());
+  ConvictOwner(state, round, offender, offender_key, kind);
 
   // The conviction may have been the round's last missing accounting (or
   // removed the submission that kept a group flagged): re-check.
@@ -208,9 +177,11 @@ Status SlashContract::VerifyBadShare(const SetupParams& params, uint64_t round,
   BCFL_ASSIGN_OR_RETURN(
       crypto::VssCommitment commitment,
       crypto::VssCommitment::Deserialize(params.vss_commitments[dealer]));
-  BCFL_ASSIGN_OR_RETURN(crypto::ShamirSecretSharing scheme,
-                        crypto::ShamirSecretSharing::Create(
-                            EffectiveThreshold(params), params.num_owners));
+  BCFL_ASSIGN_OR_RETURN(
+      crypto::ShamirSecretSharing scheme,
+      crypto::ShamirSecretSharing::Create(
+          crypto::ResolveThreshold(params.shamir_threshold, params.num_owners),
+          params.num_owners));
   if (scheme.VerifyShare(share, commitment)) {
     return Status::PermissionDenied(
         "share verifies against the dealer's commitment; accusation is bogus");
@@ -262,22 +233,11 @@ Result<double> SlashContract::UnmaskedUpdateNorm(
 
   // Re-derive the owner's group and strip its pairwise masks with the
   // revealed key.
-  std::vector<size_t> perm =
-      shapley::PermutationFromSeed(params.seed_e, round, params.num_owners);
   BCFL_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> groups,
-                        shapley::GroupUsers(perm, params.num_groups));
-  const std::vector<size_t>* group = nullptr;
-  for (const auto& candidate : groups) {
-    if (std::find(candidate.begin(), candidate.end(), owner) !=
-        candidate.end()) {
-      group = &candidate;
-      break;
-    }
-  }
-  if (group == nullptr) {
-    return Status::Internal("owner not in any group");
-  }
-  const std::vector<secureagg::OwnerId> members(group->begin(), group->end());
+                        params.RoundGroups(round));
+  BCFL_ASSIGN_OR_RETURN(const size_t group, shapley::GroupOf(groups, owner));
+  const std::vector<secureagg::OwnerId> members(groups[group].begin(),
+                                                groups[group].end());
   BCFL_ASSIGN_OR_RETURN(
       std::vector<uint64_t> encoded,
       RosterAggregator(params).UnmaskOwner(round, owner, owner_key, members,

@@ -11,13 +11,6 @@
 
 namespace bcfl::core {
 
-/// Evidence category of a slash transaction (PR 9).
-enum class SlashKind : uint8_t {
-  kBadShare = 1,      ///< Forged Shamir share revealed during a recovery.
-  kEquivocation = 2,  ///< Two conflicting signed submissions for one round.
-  kNormViolation = 3, ///< Unmasked update exceeds the agreed norm bound.
-};
-
 /// The accusation → verification → slashing contract ("slash").
 ///
 /// Every slash transaction carries the *evidence* of the misbehavior, and
@@ -33,12 +26,14 @@ enum class SlashKind : uint8_t {
 /// the offender can only be cancelled from its key — reconstructed
 /// off-chain from the threshold of VSS-verified Shamir shares, exactly as
 /// the dropout path does. The contract checks g^x == pub_offender, then
-/// converts the offender into a dropout: its submitted update (if any) is
-/// deleted, a `dropped/` record carries the key into aggregation, the
-/// owner is permanently retired via the existing retirement path, and a
-/// `slashed/` record marks the conviction so the reward distribution burns
-/// the owner's allocation. The round then degrades gracefully over the
-/// honest survivors with SVs recomputed exactly as the dropout path does.
+/// converts the offender into a dropout with `ConvictOwner`
+/// (core/state_keys.h): its submitted update (if any) is deleted, a
+/// `dropped/` record carries the key into aggregation, the owner is
+/// permanently retired through the recovery path's `RetireOwner`, and a
+/// `slashed/` record marks the conviction (its `SlashKind`) so the reward
+/// distribution burns the owner's allocation. The round then degrades
+/// over the honest survivors with SVs recomputed exactly as the dropout
+/// path does.
 ///
 /// Kind-specific evidence:
 ///  - kBadShare: (dealer u32, share, offender's signature over the reveal

@@ -1,5 +1,6 @@
 #include "core/state_keys.h"
 
+#include <charconv>
 #include <cstdio>
 
 namespace bcfl::core {
@@ -21,10 +22,6 @@ std::string SetupParams() { return "setup/params"; }
 
 std::string Update(uint64_t round, uint32_t owner) {
   return "update/" + Pad(round) + "/" + Pad(owner);
-}
-
-std::string UpdatePrefix(uint64_t round) {
-  return "update/" + Pad(round) + "/";
 }
 
 std::string GroupModel(uint64_t round, uint32_t group) {
@@ -57,8 +54,6 @@ std::string RetiredPrefix() { return "retired/"; }
 
 std::string Slashed(uint32_t owner) { return "slashed/" + Pad(owner); }
 
-std::string SlashedPrefix() { return "slashed/"; }
-
 std::string Flagged(uint64_t round, uint32_t group) {
   return "flagged/" + Pad(round) + "/" + Pad(group);
 }
@@ -67,66 +62,147 @@ std::string FlaggedPrefix(uint64_t round) {
   return "flagged/" + Pad(round) + "/";
 }
 
+std::string RewardPool() { return "reward/pool"; }
+
+std::string RewardDistributed() { return "reward/distributed"; }
+
+std::string RewardAllocation(uint32_t owner) {
+  return "reward/allocation/" + Pad(owner);
+}
+
+std::string RewardClaimed(uint32_t owner) {
+  return "reward/claimed/" + Pad(owner);
+}
+
+std::string RewardBurned() { return "reward/burned"; }
+
+Result<uint32_t> TrailingIndex(const std::string& key) {
+  const size_t slash = key.rfind('/');
+  const char* first = key.data() + (slash == std::string::npos ? 0 : slash + 1);
+  const char* last = key.data() + key.size();
+  uint32_t index = 0;
+  const auto [end, ec] = std::from_chars(first, last, index);
+  if (first == last || ec != std::errc() || end != last) {
+    return Status::Corruption("no owner or group index at the end of key " +
+                              key);
+  }
+  return index;
+}
+
 }  // namespace keys
 
-Status PutDouble(chain::ContractState* state, const std::string& key,
-                 double value) {
+namespace {
+
+/// Decodes the value at `key` with `decode`, which must consume it all.
+template <typename T>
+Result<T> DecodeExact(const chain::ContractState& state,
+                      const std::string& key,
+                      Result<T> (*decode)(ByteReader*)) {
+  BCFL_ASSIGN_OR_RETURN(Bytes raw, state.Get(key));
+  ByteReader reader(raw);
+  Result<T> value = decode(&reader);
+  if (!value.ok()) return value.status().WithContext(key);
+  if (!reader.exhausted()) {
+    return Status::Corruption("trailing bytes in the value of " + key);
+  }
+  return value;
+}
+
+}  // namespace
+
+void PutDouble(chain::ContractState* state, const std::string& key,
+               double value) {
   ByteWriter writer;
   writer.WriteDouble(value);
   state->Put(key, writer.Take());
-  return Status::OK();
 }
 
 Result<double> GetDouble(const chain::ContractState& state,
                          const std::string& key) {
-  BCFL_ASSIGN_OR_RETURN(Bytes raw, state.Get(key));
-  ByteReader reader(raw);
-  return reader.ReadDouble();
+  return DecodeExact<double>(
+      state, key, [](ByteReader* reader) { return reader->ReadDouble(); });
 }
 
-Status PutMatrix(chain::ContractState* state, const std::string& key,
-                 const ml::Matrix& m) {
+void PutMatrix(chain::ContractState* state, const std::string& key,
+               const ml::Matrix& m) {
   ByteWriter writer;
   m.Serialize(&writer);
   state->Put(key, writer.Take());
-  return Status::OK();
 }
 
 Result<ml::Matrix> GetMatrix(const chain::ContractState& state,
                              const std::string& key) {
-  BCFL_ASSIGN_OR_RETURN(Bytes raw, state.Get(key));
-  ByteReader reader(raw);
-  return ml::Matrix::Deserialize(&reader);
+  return DecodeExact<ml::Matrix>(state, key, &ml::Matrix::Deserialize);
 }
 
-Status PutU64Vector(chain::ContractState* state, const std::string& key,
-                    const std::vector<uint64_t>& v) {
+void PutU64Vector(chain::ContractState* state, const std::string& key,
+                  const std::vector<uint64_t>& v) {
   ByteWriter writer;
   writer.WriteU64Vector(v);
   state->Put(key, writer.Take());
-  return Status::OK();
 }
 
 Result<std::vector<uint64_t>> GetU64Vector(const chain::ContractState& state,
                                            const std::string& key) {
-  BCFL_ASSIGN_OR_RETURN(Bytes raw, state.Get(key));
-  ByteReader reader(raw);
-  return reader.ReadU64Vector();
+  return DecodeExact<std::vector<uint64_t>>(
+      state, key, [](ByteReader* reader) { return reader->ReadU64Vector(); });
 }
 
-Status PutU64(chain::ContractState* state, const std::string& key,
-              uint64_t value) {
+void PutU64(chain::ContractState* state, const std::string& key,
+            uint64_t value) {
   ByteWriter writer;
   writer.WriteU64(value);
   state->Put(key, writer.Take());
-  return Status::OK();
 }
 
-Result<uint64_t> GetU64(const chain::ContractState& state,
-                        const std::string& key) {
-  BCFL_ASSIGN_OR_RETURN(Bytes raw, state.Get(key));
-  ByteReader reader(raw);
-  return reader.ReadU64();
+Result<uint64_t> GetU64OrZero(const chain::ContractState& state,
+                              const std::string& key) {
+  if (!state.Has(key)) return uint64_t{0};
+  return DecodeExact<uint64_t>(
+      state, key, [](ByteReader* reader) { return reader->ReadU64(); });
+}
+
+Result<SetupParams> LoadSetupParams(const chain::ContractState& state) {
+  auto raw = state.Get(keys::SetupParams());
+  if (!raw.ok()) return Status::FailedPrecondition("setup has not run");
+  return SetupParams::Deserialize(*raw);
+}
+
+void RetireOwner(chain::ContractState* state, uint64_t round, uint32_t owner,
+                 const crypto::UInt256& key) {
+  const Bytes key_bytes = key.ToBytes();
+  state->Put(keys::Dropped(round, owner), key_bytes);
+  ByteWriter retired;
+  retired.WriteU64(round);
+  retired.WriteRaw(key_bytes.data(), key_bytes.size());
+  state->Put(keys::Retired(owner), retired.Take());
+}
+
+void ConvictOwner(chain::ContractState* state, uint64_t round,
+                  uint32_t owner, const crypto::UInt256& key, SlashKind kind) {
+  state->Delete(keys::Update(round, owner));
+  RetireOwner(state, round, owner, key);
+  ByteWriter slashed;
+  slashed.WriteU64(round);
+  slashed.WriteU8(static_cast<uint8_t>(kind));
+  state->Put(keys::Slashed(owner), slashed.Take());
+}
+
+Result<std::map<uint32_t, crypto::UInt256>> RetiredBefore(
+    const chain::ContractState& state, uint64_t round) {
+  std::map<uint32_t, crypto::UInt256> retired;
+  for (const auto& key : state.KeysWithPrefix(keys::RetiredPrefix())) {
+    BCFL_ASSIGN_OR_RETURN(uint32_t owner, keys::TrailingIndex(key));
+    BCFL_ASSIGN_OR_RETURN(Bytes record, state.Get(key));
+    if (record.size() != 8 + 32) {
+      return Status::Corruption("retirement record " + key +
+                                " is not a round and a 32-byte key");
+    }
+    ByteReader reader(record);
+    if (*reader.ReadU64() >= round) continue;  // Counted by its round's drops.
+    retired[owner] = *crypto::UInt256::FromBytes(*reader.ReadRaw(32));
+  }
+  return retired;
 }
 
 }  // namespace bcfl::core

@@ -4,6 +4,10 @@
 
 namespace bcfl::crypto {
 
+size_t ResolveThreshold(size_t requested, size_t num_shares) {
+  return requested != 0 ? requested : num_shares / 2 + 1;
+}
+
 uint64_t ShamirSecretSharing::FieldAdd(uint64_t a, uint64_t b) {
   uint64_t s = a + b;  // < 2^62, no overflow.
   if (s >= kPrime) s -= kPrime;
@@ -281,6 +285,30 @@ Result<Bytes> ShamirSecretSharing::Reconstruct(
     chunks[c] = acc;
   }
   return Unpack(chunks, secret_size);
+}
+
+Result<ShamirSecretSharing::VerifiedReveal>
+ShamirSecretSharing::RevealVerified(const std::vector<ShamirShare>& candidates,
+                                    const VssCommitment& commitment,
+                                    size_t secret_size) const {
+  VerifiedReveal reveal;
+  std::vector<ShamirShare> accepted;
+  for (size_t k = 0; k < candidates.size() && accepted.size() < threshold_;
+       ++k) {
+    if (VerifyShare(candidates[k], commitment)) {
+      accepted.push_back(candidates[k]);
+    } else {
+      reveal.rejected.push_back(k);
+    }
+  }
+  if (accepted.size() < threshold_) {
+    return Status::FailedPrecondition(
+        "only " + std::to_string(accepted.size()) + " of " +
+        std::to_string(candidates.size()) + " shares verify; threshold is " +
+        std::to_string(threshold_) + " — failing closed");
+  }
+  BCFL_ASSIGN_OR_RETURN(reveal.secret, Reconstruct(accepted, secret_size));
+  return reveal;
 }
 
 }  // namespace bcfl::crypto

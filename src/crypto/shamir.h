@@ -38,6 +38,11 @@ struct VssCommitment {
   }
 };
 
+/// The recovery threshold among `num_shares` holders: `requested`, or a
+/// strict majority of the holders when `requested` is 0. The one place
+/// the protocol's default threshold is written.
+size_t ResolveThreshold(size_t requested, size_t num_shares);
+
 /// Shamir secret sharing over GF(p) with p = 2^61 - 1 (Mersenne prime).
 ///
 /// The secure-aggregation protocol (following Bonawitz et al., which the
@@ -102,6 +107,19 @@ class ShamirSecretSharing {
   /// original length (packing pads the final chunk).
   Result<Bytes> Reconstruct(const std::vector<ShamirShare>& shares,
                             size_t secret_size) const;
+
+  struct VerifiedReveal {
+    Bytes secret;
+    std::vector<size_t> rejected;  ///< Candidates that failed VerifyShare.
+  };
+  /// The verified share reveal: checks `candidates` in order against the
+  /// dealer's `commitment`, keeps the first threshold() shares that
+  /// verify and reconstructs the `secret_size`-byte secret from them.
+  /// Candidates after the threshold()-th valid share are not examined.
+  /// Fails closed (FailedPrecondition) below threshold() valid shares.
+  Result<VerifiedReveal> RevealVerified(
+      const std::vector<ShamirShare>& candidates,
+      const VssCommitment& commitment, size_t secret_size) const;
 
   // Field helpers, exposed for tests.
   static uint64_t FieldAdd(uint64_t a, uint64_t b);

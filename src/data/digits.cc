@@ -156,12 +156,12 @@ ml::Dataset DigitsGenerator::Generate() const {
     labels[i] = digit;
     const std::vector<double>& tpl = templates[static_cast<size_t>(digit)];
 
-    // Random translation within [-max_shift, max_shift] per axis.
-    int span = 2 * config_.max_shift + 1;
+    // Random translation within +-kDigitsMaxShift per axis.
+    int span = 2 * kDigitsMaxShift + 1;
     int dr = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(span))) -
-             config_.max_shift;
+             kDigitsMaxShift;
     int dc = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(span))) -
-             config_.max_shift;
+             kDigitsMaxShift;
 
     double* row = features.Row(i);
     for (size_t r = 0; r < kImageSize; ++r) {
@@ -175,10 +175,10 @@ ml::Dataset DigitsGenerator::Generate() const {
                   static_cast<size_t>(src_c)];
         }
         // Stroke dropout: weaken a pen pixel occasionally.
-        if (v > 0.0 && rng.NextDouble() < config_.stroke_dropout) {
+        if (v > 0.0 && rng.NextDouble() < kDigitsStrokeDropout) {
           v *= 0.5;
         }
-        v += rng.NextGaussian(0.0, config_.pixel_jitter);
+        v += rng.NextGaussian(0.0, kDigitsPixelJitter);
         row[r * kImageSize + c] = std::clamp(v, 0.0, kMaxIntensity);
       }
     }

@@ -7,6 +7,15 @@
 
 namespace bcfl::data {
 
+/// Per-sample random translation of a digit in pixels, in
+/// [-kDigitsMaxShift, kDigitsMaxShift].
+inline constexpr int kDigitsMaxShift = 1;
+/// Std-dev of per-pixel intensity jitter (before clamping to [0, 16]).
+inline constexpr double kDigitsPixelJitter = 1.5;
+/// Probability of dropping a pen stroke pixel to half intensity,
+/// simulating handwriting variability.
+inline constexpr double kDigitsStrokeDropout = 0.08;
+
 /// Configuration for the synthetic handwritten-digits generator.
 struct DigitsConfig {
   /// Total instances — matches the UCI Optical Recognition of Handwritten
@@ -14,13 +23,6 @@ struct DigitsConfig {
   size_t num_instances = 5620;
   /// RNG seed; the whole dataset is a pure function of this seed.
   uint64_t seed = 42;
-  /// Per-sample random translation in pixels ([-max_shift, max_shift]).
-  int max_shift = 1;
-  /// Std-dev of per-pixel intensity jitter (before clamping to [0, 16]).
-  double pixel_jitter = 1.5;
-  /// Probability of dropping a pen stroke pixel to half intensity,
-  /// simulating handwriting variability.
-  double stroke_dropout = 0.08;
 };
 
 /// Deterministic stand-in for the UCI digits dataset (substitution

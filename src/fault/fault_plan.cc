@@ -4,9 +4,22 @@
 #include <set>
 #include <sstream>
 
+#include "crypto/shamir.h"
+
 namespace bcfl::fault {
 
 namespace {
+
+// The random plan generator's envelope (see `Random`).
+constexpr double kOwnerCrashRate = 0.6;  // Share of the crash budget spent.
+constexpr double kMinerCrashRate = 0.6;
+constexpr double kPartitionRate = 0.35;  // One partition window.
+constexpr double kSlowRate = 0.3;        // Per node.
+constexpr double kDropSubmitRate = 0.25; // Per owner.
+constexpr double kDuplicateRate = 0.25;  // Per miner.
+constexpr double kReorderRate = 0.25;    // Per miner.
+constexpr uint64_t kMaxExtraDelayUs = 20'000;
+constexpr double kPoisonMagnitude = 50.0;
 
 const char* KindName(FaultKind kind) {
   switch (kind) {
@@ -269,7 +282,7 @@ FaultPlan FaultPlan::Random(uint64_t seed, const FaultPlanOptions& options) {
   const uint32_t m = options.num_miners;
   const uint32_t rounds = std::max<uint32_t>(options.rounds, 1);
   const size_t threshold =
-      options.shamir_threshold != 0 ? options.shamir_threshold : n / 2 + 1;
+      crypto::ResolveThreshold(options.shamir_threshold, n);
   auto random_round = [&]() -> uint64_t { return rng.NextBounded(rounds); };
   auto random_window = [&](FaultEvent* event) {
     event->round = random_round();
@@ -283,10 +296,9 @@ FaultPlan FaultPlan::Random(uint64_t seed, const FaultPlanOptions& options) {
   std::vector<uint32_t> owners(n);
   for (uint32_t i = 0; i < n; ++i) owners[i] = i;
   rng.Shuffle(&owners);
-  size_t owner_crashes = 0;
   std::vector<bool> slot_crashed(owner_budget, false);
   for (size_t i = 0; i < owner_budget; ++i) {
-    if (rng.NextDouble() >= options.owner_crash_rate) continue;
+    if (rng.NextDouble() >= kOwnerCrashRate) continue;
     FaultEvent crash;
     crash.kind = FaultKind::kCrash;
     crash.node_kind = NodeKind::kOwner;
@@ -294,7 +306,6 @@ FaultPlan FaultPlan::Random(uint64_t seed, const FaultPlanOptions& options) {
     crash.round = crash.end_round = random_round();
     plan.events.push_back(crash);
     slot_crashed[i] = true;
-    ++owner_crashes;
   }
 
   // Miner disruptions: crashes and at most one partition window share a
@@ -304,7 +315,7 @@ FaultPlan FaultPlan::Random(uint64_t seed, const FaultPlanOptions& options) {
   for (uint32_t i = 0; i < m; ++i) miners[i] = i;
   rng.Shuffle(&miners);
   size_t next_miner = 0;
-  if (miner_tokens > 0 && rng.NextDouble() < options.partition_rate) {
+  if (miner_tokens > 0 && rng.NextDouble() < kPartitionRate) {
     FaultEvent partition;
     partition.kind = FaultKind::kPartition;
     partition.node_kind = NodeKind::kMiner;
@@ -317,7 +328,7 @@ FaultPlan FaultPlan::Random(uint64_t seed, const FaultPlanOptions& options) {
     miner_tokens -= cell;
   }
   for (size_t t = 0; t < miner_tokens; ++t) {
-    if (rng.NextDouble() >= options.miner_crash_rate) continue;
+    if (rng.NextDouble() >= kMinerCrashRate) continue;
     FaultEvent crash;
     crash.kind = FaultKind::kCrash;
     crash.node_kind = NodeKind::kMiner;
@@ -338,16 +349,16 @@ FaultPlan FaultPlan::Random(uint64_t seed, const FaultPlanOptions& options) {
   // Liveness-neutral noise: slow nodes, lost submission attempts,
   // duplicated and reordered miner traffic.
   for (uint32_t i = 0; i < n; ++i) {
-    if (rng.NextDouble() < options.slow_rate) {
+    if (rng.NextDouble() < kSlowRate) {
       FaultEvent slow;
       slow.kind = FaultKind::kSlow;
       slow.node_kind = NodeKind::kOwner;
       slow.node = i;
       random_window(&slow);
-      slow.delay_us = 1 + rng.NextBounded(options.max_extra_delay_us);
+      slow.delay_us = 1 + rng.NextBounded(kMaxExtraDelayUs);
       plan.events.push_back(slow);
     }
-    if (rng.NextDouble() < options.drop_submit_rate) {
+    if (rng.NextDouble() < kDropSubmitRate) {
       FaultEvent drop;
       drop.kind = FaultKind::kDropSubmit;
       drop.node_kind = NodeKind::kOwner;
@@ -358,16 +369,16 @@ FaultPlan FaultPlan::Random(uint64_t seed, const FaultPlanOptions& options) {
     }
   }
   for (uint32_t i = 0; i < m; ++i) {
-    if (rng.NextDouble() < options.slow_rate) {
+    if (rng.NextDouble() < kSlowRate) {
       FaultEvent slow;
       slow.kind = FaultKind::kSlow;
       slow.node_kind = NodeKind::kMiner;
       slow.node = i;
       random_window(&slow);
-      slow.delay_us = 1 + rng.NextBounded(options.max_extra_delay_us);
+      slow.delay_us = 1 + rng.NextBounded(kMaxExtraDelayUs);
       plan.events.push_back(slow);
     }
-    if (rng.NextDouble() < options.duplicate_rate) {
+    if (rng.NextDouble() < kDuplicateRate) {
       FaultEvent dup;
       dup.kind = FaultKind::kDuplicate;
       dup.node_kind = NodeKind::kMiner;
@@ -375,7 +386,7 @@ FaultPlan FaultPlan::Random(uint64_t seed, const FaultPlanOptions& options) {
       random_window(&dup);
       plan.events.push_back(dup);
     }
-    if (rng.NextDouble() < options.reorder_rate) {
+    if (rng.NextDouble() < kReorderRate) {
       FaultEvent reorder;
       reorder.kind = FaultKind::kReorder;
       reorder.node_kind = NodeKind::kMiner;
@@ -408,21 +419,20 @@ FaultPlan FaultPlan::Random(uint64_t seed, const FaultPlanOptions& options) {
         case 1: evil.kind = FaultKind::kEquivocateSubmit; break;
         case 2:
           evil.kind = FaultKind::kPoisonUpdate;
-          evil.magnitude = options.poison_magnitude;
+          evil.magnitude = kPoisonMagnitude;
           break;
         default: evil.kind = FaultKind::kInconsistentMask; break;
       }
       plan.events.push_back(evil);
     }
   }
-  (void)owner_crashes;
   return plan;
 }
 
 Status FaultPlan::Validate(uint32_t num_owners, uint32_t num_miners,
                            size_t shamir_threshold) const {
   const size_t threshold =
-      shamir_threshold != 0 ? shamir_threshold : num_owners / 2 + 1;
+      crypto::ResolveThreshold(shamir_threshold, num_owners);
   uint64_t horizon = 0;
   std::set<uint32_t> unavailable_owners;
   for (const auto& event : events) {

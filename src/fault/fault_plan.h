@@ -64,23 +64,15 @@ struct FaultPlanOptions {
   uint32_t num_owners = 9;
   uint32_t num_miners = 5;
   uint32_t rounds = 10;
-  /// Shamir recovery threshold; 0 = floor(num_owners / 2) + 1.
+  /// Shamir recovery threshold; 0 = a strict majority
+  /// (`crypto::ResolveThreshold`).
   size_t shamir_threshold = 0;
-  double owner_crash_rate = 0.6;  ///< Fraction of the crash budget to spend.
-  double miner_crash_rate = 0.6;
-  double partition_rate = 0.35;   ///< Probability of one partition window.
-  double slow_rate = 0.3;         ///< Per-node probability of a slow window.
-  double drop_submit_rate = 0.25; ///< Per-owner probability of lost attempts.
-  double duplicate_rate = 0.25;   ///< Per-miner probability of duplication.
-  double reorder_rate = 0.25;     ///< Per-miner probability of reordering.
-  uint64_t max_extra_delay_us = 20'000;
   /// Byzantine envelope (PR 9). The rate defaults to 0 and the byzantine
   /// draws happen strictly *after* every crash/noise draw, so plans from
   /// pre-existing seeds replay bit-identically. Byzantine owners are
   /// slashed and permanently retired like crashed ones, so they spend the
   /// same owner budget: |crashed ∪ byzantine| <= num_owners - threshold.
-  double byzantine_rate = 0.0;    ///< Per-budget-slot misbehavior probability.
-  double poison_magnitude = 50.0; ///< Scale factor for poison-update draws.
+  double byzantine_rate = 0.0;  ///< Per-budget-slot misbehavior probability.
 };
 
 /// A deterministic schedule of faults for one protocol run.

@@ -27,8 +27,7 @@ struct RecoveryShares {
   std::vector<crypto::ShamirShare> self_seed_shares;
   /// Feldman commitments to the two sharing polynomials (PR 9). Published
   /// with the setup transaction so a revealed share can be verified — and
-  /// a forged one attributed to its holder — by anyone. Empty when the
-  /// dealer used the plain (pre-VSS) path.
+  /// a forged one attributed to its holder — by anyone.
   crypto::VssCommitment dh_commitment;
   crypto::VssCommitment self_seed_commitment;
 };

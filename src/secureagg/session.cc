@@ -15,11 +15,8 @@ Result<SecureAggSession> SecureAggSession::Create(size_t num_owners,
     return Status::InvalidArgument("secure aggregation needs >= 2 owners");
   }
   SecureAggSession session(config, FixedPointCodec(config.fixed_point_bits));
-  session.threshold_ =
-      config.threshold != 0 ? config.threshold : num_owners / 2 + 1;
-  if (session.threshold_ > num_owners) {
-    return Status::InvalidArgument("threshold exceeds owner count");
-  }
+  // ShareSecrets (phase 3) rejects a threshold above the roster.
+  session.threshold_ = crypto::ResolveThreshold(config.threshold, num_owners);
 
   Xoshiro256 rng(config.seed);
   crypto::DiffieHellman dh;
@@ -118,27 +115,18 @@ Result<std::vector<std::array<uint8_t, 32>>> SecureAggSession::RevealSecrets(
     const crypto::VssCommitment& commitment =
         job.dh_key ? all.dh_commitment : all.self_seed_commitment;
     // Feldman check (PR 9): a holder revealing a share that is not on the
-    // dealer's committed polynomial is caught *here*, before the forgery
-    // can poison Lagrange interpolation; the reveal proceeds over the
+    // dealer's committed polynomial is caught before the forgery can
+    // poison Lagrange interpolation; the reveal proceeds over the
     // remaining honest holders and fails closed below the threshold.
-    std::vector<crypto::ShamirShare> available;
-    available.reserve(holders.size());
-    for (size_t holder : holders) {
-      if (!commitment.empty() &&
-          !scheme.VerifyShare(source[holder], commitment)) {
-        continue;
-      }
-      available.push_back(source[holder]);
+    std::vector<crypto::ShamirShare> candidates;
+    candidates.reserve(holders.size());
+    for (size_t holder : holders) candidates.push_back(source[holder]);
+    auto reveal = scheme.RevealVerified(candidates, commitment, 32);
+    if (!reveal.ok()) {
+      return reveal.status().WithContext("revealing owner " +
+                                         std::to_string(job.id) + "'s secret");
     }
-    if (available.size() < threshold_) {
-      return Status::FailedPrecondition(
-          "only " + std::to_string(available.size()) +
-          " verifiable shares of owner " + std::to_string(job.id) +
-          "'s secret survive; threshold is " + std::to_string(threshold_) +
-          " — failing closed");
-    }
-    BCFL_ASSIGN_OR_RETURN(Bytes secret, scheme.Reconstruct(available, 32));
-    std::copy(secret.begin(), secret.end(), out[j].begin());
+    std::copy(reveal->secret.begin(), reveal->secret.end(), out[j].begin());
     fresh.push_back(j);
   }
   // Cached and counted only once every job of the call has succeeded.

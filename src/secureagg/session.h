@@ -16,7 +16,8 @@ namespace bcfl::secureagg {
 /// Configuration of a secure-aggregation session.
 struct SessionConfig {
   bool use_self_masks = true;
-  /// Shamir threshold for recovery material; 0 = majority (floor(n/2)+1).
+  /// Shamir threshold for recovery material; 0 = a strict majority
+  /// (`crypto::ResolveThreshold`).
   size_t threshold = 0;
   int fixed_point_bits = 24;
   uint64_t seed = 1;
@@ -64,12 +65,12 @@ class SecureAggSession {
   };
 
   /// Reconstructs the listed owners' 32-byte secrets from the distributed
-  /// shares, one `Reconstruct` per owner, simulating the share-reveal
-  /// step of the protocol. Successful reconstructions are cached, so
-  /// re-recovering the same owner (e.g. a retried round) neither redoes
-  /// the Lagrange work nor double-counts the recovery metrics; the
-  /// availability check still runs before the cache is consulted
-  /// (fail-closed).
+  /// shares, one verified reveal (`RevealVerified`) per owner, simulating
+  /// the share-reveal step of the protocol. Successful reconstructions
+  /// are cached, so re-recovering the same owner (e.g. a retried round)
+  /// neither redoes the Lagrange work nor double-counts the recovery
+  /// metrics; the availability check still runs before the cache is
+  /// consulted (fail-closed).
   Result<std::vector<std::array<uint8_t, 32>>> RevealSecrets(
       const std::vector<RevealJob>& jobs, const std::set<OwnerId>& dropped);
 

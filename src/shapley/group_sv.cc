@@ -1,5 +1,6 @@
 #include "shapley/group_sv.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/rng.h"
@@ -46,6 +47,14 @@ Result<std::vector<std::vector<size_t>>> GroupUsers(
     cursor += size;
   }
   return groups;
+}
+
+Result<size_t> GroupOf(const std::vector<std::vector<size_t>>& groups,
+                       size_t user) {
+  for (size_t j = 0; j < groups.size(); ++j) {
+    if (std::ranges::find(groups[j], user) != groups[j].end()) return j;
+  }
+  return Status::Internal("user " + std::to_string(user) + " is in no group");
 }
 
 GroupShapley::GroupShapley(size_t num_users, GroupShapleyConfig config,

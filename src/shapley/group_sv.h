@@ -23,6 +23,11 @@ std::vector<size_t> PermutationFromSeed(uint64_t seed_e, uint64_t round,
 Result<std::vector<std::vector<size_t>>> GroupUsers(
     const std::vector<size_t>& permutation, size_t num_groups);
 
+/// Index of the group in `groups` that holds `user`. Fails with Internal
+/// when no group does.
+Result<size_t> GroupOf(const std::vector<std::vector<size_t>>& groups,
+                       size_t user);
+
 /// Per-round output of the GroupSV evaluation.
 struct GroupShapleyRound {
   std::vector<std::vector<size_t>> groups;  ///< Member user ids per group.

@@ -116,7 +116,7 @@ TEST(AdversaryTest, InstallBehaviorValidatesMinerIndex) {
 TEST(AdversaryTest, BehaviorsTamperAsSpecified) {
   // Unit-level checks of the tamper hooks themselves.
   chain::ContractState state;
-  ASSERT_TRUE(PutDouble(&state, keys::TotalSv(3), 1.5).ok());
+  PutDouble(&state, keys::TotalSv(3), 1.5);
 
   auto inflate = MakeSvInflationBehavior(3, 10.0);
   ASSERT_TRUE(static_cast<bool>(inflate.tamper_state));

@@ -95,7 +95,7 @@ TEST(DropoutRecoveryTest, PersistentSubmissionLossBecomesDropout) {
   ASSERT_TRUE(coordinator.ok());
   auto result = (*coordinator)->Run();
   ASSERT_TRUE(result.ok());
-  EXPECT_GE(result->submission_retries, config.max_submit_attempts);
+  EXPECT_GE(result->submission_retries, kMaxSubmitAttempts);
   ASSERT_TRUE(result->retired_at.count(1) > 0);
   EXPECT_EQ(result->retired_at.at(1), 1u);
   EXPECT_EQ(result->per_round_sv[1][1], 0.0);
@@ -103,7 +103,7 @@ TEST(DropoutRecoveryTest, PersistentSubmissionLossBecomesDropout) {
 }
 
 TEST(DropoutRecoveryTest, TransientSubmissionLossRetriesThroughBackoff) {
-  // Two lost attempts stay under max_submit_attempts: the owner lands
+  // Two lost attempts stay under kMaxSubmitAttempts: the owner lands
   // late but in time, so nobody drops and nothing is recovered.
   BcflConfig config = FaultableConfig();
   config.fault_plan =

@@ -60,6 +60,13 @@ TEST(GroupUsersTest, RemainderSpreadsOverLeadingGroups) {
   EXPECT_EQ((*groups)[2].size(), 2u);
 }
 
+TEST(GroupOfTest, FindsTheGroupHoldingAUser) {
+  const std::vector<std::vector<size_t>> groups = {{4, 0}, {2, 3, 1}};
+  EXPECT_EQ(*GroupOf(groups, 0), 0u);
+  EXPECT_EQ(*GroupOf(groups, 3), 1u);
+  EXPECT_TRUE(GroupOf(groups, 5).status().IsInternal());
+}
+
 TEST(GroupUsersTest, RejectsDegenerateCounts) {
   std::vector<size_t> perm = {0, 1, 2};
   EXPECT_FALSE(GroupUsers(perm, 0).ok());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace bcfl::core {
 namespace {
 
@@ -39,6 +41,26 @@ TEST(SetupParamsTest, SerializeRoundTrip) {
   ASSERT_EQ(back->schnorr_public_keys.size(), 5u);
   EXPECT_EQ(back->schnorr_public_keys[3], crypto::UInt256(103));
   EXPECT_EQ(back->dh_public_keys[4], crypto::UInt256(204));
+}
+
+TEST(SetupParamsTest, IsOwnerKeyMatchesTheSchnorrRoster) {
+  const SetupParams params = ValidParams(3);
+  EXPECT_TRUE(params.IsOwnerKey(crypto::UInt256(102)));
+  EXPECT_FALSE(params.IsOwnerKey(crypto::UInt256(202)));  // A DH key.
+}
+
+TEST(SetupParamsTest, RoundGroupsPartitionTheOwnersPerRound) {
+  const SetupParams params = ValidParams(5);
+  auto groups = params.RoundGroups(3);
+  ASSERT_TRUE(groups.ok());
+  ASSERT_EQ(groups->size(), params.num_groups);
+  std::vector<size_t> members;
+  for (const auto& group : *groups) {
+    members.insert(members.end(), group.begin(), group.end());
+  }
+  std::sort(members.begin(), members.end());
+  EXPECT_EQ(members, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(*params.RoundGroups(3), *groups);  // Same round, same groups.
 }
 
 TEST(SetupParamsTest, RejectsTrailingBytes) {

@@ -36,10 +36,10 @@ class RewardFixture : public ::testing::Test {
     marker.WriteU8(1);
     state_.Put(keys::RoundComplete(1), marker.Take());
     // SVs: owner 0 best, owner 3 negative (clamps to zero).
-    (void)PutDouble(&state_, keys::TotalSv(0), 0.6);
-    (void)PutDouble(&state_, keys::TotalSv(1), 0.3);
-    (void)PutDouble(&state_, keys::TotalSv(2), 0.1);
-    (void)PutDouble(&state_, keys::TotalSv(3), -0.2);
+    PutDouble(&state_, keys::TotalSv(0), 0.6);
+    PutDouble(&state_, keys::TotalSv(1), 0.3);
+    PutDouble(&state_, keys::TotalSv(2), 0.1);
+    PutDouble(&state_, keys::TotalSv(3), -0.2);
   }
 
   chain::Transaction Tx(const std::string& method, Bytes payload,
@@ -69,7 +69,7 @@ class RewardFixture : public ::testing::Test {
 TEST_F(RewardFixture, FundAccumulates) {
   EXPECT_TRUE(Exec(Tx("fund", RewardContract::EncodeFund(1000), 0, 1)));
   EXPECT_TRUE(Exec(Tx("fund", RewardContract::EncodeFund(500), 1, 2)));
-  EXPECT_EQ(ReadU64OrZero(state_, RewardContract::PoolKey()), 1500u);
+  EXPECT_EQ(*GetU64OrZero(state_, keys::RewardPool()), 1500u);
 }
 
 TEST_F(RewardFixture, FundRejectsZeroAndGarbage) {
@@ -82,10 +82,10 @@ TEST_F(RewardFixture, DistributeSplitsProportionallyAndExactly) {
   ASSERT_TRUE(Exec(Tx("distribute", {}, 0, 2)));
 
   // Positive scores 0.6 / 0.3 / 0.1 of total 1.0; owner 3 clamped to 0.
-  uint64_t a0 = ReadU64OrZero(state_, RewardContract::AllocationKey(0));
-  uint64_t a1 = ReadU64OrZero(state_, RewardContract::AllocationKey(1));
-  uint64_t a2 = ReadU64OrZero(state_, RewardContract::AllocationKey(2));
-  uint64_t a3 = ReadU64OrZero(state_, RewardContract::AllocationKey(3));
+  uint64_t a0 = *GetU64OrZero(state_, keys::RewardAllocation(0));
+  uint64_t a1 = *GetU64OrZero(state_, keys::RewardAllocation(1));
+  uint64_t a2 = *GetU64OrZero(state_, keys::RewardAllocation(2));
+  uint64_t a3 = *GetU64OrZero(state_, keys::RewardAllocation(3));
   EXPECT_EQ(a0, 600u);
   EXPECT_EQ(a1, 300u);
   EXPECT_EQ(a2, 100u);
@@ -98,7 +98,7 @@ TEST_F(RewardFixture, DustGoesToLargestRemainders) {
   ASSERT_TRUE(Exec(Tx("distribute", {}, 0, 2)));
   uint64_t total = 0;
   for (uint32_t i = 0; i < kOwners; ++i) {
-    total += ReadU64OrZero(state_, RewardContract::AllocationKey(i));
+    total += *GetU64OrZero(state_, keys::RewardAllocation(i));
   }
   EXPECT_EQ(total, 1001u);
 }
@@ -128,7 +128,7 @@ TEST_F(RewardFixture, ClaimRequiresOwnKeyAndHappensOnce) {
   EXPECT_FALSE(Exec(Tx("claim", RewardContract::EncodeClaim(0), 1, 3)));
   // Owner 0 claims its own.
   EXPECT_TRUE(Exec(Tx("claim", RewardContract::EncodeClaim(0), 0, 4)));
-  EXPECT_EQ(ReadU64OrZero(state_, RewardContract::ClaimedKey(0)), 600u);
+  EXPECT_EQ(*GetU64OrZero(state_, keys::RewardClaimed(0)), 600u);
   // Double claim fails.
   EXPECT_FALSE(Exec(Tx("claim", RewardContract::EncodeClaim(0), 0, 5)));
 }
@@ -139,14 +139,14 @@ TEST_F(RewardFixture, ClaimBeforeDistributionFails) {
 
 TEST_F(RewardFixture, AllZeroScoresSplitEvenly) {
   for (uint32_t i = 0; i < kOwners; ++i) {
-    (void)PutDouble(&state_, keys::TotalSv(i), -1.0);
+    PutDouble(&state_, keys::TotalSv(i), -1.0);
   }
   ASSERT_TRUE(Exec(Tx("fund", RewardContract::EncodeFund(100), 0, 1)));
   ASSERT_TRUE(Exec(Tx("distribute", {}, 0, 2)));
-  EXPECT_EQ(ReadU64OrZero(state_, RewardContract::AllocationKey(1)), 25u);
+  EXPECT_EQ(*GetU64OrZero(state_, keys::RewardAllocation(1)), 25u);
   uint64_t total = 0;
   for (uint32_t i = 0; i < kOwners; ++i) {
-    total += ReadU64OrZero(state_, RewardContract::AllocationKey(i));
+    total += *GetU64OrZero(state_, keys::RewardAllocation(i));
   }
   EXPECT_EQ(total, 100u);
 }

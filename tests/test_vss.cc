@@ -218,5 +218,56 @@ TEST(VssTest, DeserializeRejectsMalformedInput) {
   EXPECT_FALSE(VssCommitment::Deserialize(out_of_group.Serialize()).ok());
 }
 
+/// Shares of a 32-byte secret from a (3, 6) split, with a commitment.
+struct RevealFixture {
+  RevealFixture() : scheme(*SSS::Create(3, 6)), rng(400) {
+    secret = RandomSecret(32, &rng);
+    shares = scheme.SplitVerifiable(secret, &rng, &commitment);
+  }
+  /// The share of holder `h`, off its committed polynomial.
+  ShamirShare Forged(size_t h) const {
+    ShamirShare share = shares[h];
+    share.values[0] = SSS::FieldAdd(share.values[0], 1);
+    return share;
+  }
+
+  SSS scheme;
+  Xoshiro256 rng;
+  Bytes secret;
+  VssCommitment commitment;
+  std::vector<ShamirShare> shares;
+};
+
+TEST(RevealVerifiedTest, ForgerBeforeTheThresholdIsRejectedAndReported) {
+  RevealFixture f;
+  const std::vector<ShamirShare> candidates = {f.shares[0], f.Forged(1),
+                                               f.shares[2], f.shares[3],
+                                               f.shares[4]};
+  auto reveal = f.scheme.RevealVerified(candidates, f.commitment, 32);
+  ASSERT_TRUE(reveal.ok()) << reveal.status().ToString();
+  EXPECT_EQ(reveal->secret, f.secret);
+  EXPECT_EQ(reveal->rejected, std::vector<size_t>{1});
+}
+
+TEST(RevealVerifiedTest, ForgerAfterTheThresholdIsNotExamined) {
+  RevealFixture f;
+  const std::vector<ShamirShare> candidates = {f.shares[0], f.shares[1],
+                                               f.shares[2], f.Forged(3)};
+  auto reveal = f.scheme.RevealVerified(candidates, f.commitment, 32);
+  ASSERT_TRUE(reveal.ok()) << reveal.status().ToString();
+  EXPECT_EQ(reveal->secret, f.secret);
+  EXPECT_TRUE(reveal->rejected.empty());
+}
+
+TEST(RevealVerifiedTest, BelowThresholdValidSharesFailClosed) {
+  RevealFixture f;
+  // Two valid shares of a threshold-3 split, plus a forgery that would
+  // otherwise make up the count.
+  const std::vector<ShamirShare> candidates = {f.shares[0], f.Forged(4),
+                                               f.shares[5]};
+  auto reveal = f.scheme.RevealVerified(candidates, f.commitment, 32);
+  EXPECT_TRUE(reveal.status().IsFailedPrecondition());
+}
+
 }  // namespace
 }  // namespace bcfl::crypto
