@@ -82,7 +82,7 @@ Result<uint32_t> TrailingIndex(const std::string& key) {
   const char* last = key.data() + key.size();
   uint32_t index = 0;
   const auto [end, ec] = std::from_chars(first, last, index);
-  if (first == last || ec != std::errc() || end != last) {
+  if (ec != std::errc() || end != last) {
     return Status::Corruption("no owner or group index at the end of key " +
                               key);
   }
