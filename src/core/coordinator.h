@@ -219,7 +219,7 @@ class BcflCoordinator {
   /// below the threshold) and submits the recovery. Successfully
   /// recovered owners are retired. A share that fails its Feldman check
   /// is skipped (the next holder serves) and its sender is slashed with
-  /// the forged share + its reveal signature as on-chain evidence (PR 9).
+  /// the forged share + its reveal signature as on-chain evidence.
   Status RecoverMissingOwners(uint64_t round,
                               const std::set<uint32_t>& missing,
                               BcflRunResult* result);
