@@ -9,6 +9,7 @@
 #include "chain/blockchain.h"
 #include "common/rng.h"
 #include "crypto/schnorr.h"
+#include "crypto/sha256.h"
 
 namespace bcfl::chain {
 namespace {
@@ -91,6 +92,22 @@ TEST_F(BlockLogTest, AppendReopenRoundTrip) {
   next.header.merkle_root = next.ComputeMerkleRoot();
   EXPECT_TRUE(reopened->Append(next).ok());
   EXPECT_EQ(reopened->tip_height(), 5u);
+}
+
+// Conformance vector for the block-log file: the header and one record
+// holding MakeBlocks(1)'s block give exactly these bytes. A change to the
+// framing or the block encoding fails here as an explicit vector diff.
+TEST_F(BlockLogTest, OneBlockFileVector) {
+  {
+    auto log = BlockLog::Open(LogPath());
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE(log->Append(MakeBlocks(1)[0]).ok());
+  }
+  const std::string file = ReadFileBytes(LogPath());
+  EXPECT_EQ(file.size(), 270u);
+  EXPECT_EQ(crypto::DigestToHex(
+                crypto::Sha256::Hash(Bytes(file.begin(), file.end()))),
+            "c9d723a2bac8da0b7dffceff84f91b8ea8501fd2a8334fb68c30461cb48dd427");
 }
 
 TEST_F(BlockLogTest, RejectsOutOfOrderAppend) {

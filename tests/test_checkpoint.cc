@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "crypto/sha256.h"
+
 namespace bcfl::core {
 namespace {
 
@@ -114,6 +116,20 @@ TEST_F(CheckpointTest, OverwriteReplacesAtomically) {
   auto loaded = LoadCheckpoint(Path("cp.bckp"));
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->next_round, 7u);
+}
+
+// Conformance vector for the checkpoint file: Sample() saved to disk
+// gives exactly these bytes. A change to the framing or the payload
+// layout fails here as an explicit vector diff.
+TEST_F(CheckpointTest, FileBytesVector) {
+  ASSERT_TRUE(SaveCheckpoint(Sample(), Path("cp.bckp")).ok());
+  std::ifstream in(Path("cp.bckp"), std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(file.size(), 482u);
+  EXPECT_EQ(crypto::DigestToHex(
+                crypto::Sha256::Hash(Bytes(file.begin(), file.end()))),
+            "4c6155340df321865d5e4bfc4d55e4332a4243d5806298bbe30e78a36a39dc35");
 }
 
 TEST_F(CheckpointTest, MissingFileIsNotFound) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "crypto/sha256.h"
+
 namespace bcfl::core {
 namespace {
 
@@ -41,6 +43,22 @@ TEST(SetupParamsTest, SerializeRoundTrip) {
   ASSERT_EQ(back->schnorr_public_keys.size(), 5u);
   EXPECT_EQ(back->schnorr_public_keys[3], crypto::UInt256(103));
   EXPECT_EQ(back->dh_public_keys[4], crypto::UInt256(204));
+}
+
+// Conformance vector for the setup payload: a fixed roster with every
+// field set serializes to exactly these bytes. A change to the setup
+// transaction's layout fails here as an explicit vector diff.
+TEST(SetupParamsTest, SerializeVector) {
+  SetupParams params = ValidParams(3);
+  params.shamir_threshold = 2;
+  params.update_norm_bound = 5.0;
+  for (uint8_t i = 0; i < 3; ++i) {
+    params.vss_commitments.push_back(Bytes{i, 0xC0, 0xFF, 0xEE});
+  }
+  const Bytes bytes = params.Serialize();
+  EXPECT_EQ(bytes.size(), 272u);
+  EXPECT_EQ(crypto::DigestToHex(crypto::Sha256::Hash(bytes)),
+            "c744af87ebcd3dca915954b3bfe727d6f33145c8f28d524b9aac9d432d235b36");
 }
 
 TEST(SetupParamsTest, IsOwnerKeyMatchesTheSchnorrRoster) {
