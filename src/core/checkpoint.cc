@@ -12,29 +12,9 @@ namespace bcfl::core {
 namespace {
 
 constexpr char kMagic[4] = {'B', 'C', 'K', 'P'};
-/// Version 2: the checkpointed chain tip commits to the leaf-digest state
-/// root ("bcfl-state-v2").
-constexpr uint32_t kVersion = 2;
-
-void WriteU32Map(ByteWriter* writer,
-                 const std::map<uint32_t, uint64_t>& map) {
-  writer->WriteU32(static_cast<uint32_t>(map.size()));
-  for (const auto& [key, value] : map) {
-    writer->WriteU32(key);
-    writer->WriteU64(value);
-  }
-}
-
-Result<std::map<uint32_t, uint64_t>> ReadU32Map(ByteReader* reader) {
-  BCFL_ASSIGN_OR_RETURN(uint32_t count, reader->ReadU32());
-  std::map<uint32_t, uint64_t> map;
-  for (uint32_t i = 0; i < count; ++i) {
-    BCFL_ASSIGN_OR_RETURN(uint32_t key, reader->ReadU32());
-    BCFL_ASSIGN_OR_RETURN(uint64_t value, reader->ReadU64());
-    map[key] = value;
-  }
-  return map;
-}
+/// Version 3: only what the replayed chain cannot tell. Version 2 also
+/// carried the chain's own results and fails closed, as version 1 does.
+constexpr uint32_t kVersion = 3;
 
 void WriteRngState(ByteWriter* writer, const Xoshiro256::State& state) {
   for (uint64_t word : state.s) writer->WriteU64(word);
@@ -73,20 +53,14 @@ Bytes SessionCheckpoint::Serialize() const {
 
   writer.WriteU64(tip_height);
   writer.WriteRaw(tip_hash.data(), tip_hash.size());
-  WriteU32Map(&writer, miner_heights);
+  writer.WriteU32(static_cast<uint32_t>(miner_heights.size()));
+  for (const auto& [miner, height] : miner_heights) {
+    writer.WriteU32(miner);
+    writer.WriteU64(height);
+  }
 
-  global_weights.Serialize(&writer);
-  writer.WriteU32(static_cast<uint32_t>(per_round_sv.size()));
-  for (const auto& sv : per_round_sv) writer.WriteDoubleVector(sv);
   writer.WriteDoubleVector(round_accuracies);
-  writer.WriteU64(blocks_committed);
-  writer.WriteU64(total_transactions);
-  writer.WriteU64(recover_transactions);
   writer.WriteU64(submission_retries);
-  writer.WriteU64(slash_transactions);
-  WriteU32Map(&writer, retired_at);
-  WriteU32Map(&writer, slashed_at);
-  writer.WriteU64(ledger_rounds);
   return writer.Take();
 }
 
@@ -111,23 +85,14 @@ Result<SessionCheckpoint> SessionCheckpoint::Deserialize(const Bytes& bytes) {
   BCFL_ASSIGN_OR_RETURN(cp.tip_height, reader.ReadU64());
   BCFL_ASSIGN_OR_RETURN(Bytes hash, reader.ReadRaw(cp.tip_hash.size()));
   std::copy(hash.begin(), hash.end(), cp.tip_hash.begin());
-  BCFL_ASSIGN_OR_RETURN(cp.miner_heights, ReadU32Map(&reader));
-
-  BCFL_ASSIGN_OR_RETURN(cp.global_weights, ml::Matrix::Deserialize(&reader));
-  BCFL_ASSIGN_OR_RETURN(uint32_t sv_rounds, reader.ReadU32());
-  for (uint32_t i = 0; i < sv_rounds; ++i) {
-    BCFL_ASSIGN_OR_RETURN(std::vector<double> sv, reader.ReadDoubleVector());
-    cp.per_round_sv.push_back(std::move(sv));
+  BCFL_ASSIGN_OR_RETURN(uint32_t miners, reader.ReadU32());
+  for (uint32_t i = 0; i < miners; ++i) {
+    BCFL_ASSIGN_OR_RETURN(uint32_t miner, reader.ReadU32());
+    BCFL_ASSIGN_OR_RETURN(cp.miner_heights[miner], reader.ReadU64());
   }
+
   BCFL_ASSIGN_OR_RETURN(cp.round_accuracies, reader.ReadDoubleVector());
-  BCFL_ASSIGN_OR_RETURN(cp.blocks_committed, reader.ReadU64());
-  BCFL_ASSIGN_OR_RETURN(cp.total_transactions, reader.ReadU64());
-  BCFL_ASSIGN_OR_RETURN(cp.recover_transactions, reader.ReadU64());
   BCFL_ASSIGN_OR_RETURN(cp.submission_retries, reader.ReadU64());
-  BCFL_ASSIGN_OR_RETURN(cp.slash_transactions, reader.ReadU64());
-  BCFL_ASSIGN_OR_RETURN(cp.retired_at, ReadU32Map(&reader));
-  BCFL_ASSIGN_OR_RETURN(cp.slashed_at, ReadU32Map(&reader));
-  BCFL_ASSIGN_OR_RETURN(cp.ledger_rounds, reader.ReadU64());
   if (!reader.exhausted()) {
     return Status::Corruption("trailing bytes after checkpoint payload");
   }

@@ -8,14 +8,15 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "crypto/sha256.h"
-#include "ml/matrix.h"
 #include "net/network.h"
 
 namespace bcfl::core {
 
-/// Everything a coordinator needs to resume a killed session
-/// bit-identically from the start of `next_round` (PR 10), given the
-/// durable block log next to it:
+/// What a coordinator needs, beside the durable block log next to it, to
+/// resume a killed session bit-identically from the start of
+/// `next_round` (PR 10). The replayed chain tells the rest: the SVs, the
+/// global model, retirements, convictions and the block and transaction
+/// counts (`ReadRunResult`). What it cannot tell is kept here:
 ///
 ///  - the session RNG and the simulated network's RNG/clock/sequence
 ///    state, so every later random draw and timestamp matches;
@@ -23,10 +24,8 @@ namespace bcfl::core {
 ///    the block-log replay reconstructs exactly the per-miner lag the
 ///    crashed run had (offline replicas catch up in-session, as they
 ///    would have);
-///  - the run accumulators (SV history, accuracies, counters, roster
-///    retirements) that the finished result reports;
-///  - the round-ledger position, so the JSONL file is truncated to the
-///    checkpoint and re-appended identically.
+///  - the two results no block records: the per-round test accuracies
+///    and the retried submission attempts.
 ///
 /// On disk the serialized payload rides behind a magic/version header
 /// and a CRC32C, and `SaveCheckpoint` writes atomically (tmp + fsync +
@@ -45,17 +44,8 @@ struct SessionCheckpoint {
   crypto::Digest tip_hash{};
   std::map<uint32_t, uint64_t> miner_heights;
 
-  ml::Matrix global_weights;
-  std::vector<std::vector<double>> per_round_sv;
   std::vector<double> round_accuracies;
-  uint64_t blocks_committed = 0;
-  uint64_t total_transactions = 0;
-  uint64_t recover_transactions = 0;
   uint64_t submission_retries = 0;
-  uint64_t slash_transactions = 0;
-  std::map<uint32_t, uint64_t> retired_at;
-  std::map<uint32_t, uint64_t> slashed_at;
-  uint64_t ledger_rounds = 0;
 
   Bytes Serialize() const;
   static Result<SessionCheckpoint> Deserialize(const Bytes& bytes);

@@ -5,6 +5,7 @@
 
 #include "common/fsync_util.h"
 #include "core/reward_contract.h"
+#include "core/session_summary.h"
 #include "core/slash_contract.h"
 #include "data/noise.h"
 #include "data/partition.h"
@@ -41,6 +42,23 @@ uint64_t RecoverNonce(uint64_t round, uint32_t owner, uint64_t num_owners) {
 uint64_t SlashNonce(uint64_t round, uint32_t offender, uint64_t num_owners) {
   return (round + 1) * RoundNonceStride(num_owners) + 2 * num_owners +
          offender;
+}
+
+/// Adds the blocks of `commits`, their transactions and the slash
+/// transactions among them to a ledger record.
+Status CountCommits(const chain::Blockchain& chain,
+                    const std::vector<chain::CommitResult>& commits,
+                    obs::RoundRecord* record) {
+  for (const auto& commit : commits) {
+    BCFL_ASSIGN_OR_RETURN(const chain::Block block,
+                          chain.GetBlock(commit.height));
+    record->blocks_committed++;
+    record->transactions += block.txs.size();
+    for (const chain::Transaction& tx : block.txs) {
+      if (tx.contract() == "slash") record->accusations++;
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -297,9 +315,7 @@ Status BcflCoordinator::InitFreshState() {
   }
   // Initial checkpoint: a kill at round 0 must already leave a resumable
   // state dir behind.
-  BcflRunResult fresh;
-  const ml::Matrix zero(params_.weight_rows, params_.weight_cols);
-  return WriteCheckpoint(0, fresh, zero);
+  return WriteCheckpoint(0);
 }
 
 Status BcflCoordinator::RestoreFromState() {
@@ -350,32 +366,30 @@ Status BcflCoordinator::RestoreFromState() {
         "replayed chain tip diverges from the checkpoint tip");
   }
 
+  // The replayed chain holds every on-chain result of the rounds before
+  // the checkpoint; it must have completed exactly those rounds.
+  BCFL_ASSIGN_OR_RETURN(BcflRunResult on_chain,
+                        ReadRunResult(replayed, engine_->CanonicalState()));
+  if (on_chain.per_round_sv.size() != cp.next_round) {
+    return Status::Corruption(
+        "replayed chain completed " +
+        std::to_string(on_chain.per_round_sv.size()) +
+        " rounds, but the checkpoint resumes at round " +
+        std::to_string(cp.next_round));
+  }
+
   rng_->RestoreState(cp.session_rng);
   BCFL_RETURN_IF_ERROR(
       engine_->mutable_network().RestoreResumeState(cp.network));
-  retired_ = cp.retired_at;
-  seeded_result_ = BcflRunResult{};
-  seeded_result_.per_round_sv = cp.per_round_sv;
-  seeded_result_.round_accuracies = cp.round_accuracies;
-  seeded_result_.blocks_committed = static_cast<size_t>(cp.blocks_committed);
-  seeded_result_.total_transactions =
-      static_cast<size_t>(cp.total_transactions);
-  seeded_result_.recover_transactions =
-      static_cast<size_t>(cp.recover_transactions);
-  seeded_result_.submission_retries =
-      static_cast<size_t>(cp.submission_retries);
-  seeded_result_.slash_transactions =
-      static_cast<size_t>(cp.slash_transactions);
-  seeded_result_.slashed_at = cp.slashed_at;
-  seeded_global_ = cp.global_weights;
+  retired_ = std::move(on_chain.retired_at);
+  restored_sv_history_ = std::move(on_chain.per_round_sv);
+  round_accuracies_ = std::move(cp.round_accuracies);
+  submission_retries_ = static_cast<size_t>(cp.submission_retries);
   start_round_ = cp.next_round;
-  resumed_ = true;
   return DisarmJournaledKills();
 }
 
-Status BcflCoordinator::WriteCheckpoint(uint64_t next_round,
-                                        const BcflRunResult& result,
-                                        const ml::Matrix& global) {
+Status BcflCoordinator::WriteCheckpoint(uint64_t next_round) {
   static auto& checkpoints = obs::MetricsRegistry::Global().GetCounter(
       "core.checkpoints_written");
   obs::ScopedSpan span(obs::Tracer::Global(), "checkpoint", "core");
@@ -388,18 +402,8 @@ Status BcflCoordinator::WriteCheckpoint(uint64_t next_round,
   cp.tip_height = chain.Height();
   cp.tip_hash = chain.Tip().header.Hash();
   cp.miner_heights = engine_->MinerHeights();
-  cp.global_weights = global;
-  cp.per_round_sv = result.per_round_sv;
-  cp.round_accuracies = result.round_accuracies;
-  cp.blocks_committed = result.blocks_committed;
-  cp.total_transactions = result.total_transactions;
-  cp.recover_transactions = result.recover_transactions;
-  cp.submission_retries = result.submission_retries;
-  cp.slash_transactions = result.slash_transactions;
-  cp.retired_at = retired_;
-  cp.slashed_at = result.slashed_at;
-  cp.ledger_rounds =
-      ledger_ != nullptr ? ledger_->rounds_written() : next_round;
+  cp.round_accuracies = round_accuracies_;
+  cp.submission_retries = submission_retries_;
   BCFL_RETURN_IF_ERROR(SaveCheckpoint(cp, checkpoint_path_));
   checkpoints.Add();
   return Status::OK();
@@ -443,7 +447,7 @@ Result<uint32_t> BcflCoordinator::FindReporter(
 
 Status BcflCoordinator::SubmitSlash(uint64_t round, uint32_t offender,
                                     uint32_t reporter, const Bytes& payload,
-                                    const char* what, BcflRunResult* result) {
+                                    const char* what) {
   static auto& slashes =
       obs::MetricsRegistry::Global().GetCounter("fl.slashes");
   const chain::Transaction tx = chain::Transaction::Sign(
@@ -454,8 +458,6 @@ Status BcflCoordinator::SubmitSlash(uint64_t round, uint32_t offender,
       schnorr_, schnorr_keys_[reporter], rng_.get());
   BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(tx));
   slashes.Add();
-  result->slash_transactions++;
-  result->slashed_at[offender] = round;
   // A conviction retires the offender exactly like a recovery: its key is
   // public now, so it can never safely mask again.
   retired_[offender] = round;
@@ -468,8 +470,7 @@ Status BcflCoordinator::SubmitSlash(uint64_t round, uint32_t offender,
 }
 
 Status BcflCoordinator::SlashEquivocator(uint32_t owner, uint64_t round,
-                                         const Bytes& payload,
-                                         BcflRunResult* result) {
+                                         const Bytes& payload) {
   // The owner signed two well-formed submissions for the same round slot;
   // either alone would be valid, together they convict. The second is a
   // tampered twin of the first (one masked word flipped) — any two
@@ -489,13 +490,12 @@ Status BcflCoordinator::SlashEquivocator(uint32_t owner, uint64_t round,
   BCFL_ASSIGN_OR_RETURN(uint32_t reporter, FindReporter({owner}));
   const Bytes evidence = SlashContract::EncodeEquivocation(
       round, owner, participants_[owner]->private_key(), first, second);
-  return SubmitSlash(round, owner, reporter, evidence, "equivocation",
-                     result);
+  return SubmitSlash(round, owner, reporter, evidence, "equivocation");
 }
 
 Result<bool> BcflCoordinator::SubmitPreparedWithRetries(
-    uint32_t owner, uint64_t round, const Bytes& payload, uint64_t deadline_us,
-    BcflRunResult* result) {
+    uint32_t owner, uint64_t round, const Bytes& payload,
+    uint64_t deadline_us) {
   static auto& retries_counter =
       obs::MetricsRegistry::Global().GetCounter("fl.submission_retries");
   net::SimulatedNetwork& network = engine_->mutable_network();
@@ -507,7 +507,7 @@ Result<bool> BcflCoordinator::SubmitPreparedWithRetries(
     if (network.clock().NowMicros() > deadline_us) break;
     if (injector_ != nullptr && injector_->DropSubmissionAttempt(owner)) {
       retries_counter.Add();
-      result->submission_retries++;
+      submission_retries_++;
       network.AdvanceClock(backoff);
       backoff *= 2;
       continue;
@@ -524,9 +524,8 @@ Result<bool> BcflCoordinator::SubmitPreparedWithRetries(
   return false;  // Deadline missed: the owner counts as dropped.
 }
 
-Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
-                                             const std::set<uint32_t>& missing,
-                                             BcflRunResult* result) {
+Status BcflCoordinator::RecoverMissingOwners(
+    uint64_t round, const std::set<uint32_t>& missing) {
   if (missing.empty()) return Status::OK();
   static auto& dropouts_detected =
       obs::MetricsRegistry::Global().GetCounter("fl.dropouts_detected");
@@ -608,7 +607,7 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
         round, forger, participants_[forger]->private_key(), bad.dealer,
         bad.share, reveal_sig);
     BCFL_RETURN_IF_ERROR(
-        SubmitSlash(round, forger, reporter, evidence, "bad share", result));
+        SubmitSlash(round, forger, reporter, evidence, "bad share"));
   }
 
   // Replay the recovery transactions in ascending owner order — the same
@@ -624,7 +623,6 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
         schnorr_, schnorr_keys_[reporter], rng_.get());
     BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(tx));
     recoveries.Add();
-    result->recover_transactions++;
     retired_[u] = round;
     if (injector_ != nullptr) {
       injector_->RecordExecuted(round, "recovered owner " + std::to_string(u) +
@@ -634,8 +632,7 @@ Status BcflCoordinator::RecoverMissingOwners(uint64_t round,
   return Status::OK();
 }
 
-Status BcflCoordinator::AuditFlaggedGroups(uint64_t round,
-                                           BcflRunResult* result) {
+Status BcflCoordinator::AuditFlaggedGroups(uint64_t round) {
   static auto& audits =
       obs::MetricsRegistry::Global().GetCounter("fl.norm_audits");
   const chain::ContractState& state = engine_->CanonicalState();
@@ -670,7 +667,7 @@ Status BcflCoordinator::AuditFlaggedGroups(uint64_t round,
       const Bytes evidence = SlashContract::EncodeNormViolation(
           round, suspect, participants_[suspect]->private_key());
       BCFL_RETURN_IF_ERROR(SubmitSlash(round, suspect, reporter, evidence,
-                                       "norm violation", result));
+                                       "norm violation"));
     }
   }
   return Status::OK();
@@ -681,15 +678,15 @@ Result<BcflRunResult> BcflCoordinator::Run() {
       obs::MetricsRegistry::Global().GetCounter("fl.rounds");
   static auto& accuracy_gauge =
       obs::MetricsRegistry::Global().GetGauge("fl.round_accuracy");
-  // A resumed session starts from the checkpointed accumulators and
-  // global model instead of zero — everything else below is unchanged,
-  // which is exactly why the continuation is bit-identical.
-  BcflRunResult result =
-      resumed_ ? std::move(seeded_result_) : BcflRunResult{};
   const size_t n = config_.num_owners;
-  ml::Matrix global = resumed_
-                          ? std::move(seeded_global_)
-                          : ml::Matrix(params_.weight_rows, params_.weight_cols);
+  // A resumed session continues from the replayed chain's latest model;
+  // everything else below is unchanged, which is exactly why the
+  // continuation is bit-identical.
+  ml::Matrix global(params_.weight_rows, params_.weight_cols);
+  if (start_round_ > 0) {
+    BCFL_ASSIGN_OR_RETURN(global, GetMatrix(engine_->CanonicalState(),
+                                            keys::GlobalModel(start_round_ - 1)));
+  }
 
   // Ledger probes: a record's phases are the round's growth of the live
   // latency histograms the exposition endpoint serves, keyed by their
@@ -729,9 +726,6 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     const uint64_t sig_misses0 = sig_misses.Value();
     const size_t fault_log0 =
         injector_ != nullptr ? injector_->executed_log().size() : 0;
-    const size_t blocks0 = result.blocks_committed;
-    const size_t txs0 = result.total_transactions;
-    const size_t slash_txs0 = result.slash_transactions;
     // Owners derive the round's grouping locally from the agreed seed.
     // Retired owners stay in the grouping (survivors keep masking against
     // them; the contract cancels those masks from the on-chain keys).
@@ -768,15 +762,15 @@ Result<BcflRunResult> BcflCoordinator::Run() {
         // exactly like a crash, and needs no recovery (the slash reveals
         // its key).
         if (injector_ != nullptr && injector_->OwnerEquivocates(i)) {
-          BCFL_RETURN_IF_ERROR(SlashEquivocator(
-              i, round, round_scratch_.slots[i].payload, &result));
+          BCFL_RETURN_IF_ERROR(
+              SlashEquivocator(i, round, round_scratch_.slots[i].payload));
           continue;
         }
         BCFL_ASSIGN_OR_RETURN(
             bool submitted,
             SubmitPreparedWithRetries(i, round,
                                       round_scratch_.slots[i].payload,
-                                      deadline_us, &result));
+                                      deadline_us));
         if (!submitted) missing.insert(i);
       }
     }
@@ -784,7 +778,7 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     // survivors then drive the on-chain Shamir recovery, which completes
     // the round with the dropped owners scored zero.
     BCFL_ASSIGN_OR_RETURN(auto commits, engine_->RunUntilDrained());
-    BCFL_RETURN_IF_ERROR(RecoverMissingOwners(round, missing, &result));
+    BCFL_RETURN_IF_ERROR(RecoverMissingOwners(round, missing));
     if (!missing.empty()) {
       BCFL_ASSIGN_OR_RETURN(auto recovery_commits, engine_->RunUntilDrained());
       commits.insert(commits.end(), recovery_commits.begin(),
@@ -796,21 +790,16 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     // into this round's dropouts and the re-evaluation completes clean.
     if (config_.update_norm_bound > 0 &&
         !engine_->CanonicalState().Has(keys::RoundComplete(round))) {
-      const size_t slashes_before = result.slash_transactions;
-      BCFL_RETURN_IF_ERROR(AuditFlaggedGroups(round, &result));
-      if (result.slash_transactions > slashes_before) {
-        BCFL_ASSIGN_OR_RETURN(auto audit_commits, engine_->RunUntilDrained());
-        commits.insert(commits.end(), audit_commits.begin(),
-                       audit_commits.end());
-      }
+      BCFL_RETURN_IF_ERROR(AuditFlaggedGroups(round));
+      BCFL_ASSIGN_OR_RETURN(auto audit_commits, engine_->RunUntilDrained());
+      commits.insert(commits.end(), audit_commits.begin(),
+                     audit_commits.end());
     }
     for (const auto& commit : commits) {
       if (!commit.committed) {
         return Status::Internal("consensus failed during round " +
                                 std::to_string(round));
       }
-      result.blocks_committed++;
-      result.total_transactions += commit.num_txs;
     }
 
     const chain::ContractState& state = engine_->CanonicalState();
@@ -822,12 +811,6 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     // Download the new global model (Sect. IV-B bullet 2).
     BCFL_ASSIGN_OR_RETURN(global,
                           GetMatrix(state, keys::GlobalModel(round)));
-    std::vector<double> round_sv(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      BCFL_ASSIGN_OR_RETURN(round_sv[i],
-                            GetDouble(state, keys::RoundSv(round, i)));
-    }
-    result.per_round_sv.push_back(std::move(round_sv));
 
     double acc = 0.0;
     {
@@ -837,7 +820,7 @@ Result<BcflRunResult> BcflCoordinator::Run() {
       BCFL_ASSIGN_OR_RETURN(acc, model.Accuracy(test_set_));
     }
     accuracy_gauge.Set(acc);
-    result.round_accuracies.push_back(acc);
+    round_accuracies_.push_back(acc);
 
     if (ledger_ != nullptr) {
       obs::RoundRecord record;
@@ -859,19 +842,23 @@ Result<BcflRunResult> BcflCoordinator::Run() {
         }
       }
       record.dropouts.assign(missing.begin(), missing.end());
+      BCFL_ASSIGN_OR_RETURN(const auto convicted, GetConvictionRounds(state));
       for (const auto& [owner, retired_round] : retired_) {
-        if (retired_round == round && result.slashed_at.count(owner) == 0) {
+        if (retired_round == round && convicted.count(owner) == 0) {
           record.recovered.push_back(owner);
         }
       }
-      record.accusations = result.slash_transactions - slash_txs0;
-      for (const auto& [owner, slash_round] : result.slashed_at) {
+      for (const auto& [owner, slash_round] : convicted) {
         if (slash_round == round) record.slashed.push_back(owner);
       }
-      record.sv = result.per_round_sv.back();
+      record.sv.resize(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        BCFL_ASSIGN_OR_RETURN(record.sv[i],
+                              GetDouble(state, keys::RoundSv(round, i)));
+      }
       record.accuracy = acc;
-      record.blocks_committed = result.blocks_committed - blocks0;
-      record.transactions = result.total_transactions - txs0;
+      BCFL_RETURN_IF_ERROR(CountCommits(engine_->CanonicalChain(), commits,
+                                        &record));
       if (round + 1 == config_.rounds && config_.reward_pool > 0) {
         pending_final_record = std::move(record);
         have_pending_final_record = true;
@@ -881,27 +868,15 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     }
 
     // Session checkpoint (PR 10): taken at the round boundary, after the
-    // ledger record landed, so checkpoint.ledger_rounds counts exactly the
-    // records a resume keeps. The final round is never checkpointed — a
+    // ledger record landed. The final round is never checkpointed — a
     // completed session has nothing left to resume.
     if (persistence_attached_ && round + 1 < config_.rounds &&
         (round + 1) % persist_.checkpoint_every == 0) {
       BCFL_RETURN_IF_ERROR(
-          WriteCheckpoint(round + 1, result, global)
+          WriteCheckpoint(round + 1)
               .WithContext("checkpoint after round " + std::to_string(round)));
     }
   }
-
-  // Final totals from the canonical state: v_i = sum_r v_i^r.
-  {
-    const chain::ContractState& state = engine_->CanonicalState();
-    result.total_sv.resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      BCFL_ASSIGN_OR_RETURN(result.total_sv[i],
-                            GetDouble(state, keys::TotalSv(i)));
-    }
-  }
-  result.global_weights = std::move(global);
 
   // Optional incentive phase: fund -> distribute -> per-owner claims,
   // all as on-chain transactions. The held-back final record gets it as a
@@ -909,8 +884,7 @@ Result<BcflRunResult> BcflCoordinator::Run() {
   const obs::MetricsSnapshot reward0 = have_pending_final_record
                                            ? registry.Snapshot()
                                            : obs::MetricsSnapshot{};
-  const size_t reward_blocks0 = result.blocks_committed;
-  const size_t reward_txs0 = result.total_transactions;
+  std::vector<chain::CommitResult> reward_commits;
   if (config_.reward_pool > 0) {
     obs::ScopedSpan reward_span(obs::Tracer::Global(), "reward_phase", "fl");
     BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(chain::Transaction::Sign(
@@ -934,33 +908,27 @@ Result<BcflRunResult> BcflCoordinator::Run() {
            .nonce = kClaimNonceBase + i},
           schnorr_, schnorr_keys_[i], rng_.get())));
     }
-    BCFL_ASSIGN_OR_RETURN(auto commits, engine_->RunUntilDrained());
-    for (const auto& commit : commits) {
+    BCFL_ASSIGN_OR_RETURN(reward_commits, engine_->RunUntilDrained());
+    for (const auto& commit : reward_commits) {
       if (!commit.committed) {
         return Status::Internal("reward phase failed to commit");
       }
-      result.blocks_committed++;
-      result.total_transactions += commit.num_txs;
     }
-    const chain::ContractState& state = engine_->CanonicalState();
-    result.rewards.resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      BCFL_ASSIGN_OR_RETURN(result.rewards[i],
-                            GetU64OrZero(state, keys::RewardClaimed(i)));
-    }
-    BCFL_ASSIGN_OR_RETURN(result.reward_burned,
-                          GetU64OrZero(state, keys::RewardBurned()));
   }
   if (have_pending_final_record) {
     obs::AddPhaseDeltas(reward0, registry.Snapshot(),
                         &pending_final_record.phase_us);
-    pending_final_record.blocks_committed +=
-        result.blocks_committed - reward_blocks0;
-    pending_final_record.transactions +=
-        result.total_transactions - reward_txs0;
+    BCFL_RETURN_IF_ERROR(CountCommits(engine_->CanonicalChain(),
+                                      reward_commits, &pending_final_record));
     BCFL_RETURN_IF_ERROR(ledger_->Append(pending_final_record));
   }
-  result.retired_at = retired_;
+
+  // Everything the chain records is read back from it, once.
+  BCFL_ASSIGN_OR_RETURN(
+      BcflRunResult result,
+      ReadRunResult(engine_->CanonicalChain(), engine_->CanonicalState()));
+  result.round_accuracies = round_accuracies_;
+  result.submission_retries = submission_retries_;
   return result;
 }
 

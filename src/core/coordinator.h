@@ -87,7 +87,9 @@ struct PersistenceOptions {
   bool resume = false;
 };
 
-/// Everything a full on-chain session produces.
+/// Everything a full on-chain session produces. Every field but
+/// `round_accuracies` and `submission_retries` is read back from the
+/// committed chain (`ReadRunResult`).
 struct BcflRunResult {
   ml::Matrix global_weights;                     ///< Final W_G.
   std::vector<double> total_sv;                  ///< On-chain sv_total per owner.
@@ -167,20 +169,21 @@ class BcflCoordinator {
   /// acknowledged. Resume mode restores a killed session instead: the
   /// checkpoint is loaded fail-closed, its fingerprint checked against
   /// this configuration, the logged blocks past the checkpoint truncated,
-  /// heights 2..tip replayed into the freshly re-created engine, and the
-  /// session RNG / network / roster / counters restored — Run() then
+  /// heights 2..tip replayed into the freshly re-created engine, the
+  /// roster and SV history read back from the replayed chain, and the
+  /// session RNG / network / accuracies / retries restored — Run() then
   /// continues from `start_round()` bit-identically to a run that was
   /// never killed.
   Status AttachPersistence(const PersistenceOptions& options);
 
   /// First FL round Run() will execute (non-zero only after a resume).
   uint64_t start_round() const { return start_round_; }
-  /// Full-precision per-round SV vectors restored from the checkpoint
-  /// (one entry per completed round; empty unless resumed). Feed this to
-  /// RoundLedger::OpenForResume so the rolling-volatility window holds
-  /// the exact doubles, not the ledger's %.6f-rounded values.
+  /// Full-precision per-round SV vectors read back from the replayed
+  /// chain (one entry per completed round; empty unless resumed). Feed
+  /// this to RoundLedger::OpenForResume so the rolling-volatility window
+  /// holds the exact doubles, not the ledger's %.6f-rounded values.
   const std::vector<std::vector<double>>& restored_sv_history() const {
-    return seeded_result_.per_round_sv;
+    return restored_sv_history_;
   }
   /// True when Run() stopped because an armed `kill` fault fired (only
   /// observable in-process when the kill handler declines to exit).
@@ -210,8 +213,7 @@ class BcflCoordinator {
   /// the owner missed the deadline (a dropout).
   Result<bool> SubmitPreparedWithRetries(uint32_t owner, uint64_t round,
                                          const Bytes& payload,
-                                         uint64_t deadline_us,
-                                         BcflRunResult* result);
+                                         uint64_t deadline_us);
 
   /// Drives the on-chain `recover` transaction for every owner in
   /// `missing`: reveals its DH private key from the online survivors'
@@ -221,19 +223,17 @@ class BcflCoordinator {
   /// is skipped (the next holder serves) and its sender is slashed with
   /// the forged share + its reveal signature as on-chain evidence.
   Status RecoverMissingOwners(uint64_t round,
-                              const std::set<uint32_t>& missing,
-                              BcflRunResult* result);
+                              const std::set<uint32_t>& missing);
 
   /// Lowest online, un-retired owner outside `excluded` — the party that
   /// signs accusation and recovery transactions (any registered owner
   /// may; the evidence or the revealed key, not the sender, carries it).
   Result<uint32_t> FindReporter(const std::set<uint32_t>& excluded) const;
 
-  /// Signs and submits one slash transaction, retires the offender
-  /// locally and records the conviction in `result`.
+  /// Signs and submits one slash transaction and retires the offender
+  /// locally.
   Status SubmitSlash(uint64_t round, uint32_t offender, uint32_t reporter,
-                     const Bytes& payload, const char* what,
-                     BcflRunResult* result);
+                     const Bytes& payload, const char* what);
 
   /// Equivocation handling at submission time: signs the two conflicting
   /// submit_update transactions the owner produced (the second a
@@ -241,13 +241,13 @@ class BcflCoordinator {
   /// accuses with both as evidence instead — so the offender never lands
   /// an update and the round degrades exactly as if it had crashed.
   Status SlashEquivocator(uint32_t owner, uint64_t round,
-                          const Bytes& payload, BcflRunResult* result);
+                          const Bytes& payload);
 
   /// Norm-gate audit: scans the round's `flagged/` markers, unmasks each
   /// flagged group's submitters off-chain (modelling the per-member
   /// mask-opening audit; the simulation reveals via the driver) and
   /// submits a norm-violation slash for every member over the bound.
-  Status AuditFlaggedGroups(uint64_t round, BcflRunResult* result);
+  Status AuditFlaggedGroups(uint64_t round);
 
   /// Fresh-persistence half of AttachPersistence: refuses a used state
   /// dir, logs the setup block, writes the round-0 checkpoint.
@@ -256,8 +256,7 @@ class BcflCoordinator {
   Status RestoreFromState();
   /// Captures the session at the boundary before `next_round` and writes
   /// it atomically to the checkpoint file.
-  Status WriteCheckpoint(uint64_t next_round, const BcflRunResult& result,
-                         const ml::Matrix& global);
+  Status WriteCheckpoint(uint64_t next_round);
   /// Durably records that the kill at `round` fired, so a resumed process
   /// disarms it instead of refiring forever.
   Status JournalKill(uint64_t round);
@@ -303,10 +302,11 @@ class BcflCoordinator {
   bool was_killed_ = false;
   uint64_t killed_round_ = 0;
   uint64_t start_round_ = 0;
-  bool resumed_ = false;
-  /// Accumulators restored from the checkpoint, consumed by Run().
-  BcflRunResult seeded_result_;
-  ml::Matrix seeded_global_;
+  std::vector<std::vector<double>> restored_sv_history_;
+  /// The two results no block records; checkpointed, and restored on
+  /// resume.
+  std::vector<double> round_accuracies_;
+  size_t submission_retries_ = 0;
 };
 
 }  // namespace bcfl::core

@@ -1,6 +1,7 @@
 #include "core/session_summary.h"
 
 #include "common/bytes.h"
+#include "core/state_keys.h"
 #include "crypto/sha256.h"
 #include "obs/json_writer.h"
 
@@ -55,6 +56,59 @@ SessionSummary SummarizeSession(const chain::Blockchain& chain,
   summary.weights_digest = HexSha256(weight_bits);
   summary.accuracy_digest = HexSha256(accuracy_bits);
   return summary;
+}
+
+Result<BcflRunResult> ReadRunResult(const chain::Blockchain& chain,
+                                    const chain::ContractState& state) {
+  BCFL_ASSIGN_OR_RETURN(const SetupParams params, LoadSetupParams(state));
+  const uint32_t n = params.num_owners;
+  BcflRunResult result;
+  result.global_weights = ml::Matrix(params.weight_rows, params.weight_cols);
+  for (uint64_t r = 0; r < params.rounds && state.Has(keys::RoundComplete(r));
+       ++r) {
+    std::vector<double>& round_sv = result.per_round_sv.emplace_back(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      BCFL_ASSIGN_OR_RETURN(round_sv[i], GetDouble(state, keys::RoundSv(r, i)));
+    }
+  }
+  if (const uint64_t rounds = result.per_round_sv.size(); rounds > 0) {
+    BCFL_ASSIGN_OR_RETURN(result.global_weights,
+                          GetMatrix(state, keys::GlobalModel(rounds - 1)));
+    result.total_sv.resize(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      BCFL_ASSIGN_OR_RETURN(result.total_sv[i],
+                            GetDouble(state, keys::TotalSv(i)));
+    }
+  }
+  BCFL_ASSIGN_OR_RETURN(const auto retirements, GetRetirements(state));
+  for (const auto& [owner, retirement] : retirements) {
+    result.retired_at[owner] = retirement.round;
+  }
+  BCFL_ASSIGN_OR_RETURN(result.slashed_at, GetConvictionRounds(state));
+  if (state.Has(keys::RewardDistributed())) {
+    result.rewards.resize(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      BCFL_ASSIGN_OR_RETURN(result.rewards[i],
+                            GetU64OrZero(state, keys::RewardClaimed(i)));
+    }
+    BCFL_ASSIGN_OR_RETURN(result.reward_burned,
+                          GetU64OrZero(state, keys::RewardBurned()));
+  }
+  // Every block above the setup block is the session's; each transaction
+  // in it was submitted once, whether it executed or failed.
+  for (uint64_t h = 2; h <= chain.Height(); ++h) {
+    BCFL_ASSIGN_OR_RETURN(const chain::Block block, chain.GetBlock(h));
+    result.blocks_committed++;
+    result.total_transactions += block.txs.size();
+    for (const chain::Transaction& tx : block.txs) {
+      if (tx.contract() == "bcfl" && tx.method() == "recover") {
+        result.recover_transactions++;
+      } else if (tx.contract() == "slash") {
+        result.slash_transactions++;
+      }
+    }
+  }
+  return result;
 }
 
 }  // namespace bcfl::core

@@ -4,6 +4,8 @@
 #include <string>
 
 #include "chain/blockchain.h"
+#include "chain/state.h"
+#include "common/result.h"
 #include "core/coordinator.h"
 
 namespace bcfl::core {
@@ -38,5 +40,14 @@ struct SessionSummary {
 /// Fingerprints `result` together with the canonical chain it committed.
 SessionSummary SummarizeSession(const chain::Blockchain& chain,
                                 const BcflRunResult& result);
+
+/// Reads every on-chain field of a session's result back from a committed
+/// `chain` and its contract `state`. The completed rounds are the
+/// `round_complete/<r>` markers from round 0 up; before the first, the
+/// model is zero and `total_sv` empty. `rewards` stays empty unless they
+/// were distributed. No block records `round_accuracies` or
+/// `submission_retries`, so they stay empty.
+Result<BcflRunResult> ReadRunResult(const chain::Blockchain& chain,
+                                    const chain::ContractState& state);
 
 }  // namespace bcfl::core

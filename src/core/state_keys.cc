@@ -54,6 +54,8 @@ std::string RetiredPrefix() { return "retired/"; }
 
 std::string Slashed(uint32_t owner) { return "slashed/" + Pad(owner); }
 
+std::string SlashedPrefix() { return "slashed/"; }
+
 std::string Flagged(uint64_t round, uint32_t group) {
   return "flagged/" + Pad(round) + "/" + Pad(group);
 }
@@ -106,6 +108,37 @@ Result<T> DecodeExact(const chain::ContractState& state,
     return Status::Corruption("trailing bytes in the value of " + key);
   }
   return value;
+}
+
+/// Decodes every record under `prefix` with `decode`, by the owner index
+/// that ends its key.
+template <typename T>
+Result<std::map<uint32_t, T>> DecodeOwnerRecords(
+    const chain::ContractState& state, const std::string& prefix,
+    Result<T> (*decode)(ByteReader*)) {
+  std::map<uint32_t, T> records;
+  for (const auto& key : state.KeysWithPrefix(prefix)) {
+    BCFL_ASSIGN_OR_RETURN(uint32_t owner, keys::TrailingIndex(key));
+    BCFL_ASSIGN_OR_RETURN(records[owner], DecodeExact(state, key, decode));
+  }
+  return records;
+}
+
+Result<Retirement> DecodeRetirement(ByteReader* reader) {
+  Retirement retirement;
+  BCFL_ASSIGN_OR_RETURN(retirement.round, reader->ReadU64());
+  BCFL_ASSIGN_OR_RETURN(Bytes key, reader->ReadRaw(32));
+  BCFL_ASSIGN_OR_RETURN(retirement.key, crypto::UInt256::FromBytes(key));
+  return retirement;
+}
+
+Result<uint64_t> DecodeConvictionRound(ByteReader* reader) {
+  BCFL_ASSIGN_OR_RETURN(uint64_t round, reader->ReadU64());
+  BCFL_ASSIGN_OR_RETURN(uint8_t kind, reader->ReadU8());
+  if (kind == 0 || kind > static_cast<uint8_t>(SlashKind::kNormViolation)) {
+    return Status::Corruption("unknown slash evidence kind");
+  }
+  return round;
 }
 
 }  // namespace
@@ -188,21 +221,25 @@ void ConvictOwner(chain::ContractState* state, uint64_t round,
   state->Put(keys::Slashed(owner), slashed.Take());
 }
 
+Result<std::map<uint32_t, Retirement>> GetRetirements(
+    const chain::ContractState& state) {
+  return DecodeOwnerRecords(state, keys::RetiredPrefix(), &DecodeRetirement);
+}
+
 Result<std::map<uint32_t, crypto::UInt256>> RetiredBefore(
     const chain::ContractState& state, uint64_t round) {
+  BCFL_ASSIGN_OR_RETURN(auto retirements, GetRetirements(state));
   std::map<uint32_t, crypto::UInt256> retired;
-  for (const auto& key : state.KeysWithPrefix(keys::RetiredPrefix())) {
-    BCFL_ASSIGN_OR_RETURN(uint32_t owner, keys::TrailingIndex(key));
-    BCFL_ASSIGN_OR_RETURN(Bytes record, state.Get(key));
-    if (record.size() != 8 + 32) {
-      return Status::Corruption("retirement record " + key +
-                                " is not a round and a 32-byte key");
-    }
-    ByteReader reader(record);
-    if (*reader.ReadU64() >= round) continue;  // Counted by its round's drops.
-    retired[owner] = *crypto::UInt256::FromBytes(*reader.ReadRaw(32));
+  for (const auto& [owner, retirement] : retirements) {
+    if (retirement.round < round) retired[owner] = retirement.key;
   }
   return retired;
+}
+
+Result<std::map<uint32_t, uint64_t>> GetConvictionRounds(
+    const chain::ContractState& state) {
+  return DecodeOwnerRecords(state, keys::SlashedPrefix(),
+                            &DecodeConvictionRound);
 }
 
 }  // namespace bcfl::core

@@ -43,6 +43,7 @@ std::string RetiredPrefix();  ///< All retirement records.
 /// "slashed/<owner>" — byzantine conviction record (slash round + evidence
 /// kind); the reward distribution burns the owner's allocation.
 std::string Slashed(uint32_t owner);
+std::string SlashedPrefix();  ///< All conviction records.
 /// "flagged/<round>/<group>" — norm-gate marker: the group's decoded
 /// aggregate exceeded `update_norm_bound`, so evaluation is withheld
 /// until an audit slashes the offender. Deleted by the clean evaluation.
@@ -111,9 +112,25 @@ void RetireOwner(chain::ContractState* state, uint64_t round, uint32_t owner,
 void ConvictOwner(chain::ContractState* state, uint64_t round,
                   uint32_t owner, const crypto::UInt256& key, SlashKind kind);
 
+/// A `retired/<owner>` record: the round that retired the owner and its
+/// revealed DH private key.
+struct Retirement {
+  uint64_t round = 0;
+  crypto::UInt256 key;
+};
+
+/// Every retirement record, by owner.
+Result<std::map<uint32_t, Retirement>> GetRetirements(
+    const chain::ContractState& state);
+
 /// Owners retired in rounds before `round`, with their revealed DH
 /// private keys.
 Result<std::map<uint32_t, crypto::UInt256>> RetiredBefore(
     const chain::ContractState& state, uint64_t round);
+
+/// Every conviction record's slash round, by owner. An evidence kind
+/// outside `SlashKind` is Corruption.
+Result<std::map<uint32_t, uint64_t>> GetConvictionRounds(
+    const chain::ContractState& state);
 
 }  // namespace bcfl::core

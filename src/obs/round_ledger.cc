@@ -69,10 +69,10 @@ Status RoundLedger::Open(const std::string& path) {
 
 Status RoundLedger::OpenForResume(
     const std::string& path, size_t keep_rounds,
-    const std::vector<std::vector<double>>* exact_sv_history) {
-  if (exact_sv_history != nullptr && exact_sv_history->size() < keep_rounds) {
+    const std::vector<std::vector<double>>& sv_history) {
+  if (sv_history.size() < keep_rounds) {
     return Status::InvalidArgument(
-        "exact SV history holds " + std::to_string(exact_sv_history->size()) +
+        "SV history holds " + std::to_string(sv_history.size()) +
         " rounds, resume needs " + std::to_string(keep_rounds));
   }
   Close();
@@ -101,16 +101,6 @@ Status RoundLedger::OpenForResume(
       return Status::Corruption("unparseable round ledger record " +
                                 std::to_string(kept) + " in " + path);
     }
-    const JsonValue* sv = value->Find("sv");
-    if (sv == nullptr || !sv->is_array()) {
-      std::fclose(file);
-      return Status::Corruption("round ledger record " + std::to_string(kept) +
-                                " has no sv array");
-    }
-    std::vector<double> scores;
-    scores.reserve(sv->array.size());
-    for (const JsonValue& v : sv->array) scores.push_back(v.number);
-    sv_history_.push_back(std::move(scores));
     line.clear();
     ++kept;
     keep_offset = std::ftell(file);
@@ -140,13 +130,8 @@ Status RoundLedger::OpenForResume(
   }
   file_ = file;
   path_ = path;
-  if (exact_sv_history != nullptr) {
-    // The parsed history validated the file; the checkpoint's doubles are
-    // what the uninterrupted run's volatility window actually held.
-    sv_history_.assign(exact_sv_history->begin(),
-                       exact_sv_history->begin() +
-                           static_cast<ptrdiff_t>(keep_rounds));
-  }
+  sv_history_.assign(sv_history.begin(),
+                     sv_history.begin() + static_cast<ptrdiff_t>(keep_rounds));
   last_volatility_ = RollingSvVolatility(sv_history_, volatility_window_);
   return Status::OK();
 #endif

@@ -84,17 +84,15 @@ class RoundLedger {
   /// Resume-aware open: keeps the first `keep_rounds` records of the
   /// existing ledger at `path`, truncates everything after them (rounds
   /// past the checkpoint are re-run and re-appended bit-identically), and
-  /// re-primes the rolling-volatility window from the kept records' "sv"
-  /// arrays — so record `keep_rounds` onward serializes exactly as it
-  /// would have in the uninterrupted run. Fails closed if the file holds
-  /// fewer than `keep_rounds` parseable records. The JSON "sv" values are
-  /// %.6f-rounded, which is lossy; pass `exact_sv_history` (the
-  /// checkpoint's full-precision per-round SV vectors, >= keep_rounds
-  /// entries) to prime the volatility window with the exact doubles the
-  /// uninterrupted run would have used.
-  Status OpenForResume(
-      const std::string& path, size_t keep_rounds,
-      const std::vector<std::vector<double>>* exact_sv_history = nullptr);
+  /// primes the rolling-volatility window with the first `keep_rounds`
+  /// vectors of `sv_history`, the exact per-round SVs of the kept rounds
+  /// (the records' own "sv" arrays are %.6f-rounded) — so record
+  /// `keep_rounds` onward serializes exactly as it would have in the
+  /// uninterrupted run. InvalidArgument when `sv_history` is shorter than
+  /// `keep_rounds`; Corruption when the file holds fewer than
+  /// `keep_rounds` parseable records.
+  Status OpenForResume(const std::string& path, size_t keep_rounds,
+                       const std::vector<std::vector<double>>& sv_history);
   bool is_open() const { return file_ != nullptr; }
   const std::string& path() const { return path_; }
 

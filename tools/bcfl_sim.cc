@@ -459,7 +459,7 @@ int main(int argc, char** argv) {
         bcfl::Status reopened = ledger.OpenForResume(
             options.ledger_out,
             static_cast<size_t>((*coordinator)->start_round()),
-            &(*coordinator)->restored_sv_history());
+            (*coordinator)->restored_sv_history());
         if (!reopened.ok()) {
           std::fprintf(stderr, "--ledger-out: %s\n",
                        reopened.ToString().c_str());
