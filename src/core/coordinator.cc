@@ -77,9 +77,10 @@ Result<std::unique_ptr<BcflCoordinator>> BcflCoordinator::Create(
   Xoshiro256& rng = *coord->rng_;
 
   // --- Data: synthesize, split 8:2, partition, quality gradient. -------
-  data::DigitsConfig digits_config = config.digits;
-  digits_config.seed = config.seed;
-  ml::Dataset full = data::DigitsGenerator(digits_config).Generate();
+  ml::Dataset full =
+      data::DigitsGenerator(
+          {.num_instances = config.digits.num_instances, .seed = config.seed})
+          .Generate();
   BCFL_ASSIGN_OR_RETURN(auto split, full.TrainTestSplit(0.8, &rng));
   ml::Dataset train = std::move(split.first);
   coord->test_set_ = std::move(split.second);
@@ -234,8 +235,8 @@ uint64_t BcflCoordinator::ConfigFingerprint() const {
   writer.WriteU64(config_.local.epochs);
   writer.WriteDouble(config_.local.l2_penalty);
   writer.WriteU64(config_.digits.num_instances);
-  writer.WriteU64(config_.digits.seed);
-  // Former knobs keep their place as constants: old checkpoints resume.
+  // Constants that were knobs: a binary built with other values must not
+  // resume this session.
   writer.WriteU32(static_cast<uint32_t>(data::kDigitsMaxShift));
   writer.WriteDouble(data::kDigitsPixelJitter);
   writer.WriteDouble(data::kDigitsStrokeDropout);

@@ -44,7 +44,10 @@ struct BcflConfig {
   /// Data-quality gradient: owner i gets N(0, sigma*i) feature noise.
   double sigma = 0.0;
   ml::LogisticRegressionConfig local;
-  data::DigitsConfig digits;
+  /// The synthetic digits dataset; its generator is seeded from `seed`.
+  struct {
+    size_t num_instances = data::DigitsConfig{}.num_instances;
+  } digits;
   chain::ConsensusConfig consensus;
   /// When non-zero, owner 0 funds this reward pool at setup and the
   /// coordinator triggers on-chain distribution + claims after the
