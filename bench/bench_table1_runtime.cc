@@ -19,8 +19,8 @@
 // Flags: --skip-native omits the (slow) 2^9-retraining baseline.
 // --quick runs the CI observability-overhead gate instead of the full
 // table: the m=9 engine evaluation is timed with instruments live and
-// with BCFL_OBS-style disablement (21 on/off pairs, alternating which
-// runs first), the two SV outputs must stay bit-identical, and the run
+// disabled (21 on/off pairs, alternating which runs first), the two SV
+// outputs must stay bit-identical, and the run
 // fails when the median per-pair ratio puts the instrumented path more
 // than 3% slower. Writes
 // BENCH_obs_overhead.json (the full-table BENCH_table1.json baseline

@@ -1,8 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <thread>
 
@@ -20,12 +18,7 @@ size_t ThreadShard() {
 }
 
 std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> enabled = [] {
-    const char* env = std::getenv("BCFL_OBS");
-    const bool off = env != nullptr && (std::strcmp(env, "off") == 0 ||
-                                        std::strcmp(env, "0") == 0);
-    return !off;
-  }();
+  static std::atomic<bool> enabled{true};
   return enabled;
 }
 
@@ -159,10 +152,7 @@ void Histogram::Reset() {
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = [] {
-    internal::EnabledFlag();  // Force the BCFL_OBS read.
-    return new MetricsRegistry();
-  }();
+  static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
 }
 

@@ -29,9 +29,8 @@ struct alignas(64) ShardCell {
 /// Stable per-thread shard index in [0, kMetricShards).
 size_t ThreadShard();
 
-/// Process-wide enable flag (relaxed loads on the hot path). Initialised
-/// from the BCFL_OBS environment variable ("off"/"0" disables) on first
-/// registry access.
+/// Process-wide enable flag (relaxed loads on the hot path); on until
+/// `MetricsRegistry::set_enabled(false)`.
 std::atomic<bool>& EnabledFlag();
 
 }  // namespace internal
@@ -189,7 +188,7 @@ class MetricsRegistry {
 
   /// Disables (or re-enables) every instrument process-wide; disabled
   /// updates are a single relaxed load. Used to measure instrumentation
-  /// overhead (also reachable via BCFL_OBS=off).
+  /// overhead, and by `bcfl_sim --obs off`.
   static void set_enabled(bool enabled) {
     internal::EnabledFlag().store(enabled, std::memory_order_relaxed);
   }

@@ -1,6 +1,6 @@
 #include "obs/trace.h"
 
-#include "obs/metrics.h"  // internal::EnabledFlag for the BCFL_OBS gate.
+#include "obs/metrics.h"  // internal::EnabledFlag
 
 namespace bcfl::obs {
 

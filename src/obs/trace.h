@@ -41,8 +41,8 @@ struct SpanRecord {
 /// block commit, a coalition sweep), not per-element work, so the mutex
 /// is cold.
 ///
-/// Disabled tracers (set_enabled(false), or BCFL_OBS=off at startup)
-/// reduce Begin/End to one relaxed atomic load.
+/// Disabled tracers (set_enabled(false)) reduce Begin/End to one relaxed
+/// atomic load.
 class Tracer {
  public:
   static Tracer& Global();
