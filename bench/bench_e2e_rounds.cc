@@ -1,34 +1,23 @@
-// End-to-end round engine gate. The round engine fans each round's
+// End-to-end round engine timing. The round engine fans each round's
 // per-owner work (train, encode, mask, payload) across a thread pool and
-// replays submissions in canonical owner order, so nothing it commits may
-// depend on the pool size. This binary asserts that — same per-round SV
-// vectors, global model and canonical chain tip for pool 1 and pool N,
-// clean and under faults — checks the faulted session against its frozen
-// vector (the retired serial round loop's output, tests/frozen_sessions.h),
-// times pool 1 against pool N, and drops BENCH_e2e.json in the working
-// directory for the CI bench_diff gate.
-//
-// Two timed shapes, because the fan-out only pays where per-owner work is
-// large: the paper roster (n=9, a few hundred instances per owner, 2
-// epochs), where it does not, and a training-heavy cross-silo shape (8x
-// the data, 40 local epochs), where training dominates the round. The
-// bench reports both speed-ups; scripts/ci_check.sh asserts the >= 2x
-// floor on the training-heavy one when the pool has >= 4 threads. The
-// exit status reflects identity failures only, so sanitizer builds run
-// this binary for its checks without needing a timing result.
-//
-// Flags: --quick  fewer rounds and smaller roster sessions (CI smoke mode).
+// replays submissions in canonical owner order. This binary times pool 1
+// against one pool thread per hardware thread on a training-heavy
+// cross-silo shape (8x the data, 40 local epochs), where training
+// dominates the round, checks that the two sessions are identical, and
+// drops BENCH_e2e.json in the working directory for the CI bench_diff
+// gate; scripts/ci_check.sh asserts the >= 2x floor on >= 4 pool
+// threads. Pool-size invariance and the frozen session vectors are
+// ctest's (RoundEngineTest, DropoutRecoveryTest, ByzantineTest). The exit
+// status reflects the identity check only.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "common/sim_clock.h"
 #include "core/coordinator.h"
 #include "core/session_summary.h"
-#include "frozen_sessions.h"
 #include "obs/json_writer.h"
 
 namespace {
@@ -117,112 +106,47 @@ struct PoolPair {
   }
 };
 
-core::BcflConfig PaperRosterConfig(bool quick) {
+/// The data and epochs of sessionbench's silo_train workload (8x the
+/// default 5,620 instances, 40 local epochs) on the paper roster, cut to
+/// 3 rounds: training dominates the round.
+core::BcflConfig TrainingHeavyConfig() {
   core::BcflConfig config;
   config.num_owners = 9;
   config.num_miners = 3;
   config.num_groups = 3;
-  config.rounds = quick ? 2 : 4;
+  config.rounds = 3;
   config.seed = 42;
   config.seed_e = 7;
-  config.local.epochs = 2;
-  config.local.learning_rate = 0.05;
-  config.digits.num_instances = quick ? 600 : 1200;
-  return config;
-}
-
-/// The data and epochs of sessionbench's silo_train workload (8x the
-/// default 5,620 instances, 40 local epochs) on this bench's roster, cut
-/// to 3 rounds: training dominates the round.
-core::BcflConfig TrainingHeavyConfig() {
-  core::BcflConfig config = PaperRosterConfig(/*quick=*/false);
-  config.rounds = 3;
   config.local.epochs = 40;
+  config.local.learning_rate = 0.05;
   config.digits.num_instances = 44'960;
   return config;
 }
 
-/// Faulted identity: the pool size must not disturb the dropout /
-/// recovery / retry machinery either, and the result must be the frozen
-/// vector — this is test_dropout_recovery's FaultableConfig plus plan.
-void CheckFaulted(bool* pool_size_ok, bool* frozen_ok) {
-  core::BcflConfig config;
-  config.num_owners = 4;
-  config.num_miners = 3;
-  config.num_groups = 2;
-  config.rounds = 3;
-  config.seed = 21;
-  config.seed_e = 5;
-  config.local.epochs = 2;
-  config.local.learning_rate = 0.05;
-  config.digits.num_instances = 400;
-  config.fault_plan = *fault::FaultPlan::Parse(
-      "crash owner 2 @1; drop-submit owner 1 @2 x2");
-  *pool_size_ok = *frozen_ok = false;
-  config.pool_threads = 1;
-  SessionStats single;
-  if (!RunSession(config, &single)) return;
-  config.pool_threads = 3;
-  SessionStats pooled;
-  if (!RunSession(config, &pooled)) return;
-  *pool_size_ok = SameRun(single, pooled, "faulted pool-1-vs-pool-3");
-  *frozen_ok = single.summary == core::frozen::kFaultedSession;
-  if (!*frozen_ok) {
-    std::printf("  !! faulted session left its frozen vector:\n"
-                "     got  %s\n     want %s\n",
-                single.summary.c_str(), core::frozen::kFaultedSession);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+int main() {
   const size_t hw_threads =
       std::max<size_t>(1, std::thread::hardware_concurrency());
 
-  std::printf("End-to-end round engine bench (n=9 roster%s)\n",
-              quick ? ", quick" : "");
+  std::printf("End-to-end round engine bench (n=9 roster)\n");
 
   // ---- Timed pool-1-vs-pool-N runs + identity gate ----------------------
-  PoolPair roster("roster", PaperRosterConfig(quick));
   PoolPair heavy("training_heavy", TrainingHeavyConfig());
-  if (!roster.Run() || !heavy.Run()) return 1;
-  bool faulted_ok = false, frozen_ok = false;
-  CheckFaulted(&faulted_ok, &frozen_ok);
-
-  struct NamedCheck {
-    const char* name;
-    bool ok;
-  };
-  const NamedCheck checks[] = {
-      {"pool_size_invariant", roster.identical && heavy.identical},
-      {"faulted_identical", faulted_ok},
-      {"frozen_vector", frozen_ok},
-  };
-  bool all_ok = true;
-  std::printf("equivalence:");
-  for (const NamedCheck& c : checks) {
-    all_ok = all_ok && c.ok;
-    std::printf(" %s=%s", c.name, c.ok ? "ok" : "FAIL");
-  }
-  std::printf("\n");
+  if (!heavy.Run()) return 1;
+  std::printf("equivalence: pool_size_invariant=%s\n",
+              heavy.identical ? "ok" : "FAIL");
 
   JsonWriter json;
   json.BeginObject();
   json.Field("bench", "e2e_rounds");
-  json.Field("quick", quick);
   json.Field("owners", static_cast<size_t>(9));
   json.Field("hardware_threads", hw_threads);
   json.Field("pool_threads", heavy.pooled.pool_threads);
   json.BeginObject("equivalence");
-  for (const NamedCheck& c : checks) json.Field(c.name, c.ok);
+  json.Field("pool_size_invariant", heavy.identical);
   json.EndObject();
-  json.Field("all_equivalent", all_ok);
-  roster.WriteJson(&json);
+  json.Field("all_equivalent", heavy.identical);
   heavy.WriteJson(&json);
   json.EndObject();
 
@@ -233,5 +157,5 @@ int main(int argc, char** argv) {
     std::printf("failed to write %s\n", out_path);
     return 1;
   }
-  return all_ok ? 0 : 1;
+  return heavy.identical ? 0 : 1;
 }

@@ -10,11 +10,12 @@
 # committed BENCH_chain.json baseline with tools/bench_diff (and proves
 # the gate bites on an injected 2x regression), then runs the
 # bench_table1_runtime --quick obs-overhead gate (<3%, bit-identical SV).
-# A round engine stage runs bench_e2e_rounds --quick: the round engine
-# must be bit-identical across pool sizes (faults included) and land the
-# frozen faulted vector, and on >= 4 pool threads it must be >= 2x faster
-# than pool 1 on the training-heavy shape; the fresh numbers are gated
+# A round engine stage runs bench_e2e_rounds: on the training-heavy
+# shape the pool-1 and pool-N sessions must be identical, and on >= 4
+# pool threads pool N must be >= 2x faster; the fresh numbers are gated
 # against the committed BENCH_e2e.json baseline with tools/bench_diff.
+# (Pool-size invariance across shapes and faults, and the frozen session
+# vectors, are ctest's.)
 # A chaos stage follows: one faulted session whose executed fault
 # schedule must land in metrics.json, then a BCFL_CHAOS_SEEDS-wide
 # random-fault sweep (default 200) in which every seed must converge —
@@ -39,7 +40,8 @@
 # with its callers that decode whole checkpoints and setup params (whose
 # bulk vector and matrix paths copy straight out of and into callers'
 # buffers), the contract-state record helpers with the reward records,
-# and the verified share reveal of dropout recovery, with
+# the verified share reveal of dropout recovery, and the round ledger's
+# resume truncation, with
 # -DBCFL_SANITIZE=address in their own build dir (<build-dir>-asan), so a
 # dangling journal entry, a use-after-rollback, a use-after-move or a
 # scratch or codec overrun fails CI.
@@ -71,8 +73,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # test_matrix, and the checkpoint and setup-params decoders), for
 # use-after-free and out-of-bounds access. Every contract-state record is
 # written and read through core/state_keys (test_state_keys, and the
-# reward records in test_reward), and every share reveal goes through
-# ShamirSecretSharing::RevealVerified (test_dropout_recovery).
+# reward records in test_reward), every share reveal goes through
+# ShamirSecretSharing::RevealVerified (test_dropout_recovery), and a
+# resumed ledger truncates its file in place (test_round_ledger).
 ASAN_DIR="${BUILD_DIR}-asan"
 ASAN_SUITES=(test_state_contract test_consensus test_adversary test_byzantine
              test_resume test_block_log test_transaction_block test_merkle
@@ -81,7 +84,7 @@ ASAN_SUITES=(test_state_contract test_consensus test_adversary test_byzantine
              test_logreg test_secureagg test_edge_cases test_native_sv
              test_coalition_engine test_round_engine test_sha256 test_bytes
              test_checkpoint test_params test_reward test_dropout_recovery
-             test_state_keys)
+             test_state_keys test_round_ledger)
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBCFL_SANITIZE=address \
@@ -133,11 +136,10 @@ BENCH_CHAIN="$(cd "$BUILD_DIR" && pwd)/bench/bench_chain_throughput"
 (cd "$ARTIFACT_DIR" && "$BENCH_CHAIN" --quick)
 
 # Round engine equivalence smoke: bench_e2e_rounds exits non-zero unless
-# the round engine's chain content is bit-identical for pool sizes 1 and
-# N (clean and faulted) and the faulted session equals its frozen vector.
+# the training-heavy session is bit-identical for pool sizes 1 and N.
 # It drops BENCH_e2e.json in the working directory.
 BENCH_E2E="$(cd "$BUILD_DIR" && pwd)/bench/bench_e2e_rounds"
-(cd "$ARTIFACT_DIR" && "$BENCH_E2E" --quick)
+(cd "$ARTIFACT_DIR" && "$BENCH_E2E")
 
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$ARTIFACT_DIR" "$ROUNDS" <<'EOF'
@@ -207,15 +209,13 @@ assert speedup >= 4.0, \
 
 e2e = json.load(open(f"{artifact_dir}/BENCH_e2e.json"))
 assert e2e["all_equivalent"] is True, e2e["equivalence"]
-missing = {"pool_size_invariant", "faulted_identical", "frozen_vector"} \
-    - set(e2e["equivalence"])
+missing = {"pool_size_invariant"} - set(e2e["equivalence"])
 assert not missing, f"missing e2e equivalence checks: {missing}"
 e2e_speedup = e2e["training_heavy"]["speedup"]
 if e2e["pool_threads"] >= 4:
     # The fan-out pays only where training dominates the round and the
     # cores exist to run it: the >= 2x floor applies to the
-    # training-heavy shape on >= 4 pool threads. The quick roster's ratio
-    # (~1x, per-owner work too small) is reported, not gated.
+    # training-heavy shape on >= 4 pool threads.
     assert e2e_speedup >= 2.0, \
         f"round engine speedup {e2e_speedup:.2f}x below the 2x floor"
 assert metrics["round_engine_pool_threads"] >= 1, metrics

@@ -25,8 +25,8 @@
 # (test_round_engine: concurrent train/mask/payload against the
 # allocation-free ParallelFor), dropout recovery in pooled sessions
 # (test_dropout_recovery; test_shamir for the sharing it relies on) and
-# bench_e2e_rounds --quick, whose pool-1-vs-pool-N sessions run the
-# whole protocol both ways.
+# bench_e2e_rounds, whose pool-1-vs-pool-N training-heavy sessions run
+# the whole protocol both ways.
 # Since the byzantine-hardening PR it also covers the Feldman share
 # verification (test_vss, batched ModPow under a pool) and the full
 # accusation/slashing path under a multi-thread pool (test_byzantine),
@@ -120,6 +120,6 @@ BENCH_KERNELS="$(cd "$BUILD_DIR" && pwd)/bench/bench_kernels"
 BENCH_CHAIN="$(cd "$BUILD_DIR" && pwd)/bench/bench_chain_throughput"
 (cd "$TSAN_TMP" && "$BENCH_CHAIN" --quick)
 BENCH_E2E="$(cd "$BUILD_DIR" && pwd)/bench/bench_e2e_rounds"
-(cd "$TSAN_TMP" && "$BENCH_E2E" --quick)
+(cd "$TSAN_TMP" && "$BENCH_E2E")
 
 echo "TSan: all clean"

@@ -28,7 +28,7 @@ inline constexpr char kCleanSession[] =
 
 /// DropoutRecoveryTest.FaultedRunIsPoolSizeInvariant: FaultableConfig() in
 /// test_dropout_recovery.cc with "crash owner 2 @1; drop-submit owner 1
-/// @2 x2" (also bench_e2e_rounds' faulted identity check).
+/// @2 x2".
 inline constexpr char kFaultedSession[] =
     R"({"chain_tip_height":5,"chain_tip_hash":)"
     R"("9acd8bc4f0565871b5ac27217bf49d611991ecedc5c5986bd4153ea90a78386f",)"
