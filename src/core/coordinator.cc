@@ -685,8 +685,9 @@ Result<BcflRunResult> BcflCoordinator::Run() {
   // continuation is bit-identical.
   ml::Matrix global(params_.weight_rows, params_.weight_cols);
   if (start_round_ > 0) {
-    BCFL_ASSIGN_OR_RETURN(global, GetMatrix(engine_->CanonicalState(),
-                                            keys::GlobalModel(start_round_ - 1)));
+    BCFL_ASSIGN_OR_RETURN(
+        global, GetMatrix(engine_->CanonicalState(),
+                          keys::GlobalModel(start_round_ - 1)));
   }
 
   // Ledger probes: a record's phases are the round's growth of the live

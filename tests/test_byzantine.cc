@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "chain/block_log.h"
+#include "chain/miner.h"
 #include "core/coordinator.h"
+#include "core/reward_contract.h"
 #include "core/session_summary.h"
+#include "core/slash_contract.h"
 #include "core/state_keys.h"
 #include "fault/fault_plan.h"
 #include "frozen_sessions.h"
@@ -197,6 +203,61 @@ TEST(ByzantineTest, BadShareRewardSessionIsPoolSizeInvariant) {
     EXPECT_EQ(summary.ToJson(), frozen::kBadShareRewardSession)
         << "pool " << pool_threads;
   }
+}
+
+TEST(ByzantineTest, BlockLogReplicaReadsBackTheRunResult) {
+  // Transparency: a fresh replica that re-executes blocks.log through the
+  // public contracts reads back every on-chain field Run() reported — SVs,
+  // model, convictions, burn, claims and counters. The validation split
+  // is borrowed from the session: no block identifies it.
+  BcflConfig config = ByzantineConfig();
+  config.reward_pool = 1'000'000;
+  config.fault_plan =
+      *fault::FaultPlan::Parse("crash owner 1 @1; bad-share owner 3 @1");
+  const std::string dir =
+      ::testing::TempDir() + "bcfl_transparency_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  auto coordinator = BcflCoordinator::Create(config);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  ASSERT_TRUE((*coordinator)->AttachPersistence({.state_dir = dir}).ok());
+  auto result = (*coordinator)->Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  auto host = std::make_shared<chain::ContractHost>();
+  auto fl = std::make_shared<FlContract>((*coordinator)->test_set());
+  ASSERT_TRUE(host->Register(fl).ok());
+  ASSERT_TRUE(host->Register(std::make_shared<RewardContract>()).ok());
+  ASSERT_TRUE(host->Register(std::make_shared<SlashContract>(fl)).ok());
+  chain::Miner replica(0, host);
+  auto log = chain::BlockLog::Open(dir + "/blocks.log");
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  for (const chain::Block& block : log->TakeRecoveredBlocks()) {
+    ASSERT_TRUE(replica.CommitBlock(block).ok()) << block.header.height;
+  }
+  log->Close();
+  std::filesystem::remove_all(dir);
+
+  auto on_chain = ReadRunResult(replica.chain(), replica.state());
+  ASSERT_TRUE(on_chain.ok()) << on_chain.status().ToString();
+  EXPECT_EQ(on_chain->per_round_sv, result->per_round_sv);
+  EXPECT_EQ(on_chain->total_sv, result->total_sv);
+  EXPECT_EQ(on_chain->global_weights, result->global_weights);
+  EXPECT_EQ(on_chain->retired_at, result->retired_at);
+  EXPECT_EQ(on_chain->slashed_at, result->slashed_at);
+  EXPECT_EQ(on_chain->rewards, result->rewards);
+  EXPECT_EQ(on_chain->reward_burned, result->reward_burned);
+  EXPECT_EQ(on_chain->blocks_committed, result->blocks_committed);
+  EXPECT_EQ(on_chain->total_transactions, result->total_transactions);
+  EXPECT_EQ(on_chain->recover_transactions, result->recover_transactions);
+  EXPECT_EQ(on_chain->slash_transactions, result->slash_transactions);
+  EXPECT_EQ(result->slashed_at, (std::map<uint32_t, uint64_t>{{3, 1}}));
+  EXPECT_GT(result->reward_burned, 0u);
+  // With the two off-chain results added, the replica's read is the
+  // frozen session the hand-kept accumulators once produced.
+  on_chain->round_accuracies = result->round_accuracies;
+  on_chain->submission_retries = result->submission_retries;
+  EXPECT_EQ(SummarizeSession(replica.chain(), *on_chain).ToJson(),
+            frozen::kBadShareRewardSession);
 }
 
 TEST(ByzantineTest, PoisonWithoutNormBoundGoesUndetected) {

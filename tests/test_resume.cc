@@ -256,6 +256,62 @@ TEST_F(ResumeTest, StateDirOfAnOlderFormatFailsClosed) {
   EXPECT_EQ((*coordinator)->start_round(), 0u);
 }
 
+TEST_F(ResumeTest, VersionTwoCheckpointFailsClosed) {
+  // Version 2 also carried the chain's own results; a state dir killed by
+  // that format is refused, never half-trusted.
+  BcflConfig config = SmallConfig("kill @2");
+  PersistenceOptions persist;
+  persist.state_dir = StateDir("v2");
+  {
+    auto coordinator = BcflCoordinator::Create(config);
+    ASSERT_TRUE(coordinator.ok());
+    ASSERT_TRUE((*coordinator)->AttachPersistence(persist).ok());
+    (void)(*coordinator)->Run();
+  }
+  {
+    std::fstream out(persist.state_dir + "/checkpoint.bckp",
+                     std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(out.is_open());
+    out.seekp(4);  // The u32 LE version follows the 4-byte magic.
+    const char version_two[4] = {2, 0, 0, 0};
+    out.write(version_two, sizeof(version_two));
+  }
+  persist.resume = true;
+  auto coordinator = BcflCoordinator::Create(config);
+  ASSERT_TRUE(coordinator.ok());
+  Status st = (*coordinator)->AttachPersistence(persist);
+  EXPECT_TRUE(st.IsUnimplemented()) << st.ToString();
+  EXPECT_NE(st.ToString().find("unsupported checkpoint version 2"),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST_F(ResumeTest, CheckpointRoundMustMatchTheReplayedChain) {
+  // The replayed chain completed rounds 0 and 1; a checkpoint that claims
+  // another resume round is refused instead of trusted.
+  BcflConfig config = SmallConfig("kill @2");
+  PersistenceOptions persist;
+  persist.state_dir = StateDir("mismatch");
+  {
+    auto coordinator = BcflCoordinator::Create(config);
+    ASSERT_TRUE(coordinator.ok());
+    ASSERT_TRUE((*coordinator)->AttachPersistence(persist).ok());
+    (void)(*coordinator)->Run();
+  }
+  const std::string path = persist.state_dir + "/checkpoint.bckp";
+  auto cp = LoadCheckpoint(path);
+  ASSERT_TRUE(cp.ok()) << cp.status().ToString();
+  ASSERT_EQ(cp->next_round, 2u);
+  cp->next_round = 1;
+  ASSERT_TRUE(SaveCheckpoint(*cp, path).ok());
+  persist.resume = true;
+  auto coordinator = BcflCoordinator::Create(config);
+  ASSERT_TRUE(coordinator.ok());
+  Status st = (*coordinator)->AttachPersistence(persist);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ((*coordinator)->start_round(), 0u);
+}
+
 TEST_F(ResumeTest, ResumeOnEmptyStateDirIsNotFound) {
   BcflConfig config = SmallConfig("");
   PersistenceOptions persist;

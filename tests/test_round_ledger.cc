@@ -116,6 +116,98 @@ TEST(RoundLedgerTest, AppendsParseableRecordsWithVolatility) {
   EXPECT_DOUBLE_EQ(second->Find("recovered")->array[0].number, 0.0);
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Two owners' SVs per round for the resume tests. Owner 0's values
+/// round at %.6f, and a volatility window primed with the rounded values
+/// prints a different round-3 line than one primed with these.
+const std::vector<std::vector<double>> kResumeSv = {
+    {0.8399511, 0.5}, {0.4896939, 0.5}, {0.4693197, 0.5}, {0.70338259, 0.5}};
+
+RoundRecord ResumeRecord(uint64_t round) {
+  RoundRecord record;
+  record.round = round;
+  record.sv = kResumeSv[round];
+  return record;
+}
+
+/// Writes every kResumeSv round to `path` without interruption.
+std::vector<std::string> WriteUninterruptedLedger(const std::string& path) {
+  RoundLedger ledger(/*volatility_window=*/3);
+  EXPECT_TRUE(ledger.Open(path).ok());
+  for (uint64_t r = 0; r < kResumeSv.size(); ++r) {
+    EXPECT_TRUE(ledger.Append(ResumeRecord(r)).ok());
+  }
+  ledger.Close();
+  return ReadLines(path);
+}
+
+TEST(RoundLedgerTest, OpenForResumeKeepsRecordsAndTruncatesTheRest) {
+  const std::string path = TempPath("ledger_resume_keep.jsonl");
+  const std::vector<std::string> full = WriteUninterruptedLedger(path);
+  ASSERT_EQ(full.size(), 4u);
+  // A kill tore the next record half way.
+  { std::ofstream(path, std::ios::app) << full[0].substr(0, 20); }
+
+  RoundLedger ledger(3);
+  ASSERT_TRUE(ledger.OpenForResume(path, 4, kResumeSv).ok());
+  EXPECT_EQ(ledger.rounds_written(), 4u);
+  ledger.Close();
+  EXPECT_EQ(ReadFile(path), full[0] + "\n" + full[1] + "\n" + full[2] +
+                                "\n" + full[3] + "\n");
+
+  ASSERT_TRUE(ledger.OpenForResume(path, 2, kResumeSv).ok());
+  EXPECT_EQ(ledger.rounds_written(), 2u);
+  ledger.Close();
+  EXPECT_EQ(ReadFile(path), full[0] + "\n" + full[1] + "\n");
+}
+
+TEST(RoundLedgerTest, OpenForResumeFailsClosed) {
+  const std::string path = TempPath("ledger_resume_short.jsonl");
+  const std::vector<std::string> full = WriteUninterruptedLedger(path);
+  // Two whole records and a torn third: three are not there.
+  const std::string torn =
+      full[0] + "\n" + full[1] + "\n" + full[2].substr(0, 9);
+  { std::ofstream(path, std::ios::trunc) << torn; }
+  RoundLedger ledger(3);
+  EXPECT_TRUE(ledger.OpenForResume(path, 3, kResumeSv).IsCorruption());
+  EXPECT_FALSE(ledger.is_open());
+  // An SV history shorter than the kept records is refused before the
+  // file is touched.
+  EXPECT_TRUE(ledger.OpenForResume(path, 2, {kResumeSv[0]})
+                  .IsInvalidArgument());
+  EXPECT_EQ(ReadFile(path), torn);
+}
+
+TEST(RoundLedgerTest, AppendAfterResumeWritesTheUninterruptedLine) {
+  const std::string path = TempPath("ledger_resume_append.jsonl");
+  const std::vector<std::string> full = WriteUninterruptedLedger(path);
+  RoundLedger ledger(3);
+  ASSERT_TRUE(ledger.OpenForResume(path, 3, kResumeSv).ok());
+  ASSERT_TRUE(ledger.Append(ResumeRecord(3)).ok());
+  ledger.Close();
+  EXPECT_EQ(ReadLines(path), full);
+
+  // Priming with the records' own %.6f-rounded "sv" arrays would not.
+  std::vector<std::vector<double>> rounded;
+  for (size_t r = 0; r < 3; ++r) {
+    auto parsed = ParseJson(full[r]);
+    ASSERT_TRUE(parsed.ok());
+    rounded.emplace_back();
+    for (const JsonValue& v : parsed->Find("sv")->array) {
+      rounded.back().push_back(v.number);
+    }
+  }
+  ASSERT_TRUE(ledger.OpenForResume(path, 3, rounded).ok());
+  ASSERT_TRUE(ledger.Append(ResumeRecord(3)).ok());
+  ledger.Close();
+  EXPECT_NE(ReadLines(path)[3], full[3]);
+}
+
 TEST(RoundLedgerTest, PhaseDeltasKeepOnlyMovedLatencyHistograms) {
   MetricsRegistry registry;
   Histogram& moved = registry.GetHistogram("span.fl.train_us");

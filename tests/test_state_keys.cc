@@ -1,5 +1,5 @@
 // The contract-state records: key layout, the fail-closed value readers,
-// the setup loader and the conviction writers.
+// the setup loader and the conviction writers and readers.
 
 #include "core/state_keys.h"
 
@@ -72,6 +72,21 @@ TEST(StateRecordReaderTest, RetirementNeedsRoundAndKey) {
   EXPECT_TRUE(RetiredBefore(state, 1)->empty());
   ExpectExactLength(&state, keys::Retired(4),
                     [&] { return RetiredBefore(state, 2); });
+}
+
+TEST(StateRecordReaderTest, ConvictionNeedsRoundAndKnownKind) {
+  chain::ContractState state;
+  ConvictOwner(&state, 2, 5, crypto::UInt256(7), SlashKind::kBadShare);
+  auto convicted = GetConvictionRounds(state);
+  ASSERT_TRUE(convicted.ok());
+  EXPECT_EQ(*convicted, (std::map<uint32_t, uint64_t>{{5, 2}}));
+  ExpectExactLength(&state, keys::Slashed(5),
+                    [&] { return GetConvictionRounds(state); });
+  ByteWriter unknown;
+  unknown.WriteU64(2);
+  unknown.WriteU8(0);
+  state.Put(keys::Slashed(5), unknown.Take());
+  EXPECT_TRUE(GetConvictionRounds(state).status().IsCorruption());
 }
 
 TEST(StateRecordReaderTest, RetirementKeyNeedsAnOwnerIndex) {
