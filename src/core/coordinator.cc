@@ -44,23 +44,6 @@ uint64_t SlashNonce(uint64_t round, uint32_t offender, uint64_t num_owners) {
          offender;
 }
 
-/// Adds the blocks of `commits`, their transactions and the slash
-/// transactions among them to a ledger record.
-Status CountCommits(const chain::Blockchain& chain,
-                    const std::vector<chain::CommitResult>& commits,
-                    obs::RoundRecord* record) {
-  for (const auto& commit : commits) {
-    BCFL_ASSIGN_OR_RETURN(const chain::Block block,
-                          chain.GetBlock(commit.height));
-    record->blocks_committed++;
-    record->transactions += block.txs.size();
-    for (const chain::Transaction& tx : block.txs) {
-      if (tx.contract() == "slash") record->accusations++;
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<BcflCoordinator>> BcflCoordinator::Create(
@@ -680,15 +663,13 @@ Result<BcflRunResult> BcflCoordinator::Run() {
   static auto& accuracy_gauge =
       obs::MetricsRegistry::Global().GetGauge("fl.round_accuracy");
   const size_t n = config_.num_owners;
-  // A resumed session continues from the replayed chain's latest model;
-  // everything else below is unchanged, which is exactly why the
-  // continuation is bit-identical.
-  ml::Matrix global(params_.weight_rows, params_.weight_cols);
-  if (start_round_ > 0) {
-    BCFL_ASSIGN_OR_RETURN(
-        global, GetMatrix(engine_->CanonicalState(),
-                          keys::GlobalModel(start_round_ - 1)));
-  }
+  // The chain's latest model: zero before round 0, the replayed chain's
+  // after a resume. Everything else below is unchanged, which is exactly
+  // why a resumed continuation is bit-identical.
+  BCFL_ASSIGN_OR_RETURN(
+      BcflRunResult start,
+      ReadRunResult(engine_->CanonicalChain(), engine_->CanonicalState()));
+  ml::Matrix global = std::move(start.global_weights);
 
   // Ledger probes: a record's phases are the round's growth of the live
   // latency histograms the exposition endpoint serves, keyed by their
@@ -846,12 +827,9 @@ Result<BcflRunResult> BcflCoordinator::Run() {
       record.dropouts.assign(missing.begin(), missing.end());
       BCFL_ASSIGN_OR_RETURN(const auto convicted, GetConvictionRounds(state));
       for (const auto& [owner, retired_round] : retired_) {
-        if (retired_round == round && convicted.count(owner) == 0) {
-          record.recovered.push_back(owner);
-        }
-      }
-      for (const auto& [owner, slash_round] : convicted) {
-        if (slash_round == round) record.slashed.push_back(owner);
+        if (retired_round != round) continue;
+        (convicted.count(owner) > 0 ? record.slashed : record.recovered)
+            .push_back(owner);
       }
       record.sv.resize(n);
       for (uint32_t i = 0; i < n; ++i) {
@@ -859,8 +837,16 @@ Result<BcflRunResult> BcflCoordinator::Run() {
                               GetDouble(state, keys::RoundSv(round, i)));
       }
       record.accuracy = acc;
-      BCFL_RETURN_IF_ERROR(CountCommits(engine_->CanonicalChain(), commits,
-                                        &record));
+      for (const auto& commit : commits) {
+        BCFL_ASSIGN_OR_RETURN(
+            const chain::Block block,
+            engine_->CanonicalChain().GetBlock(commit.height));
+        record.blocks_committed++;
+        record.transactions += block.txs.size();
+        for (const chain::Transaction& tx : block.txs) {
+          if (tx.contract() == "slash") record.accusations++;
+        }
+      }
       if (round + 1 == config_.rounds && config_.reward_pool > 0) {
         pending_final_record = std::move(record);
         have_pending_final_record = true;
@@ -886,7 +872,6 @@ Result<BcflRunResult> BcflCoordinator::Run() {
   const obs::MetricsSnapshot reward0 = have_pending_final_record
                                            ? registry.Snapshot()
                                            : obs::MetricsSnapshot{};
-  std::vector<chain::CommitResult> reward_commits;
   if (config_.reward_pool > 0) {
     obs::ScopedSpan reward_span(obs::Tracer::Global(), "reward_phase", "fl");
     BCFL_RETURN_IF_ERROR(engine_->SubmitTransaction(chain::Transaction::Sign(
@@ -910,18 +895,18 @@ Result<BcflRunResult> BcflCoordinator::Run() {
            .nonce = kClaimNonceBase + i},
           schnorr_, schnorr_keys_[i], rng_.get())));
     }
-    BCFL_ASSIGN_OR_RETURN(reward_commits, engine_->RunUntilDrained());
-    for (const auto& commit : reward_commits) {
+    BCFL_ASSIGN_OR_RETURN(auto commits, engine_->RunUntilDrained());
+    for (const auto& commit : commits) {
       if (!commit.committed) {
         return Status::Internal("reward phase failed to commit");
       }
+      pending_final_record.blocks_committed++;
+      pending_final_record.transactions += commit.num_txs;
     }
   }
   if (have_pending_final_record) {
     obs::AddPhaseDeltas(reward0, registry.Snapshot(),
                         &pending_final_record.phase_us);
-    BCFL_RETURN_IF_ERROR(CountCommits(engine_->CanonicalChain(),
-                                      reward_commits, &pending_final_record));
     BCFL_RETURN_IF_ERROR(ledger_->Append(pending_final_record));
   }
 

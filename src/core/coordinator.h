@@ -90,9 +90,8 @@ struct PersistenceOptions {
   bool resume = false;
 };
 
-/// Everything a full on-chain session produces. Every field but
-/// `round_accuracies` and `submission_retries` is read back from the
-/// committed chain (`ReadRunResult`).
+/// Everything a full on-chain session produces; all but the accuracies
+/// and the retries are read back from the committed chain (ReadRunResult).
 struct BcflRunResult {
   ml::Matrix global_weights;                     ///< Final W_G.
   std::vector<double> total_sv;                  ///< On-chain sv_total per owner.
@@ -233,8 +232,7 @@ class BcflCoordinator {
   /// may; the evidence or the revealed key, not the sender, carries it).
   Result<uint32_t> FindReporter(const std::set<uint32_t>& excluded) const;
 
-  /// Signs and submits one slash transaction and retires the offender
-  /// locally.
+  /// Signs and submits one slash transaction; retires the offender locally.
   Status SubmitSlash(uint64_t round, uint32_t offender, uint32_t reporter,
                      const Bytes& payload, const char* what);
 

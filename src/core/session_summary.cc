@@ -64,8 +64,7 @@ Result<BcflRunResult> ReadRunResult(const chain::Blockchain& chain,
   const uint32_t n = params.num_owners;
   BcflRunResult result;
   result.global_weights = ml::Matrix(params.weight_rows, params.weight_cols);
-  for (uint64_t r = 0; r < params.rounds && state.Has(keys::RoundComplete(r));
-       ++r) {
+  for (uint64_t r = 0; state.Has(keys::RoundComplete(r)); ++r) {
     std::vector<double>& round_sv = result.per_round_sv.emplace_back(n);
     for (uint32_t i = 0; i < n; ++i) {
       BCFL_ASSIGN_OR_RETURN(round_sv[i], GetDouble(state, keys::RoundSv(r, i)));

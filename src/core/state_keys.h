@@ -112,8 +112,7 @@ void RetireOwner(chain::ContractState* state, uint64_t round, uint32_t owner,
 void ConvictOwner(chain::ContractState* state, uint64_t round,
                   uint32_t owner, const crypto::UInt256& key, SlashKind kind);
 
-/// A `retired/<owner>` record: the round that retired the owner and its
-/// revealed DH private key.
+/// A `retired/<owner>` record: the retiring round and revealed DH key.
 struct Retirement {
   uint64_t round = 0;
   crypto::UInt256 key;
