@@ -122,8 +122,8 @@ struct Retirement {
 Result<std::map<uint32_t, Retirement>> GetRetirements(
     const chain::ContractState& state);
 
-/// Owners retired in rounds before `round`, with their revealed DH
-/// private keys.
+/// Owners retired before `round`, with their revealed DH private keys (a
+/// retirement in `round` itself is counted by that round's dropouts).
 Result<std::map<uint32_t, crypto::UInt256>> RetiredBefore(
     const chain::ContractState& state, uint64_t round);
 
