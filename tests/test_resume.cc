@@ -226,64 +226,50 @@ TEST_F(ResumeTest, ResumeRefusesDifferentConfig) {
 }
 
 TEST_F(ResumeTest, StateDirOfAnOlderFormatFailsClosed) {
-  BcflConfig config = SmallConfig("kill @2");
-  PersistenceOptions persist;
-  persist.state_dir = StateDir("v1");
-  {
+  // Version 1 of both files commits to the state root before the
+  // leaf-digest one, and the block log, which opens first, refuses it; a
+  // version-2 checkpoint also carried the chain's own results. Either
+  // state dir is refused at open, never half-trusted or failed
+  // mid-replay.
+  struct OlderFormat {
+    std::vector<const char*> files;
+    char version;
+    const char* refusal;
+  };
+  for (const OlderFormat& older :
+       {OlderFormat{{"blocks.log", "checkpoint.bckp"},
+                    1,
+                    "unsupported block log version 1"},
+        OlderFormat{{"checkpoint.bckp"},
+                    2,
+                    "unsupported checkpoint version 2"}}) {
+    BcflConfig config = SmallConfig("kill @2");
+    PersistenceOptions persist;
+    persist.state_dir = StateDir(std::to_string(older.version));
+    {
+      auto coordinator = BcflCoordinator::Create(config);
+      ASSERT_TRUE(coordinator.ok());
+      ASSERT_TRUE((*coordinator)->AttachPersistence(persist).ok());
+      (void)(*coordinator)->Run();
+    }
+    // The version is a u32 LE after the 4-byte magic.
+    for (const char* file : older.files) {
+      std::fstream out(persist.state_dir + "/" + file,
+                       std::ios::binary | std::ios::in | std::ios::out);
+      ASSERT_TRUE(out.is_open()) << file;
+      out.seekp(4);
+      const char version[4] = {older.version, 0, 0, 0};
+      out.write(version, sizeof(version));
+    }
+    persist.resume = true;
     auto coordinator = BcflCoordinator::Create(config);
     ASSERT_TRUE(coordinator.ok());
-    ASSERT_TRUE((*coordinator)->AttachPersistence(persist).ok());
-    (void)(*coordinator)->Run();
+    Status st = (*coordinator)->AttachPersistence(persist);
+    EXPECT_TRUE(st.IsUnimplemented()) << st.ToString();
+    EXPECT_NE(st.ToString().find(older.refusal), std::string::npos)
+        << st.ToString();
+    EXPECT_EQ((*coordinator)->start_round(), 0u);
   }
-  // Rewrite both version fields (u32 LE after the 4-byte magic) to the
-  // format before the leaf-digest state root: resume must refuse at open
-  // instead of failing a state-root check mid-replay.
-  for (const char* file : {"blocks.log", "checkpoint.bckp"}) {
-    std::fstream out(StateDir("v1") + "/" + file,
-                     std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(out.is_open()) << file;
-    out.seekp(4);
-    const char version_one[4] = {1, 0, 0, 0};
-    out.write(version_one, sizeof(version_one));
-  }
-  persist.resume = true;
-  auto coordinator = BcflCoordinator::Create(config);
-  ASSERT_TRUE(coordinator.ok());
-  Status st = (*coordinator)->AttachPersistence(persist);
-  EXPECT_TRUE(st.IsUnimplemented()) << st.ToString();
-  EXPECT_NE(st.ToString().find("unsupported"), std::string::npos)
-      << st.ToString();
-  EXPECT_EQ((*coordinator)->start_round(), 0u);
-}
-
-TEST_F(ResumeTest, VersionTwoCheckpointFailsClosed) {
-  // Version 2 also carried the chain's own results; a state dir killed by
-  // that format is refused, never half-trusted.
-  BcflConfig config = SmallConfig("kill @2");
-  PersistenceOptions persist;
-  persist.state_dir = StateDir("v2");
-  {
-    auto coordinator = BcflCoordinator::Create(config);
-    ASSERT_TRUE(coordinator.ok());
-    ASSERT_TRUE((*coordinator)->AttachPersistence(persist).ok());
-    (void)(*coordinator)->Run();
-  }
-  {
-    std::fstream out(persist.state_dir + "/checkpoint.bckp",
-                     std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(out.is_open());
-    out.seekp(4);  // The u32 LE version follows the 4-byte magic.
-    const char version_two[4] = {2, 0, 0, 0};
-    out.write(version_two, sizeof(version_two));
-  }
-  persist.resume = true;
-  auto coordinator = BcflCoordinator::Create(config);
-  ASSERT_TRUE(coordinator.ok());
-  Status st = (*coordinator)->AttachPersistence(persist);
-  EXPECT_TRUE(st.IsUnimplemented()) << st.ToString();
-  EXPECT_NE(st.ToString().find("unsupported checkpoint version 2"),
-            std::string::npos)
-      << st.ToString();
 }
 
 TEST_F(ResumeTest, CheckpointRoundMustMatchTheReplayedChain) {
