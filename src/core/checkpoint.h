@@ -14,7 +14,7 @@ namespace bcfl::core {
 
 /// What a coordinator needs, beside the durable block log next to it, to
 /// resume a killed session bit-identically from the start of
-/// `next_round` (PR 10). The replayed chain tells the rest: the SVs, the
+/// `next_round`. The replayed chain tells the rest: the SVs, the
 /// global model, retirements, convictions and the block and transaction
 /// counts (`ReadRunResult`). What it cannot tell is kept here:
 ///

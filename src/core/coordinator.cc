@@ -837,11 +837,11 @@ Result<BcflRunResult> BcflCoordinator::Run() {
                               GetDouble(state, keys::RoundSv(round, i)));
       }
       record.accuracy = acc;
+      record.blocks_committed = commits.size();
       for (const auto& commit : commits) {
         BCFL_ASSIGN_OR_RETURN(
             const chain::Block block,
             engine_->CanonicalChain().GetBlock(commit.height));
-        record.blocks_committed++;
         record.transactions += block.txs.size();
         for (const chain::Transaction& tx : block.txs) {
           if (tx.contract() == "slash") record.accusations++;
@@ -896,11 +896,11 @@ Result<BcflRunResult> BcflCoordinator::Run() {
           schnorr_, schnorr_keys_[i], rng_.get())));
     }
     BCFL_ASSIGN_OR_RETURN(auto commits, engine_->RunUntilDrained());
+    pending_final_record.blocks_committed += commits.size();
     for (const auto& commit : commits) {
       if (!commit.committed) {
         return Status::Internal("reward phase failed to commit");
       }
-      pending_final_record.blocks_committed++;
       pending_final_record.transactions += commit.num_txs;
     }
   }
