@@ -114,31 +114,6 @@ std::vector<uint64_t> Histogram::BucketCounts() const {
   return out;
 }
 
-double Histogram::Percentile(double q) const {
-  const std::vector<uint64_t> buckets = BucketCounts();
-  uint64_t total = 0;
-  for (uint64_t c : buckets) total += c;
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] == 0) continue;
-    const uint64_t next = cumulative + buckets[i];
-    if (static_cast<double>(next) >= target) {
-      // Interpolate inside bucket i: [lower, upper].
-      const double lower = i == 0 ? 0.0 : bounds_[i - 1];
-      const double upper = i < bounds_.size() ? bounds_[i] : Max();
-      const double fraction =
-          (target - static_cast<double>(cumulative)) /
-          static_cast<double>(buckets[i]);
-      return lower + (upper - lower) * std::clamp(fraction, 0.0, 1.0);
-    }
-    cumulative = next;
-  }
-  return Max();
-}
-
 void Histogram::Reset() {
   for (auto& shard : shards_) {
     for (auto& b : shard.buckets) b.store(0, std::memory_order_relaxed);
@@ -191,8 +166,10 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name,
 namespace {
 
 /// Linear-interpolated percentile over an already-materialised bucket
-/// vector (same estimator as Histogram::Percentile, but computed from a
-/// snapshot so every quantile of one scrape agrees with its buckets).
+/// vector, so every quantile of one snapshot agrees with its buckets.
+/// The overflow bucket interpolates up to `max_value`, which is read
+/// apart from the buckets: a racing Reset can leave it below the
+/// bucket's lower bound, so the estimate is kept inside the bucket.
 double PercentileFromBuckets(const std::vector<double>& bounds,
                              const std::vector<uint64_t>& buckets,
                              uint64_t total, double max_value, double q) {
@@ -205,7 +182,8 @@ double PercentileFromBuckets(const std::vector<double>& bounds,
     const uint64_t next = cumulative + buckets[i];
     if (static_cast<double>(next) >= target) {
       const double lower = i == 0 ? 0.0 : bounds[i - 1];
-      const double upper = i < bounds.size() ? bounds[i] : max_value;
+      const double upper =
+          i < bounds.size() ? bounds[i] : std::max(max_value, lower);
       const double fraction = (target - static_cast<double>(cumulative)) /
                               static_cast<double>(buckets[i]);
       return lower + (upper - lower) * std::clamp(fraction, 0.0, 1.0);
@@ -216,6 +194,13 @@ double PercentileFromBuckets(const std::vector<double>& bounds,
 }
 
 }  // namespace
+
+double Histogram::Percentile(double q) const {
+  const std::vector<uint64_t> buckets = BucketCounts();
+  uint64_t total = 0;
+  for (uint64_t c : buckets) total += c;
+  return PercentileFromBuckets(bounds_, buckets, total, Max(), q);
+}
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
