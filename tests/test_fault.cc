@@ -38,14 +38,36 @@ TEST(FaultPlanTest, SemicolonsAndCommentsAreAccepted) {
 }
 
 TEST(FaultPlanTest, RoundTripsThroughToString) {
+  // Every event kind, written loosely (comments, spare blanks, a
+  // one-round interval, an explicit x1); the canonical text is pinned.
   auto plan = FaultPlan::Parse(
-      "crash owner 2 @1; slow miner 0 @1..3 +500us; "
-      "drop-submit owner 1 @2 x3; partition miners 0,1 @3..4; "
-      "duplicate miner 3 @0..5; reorder miner 2 @2");
-  ASSERT_TRUE(plan.ok());
+      "crash owner 2 @1; recover owner 2 @3  # back online\n"
+      "slow miner 0 @1..3 +500us; slow owner 4 @2..2 +7us\n"
+      "drop-submit owner 1 @2 x3; drop-submit owner 5 @0 x1\n"
+      "duplicate miner 3 @0..5; reorder miner 2 @2\n"
+      "partition miners 0,1 @3..4; bad-share owner 6 @1..2\n"
+      "inconsistent-mask owner 7 @1; equivocate-submit owner 8 @2\n"
+      "poison-update owner 3 @4 *2.5; kill @5");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  constexpr char kCanonical[] =
+      "crash owner 2 @1\n"
+      "recover owner 2 @3\n"
+      "slow miner 0 @1..3 +500us\n"
+      "slow owner 4 @2 +7us\n"
+      "drop-submit owner 1 @2 x3\n"
+      "drop-submit owner 5 @0\n"
+      "duplicate miner 3 @0..5\n"
+      "reorder miner 2 @2\n"
+      "partition miners 0,1 @3..4\n"
+      "bad-share owner 6 @1..2\n"
+      "inconsistent-mask owner 7 @1\n"
+      "equivocate-submit owner 8 @2\n"
+      "poison-update owner 3 @4 *2.5\n"
+      "kill @5";
+  EXPECT_EQ(plan->ToString(), kCanonical);
   auto reparsed = FaultPlan::Parse(plan->ToString());
   ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(plan->ToString(), reparsed->ToString());
+  EXPECT_EQ(reparsed->ToString(), kCanonical);
   EXPECT_EQ(plan->events.size(), reparsed->events.size());
 }
 
