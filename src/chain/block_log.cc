@@ -18,9 +18,11 @@ namespace bcfl::chain {
 namespace {
 
 constexpr char kLogMagic[4] = {'B', 'C', 'L', 'G'};
-/// Version 2: headers commit to the leaf-digest state root
-/// ("bcfl-state-v2"); version-1 logs cannot replay under it.
-constexpr uint32_t kLogVersion = 2;
+/// Version 3: headers commit to the roots of a state that prunes each
+/// evaluated round's updates and superseded global model; a version-2 log
+/// committed to the unpruned roots, and version 1 to a pre-leaf-digest
+/// root ("bcfl-state-v2"). Neither can replay.
+constexpr uint32_t kLogVersion = 3;
 constexpr size_t kHeaderSize = 8;   // magic + version.
 constexpr size_t kRecordHeader = 8; // length + crc32c.
 /// A length field beyond this is treated as torn garbage, not a record.

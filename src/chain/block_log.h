@@ -26,7 +26,7 @@ namespace bcfl::chain {
 /// a crash mid-write) is recovered by dropping the tail, while corruption
 /// before the tail (bit flips in settled records, bad header magic) fails
 /// closed with Corruption — the log never half-loads a record. A header
-/// version other than the current one (2) fails closed with
+/// version other than the current one (3) fails closed with
 /// Unimplemented before any record is read.
 class BlockLog {
  public:

@@ -29,7 +29,9 @@ Transaction Transaction::Sign(TxBody body, const crypto::Schnorr& scheme,
 
 Transaction::Transaction(TxBody body, const crypto::UInt256& sender,
                          const crypto::SchnorrSignature& signature)
-    : body_(std::move(body)), sender_(sender), signature_(signature) {
+    : body_(std::make_shared<const TxBody>(std::move(body))),
+      sender_(sender),
+      signature_(signature) {
   crypto::Sha256 hasher;
   hasher.Update(SigningBytes());
   hasher.Update(signature_.ToBytes());
@@ -38,7 +40,7 @@ Transaction::Transaction(TxBody body, const crypto::UInt256& sender,
 
 Bytes Transaction::SigningBytes() const {
   ByteWriter writer;
-  WriteSignedFields(body_, sender_, &writer);
+  WriteSignedFields(*body_, sender_, &writer);
   return writer.Take();
 }
 
@@ -48,7 +50,7 @@ bool Transaction::VerifySignature(const crypto::Schnorr& scheme) const {
 
 Bytes Transaction::Serialize() const {
   ByteWriter writer;
-  WriteSignedFields(body_, sender_, &writer);
+  WriteSignedFields(*body_, sender_, &writer);
   writer.WriteBytes(signature_.ToBytes());
   return writer.Take();
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "common/bytes.h"
@@ -29,8 +30,10 @@ struct TxBody {
 /// the transaction is constructed — by Sign(), by Deserialize() or from
 /// parts — and no accessor can change a field behind it, so every cache,
 /// Merkle leaf and dedup key that the id feeds commits to the bytes it
-/// was computed from. Copies and assignments carry the id along; a
-/// moved-from transaction may only be destroyed or assigned to.
+/// was computed from. Copies and assignments carry the id along and
+/// share the body, so every mempool and chain replica holds one copy of
+/// a payload; a moved-from transaction may only be destroyed or assigned
+/// to.
 class Transaction {
  public:
   /// Signs `body` with `key`, whose public part becomes the sender. Draws
@@ -43,11 +46,11 @@ class Transaction {
   Transaction(TxBody body, const crypto::UInt256& sender,
               const crypto::SchnorrSignature& signature);
 
-  const TxBody& body() const { return body_; }
-  const std::string& contract() const { return body_.contract; }
-  const std::string& method() const { return body_.method; }
-  const Bytes& payload() const { return body_.payload; }
-  uint64_t nonce() const { return body_.nonce; }
+  const TxBody& body() const { return *body_; }
+  const std::string& contract() const { return body_->contract; }
+  const std::string& method() const { return body_->method; }
+  const Bytes& payload() const { return body_->payload; }
+  uint64_t nonce() const { return body_->nonce; }
   const crypto::UInt256& sender() const { return sender_; }
   const crypto::SchnorrSignature& signature() const { return signature_; }
 
@@ -69,7 +72,7 @@ class Transaction {
   }
 
  private:
-  TxBody body_;
+  std::shared_ptr<const TxBody> body_;
   crypto::UInt256 sender_;
   crypto::SchnorrSignature signature_;
   crypto::Digest hash_;

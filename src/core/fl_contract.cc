@@ -112,6 +112,11 @@ Status FlContract::ExecuteSubmitUpdate(const chain::Transaction& tx,
   if (masked.size() != expected) {
     return Status::InvalidArgument("masked update has wrong dimension");
   }
+  // Evaluation prunes a round's submissions, so the completion marker,
+  // not a missing update, is what refuses a late or repeated one.
+  if (state->Has(keys::RoundComplete(round))) {
+    return Status::FailedPrecondition("round already evaluated");
+  }
   std::string update_key = keys::Update(round, owner);
   if (state->Has(update_key)) {
     return Status::AlreadyExists("owner already submitted this round");
@@ -146,6 +151,10 @@ Status FlContract::ExecuteRecover(const chain::Transaction& tx,
   // of a threshold of share reveals, not one party's secret).
   if (!params.IsOwnerKey(tx.sender())) {
     return Status::PermissionDenied("recovery must come from an owner");
+  }
+  // Checked before the update: an evaluated round's updates are pruned.
+  if (state->Has(keys::RoundComplete(round))) {
+    return Status::FailedPrecondition("round already evaluated");
   }
   if (state->Has(keys::Update(round, dropped))) {
     return Status::FailedPrecondition(
@@ -246,10 +255,10 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
   // library's aggregator: pairwise masks between survivors cancel, and
   // each survivor<->dropped residual mask is regenerated from the
   // revealed key and removed. Decode the mean over survivors as the
-  // group model. Models are held in memory until the norm gate below
-  // passes: a flagged evaluation must leave the state exactly as it
-  // found it (plus the flag markers), or the eventual clean evaluation
-  // would diverge from a run where the offender just crashed.
+  // group model. Group models live only in memory, never in the state:
+  // a flagged evaluation must leave the state exactly as it found it
+  // (plus the flag markers), or the eventual clean evaluation would
+  // diverge from a run where the offender just crashed.
   struct PendingGroup {
     uint32_t index;
     std::vector<size_t> survivors;
@@ -319,7 +328,6 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
   std::vector<ml::Matrix> group_models;
   group_models.reserve(pending.size());
   for (auto& group : pending) {
-    PutMatrix(state, keys::GroupModel(round, group.index), group.model);
     surviving_groups.push_back(std::move(group.survivors));
     group_models.push_back(std::move(group.model));
   }
@@ -342,7 +350,12 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
     PutDouble(state, keys::TotalSv(i), total + result.user_values[i]);
   }
 
+  // The completing transaction prunes what no later execution reads:
+  // the round's submissions and the previous global model. The blocks
+  // keep both.
+  for (uint32_t i = 0; i < n; ++i) state->Delete(keys::Update(round, i));
   PutMatrix(state, keys::GlobalModel(round), result.global_model);
+  if (round > 0) state->Delete(keys::GlobalModel(round - 1));
   ByteWriter marker;
   marker.WriteU8(1);
   state->Put(keys::RoundComplete(round), marker.Take());

@@ -47,7 +47,11 @@ secureagg::SecureAggregator RosterAggregator(const SetupParams& params);
 ///    GroupSV (Algorithm 1), the global model W_G, and accumulated
 ///    per-owner totals. Every miner re-executes this and consensus
 ///    compares the resulting state roots, which is exactly what makes
-///    the evaluation transparent and verifiable.
+///    the evaluation transparent and verifiable. The completing
+///    transaction also deletes the round's masked updates and the
+///    previous global model: no later execution reads them, and the
+///    blocks keep them. A submit_update or recover for an evaluated
+///    round fails with FailedPrecondition.
 ///
 /// The utility's validation dataset is public setup data replicated on
 /// every miner (a `TestAccuracyUtility` over the agreed test split).

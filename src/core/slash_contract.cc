@@ -257,6 +257,12 @@ Status SlashContract::VerifyNormViolation(const SetupParams& params,
   if (params.update_norm_bound <= 0.0) {
     return Status::FailedPrecondition("no norm bound agreed at setup");
   }
+  // The evidence is the offender's masked update, which the round's
+  // evaluation pruned.
+  if (state->Has(keys::RoundComplete(round))) {
+    return Status::FailedPrecondition(
+        "round already evaluated; its updates are pruned");
+  }
   BCFL_ASSIGN_OR_RETURN(
       double norm,
       UnmaskedUpdateNorm(params, round, offender, offender_key, *state));

@@ -47,7 +47,10 @@ namespace bcfl::core {
 ///  - kNormViolation: no blob. The contract unmasks the offender's own
 ///    on-chain submission with the revealed key (subtracting its pairwise
 ///    masks against its group roster), decodes it, and convicts iff the
-///    L2 norm exceeds the setup's `update_norm_bound`.
+///    L2 norm exceeds the setup's `update_norm_bound`. Evaluation prunes
+///    a round's submissions, so an accusation against an evaluated round
+///    fails with FailedPrecondition; the other kinds carry their evidence
+///    and still convict late.
 class SlashContract : public chain::SmartContract {
  public:
   /// `fl` is the registered FL contract instance: a completing slash

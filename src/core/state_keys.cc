@@ -24,10 +24,6 @@ std::string Update(uint64_t round, uint32_t owner) {
   return "update/" + Pad(round) + "/" + Pad(owner);
 }
 
-std::string GroupModel(uint64_t round, uint32_t group) {
-  return "group_model/" + Pad(round) + "/" + Pad(group);
-}
-
 std::string GlobalModel(uint64_t round) { return "global/" + Pad(round); }
 
 std::string RoundSv(uint64_t round, uint32_t owner) {

@@ -20,11 +20,11 @@ namespace keys {
 
 /// "setup/params"
 std::string SetupParams();
-/// "update/<round>/<owner>" — a masked model update.
+/// "update/<round>/<owner>" — a masked model update, deleted when the
+/// round is evaluated.
 std::string Update(uint64_t round, uint32_t owner);
-/// "group_model/<round>/<group>" — decoded group model W_j.
-std::string GroupModel(uint64_t round, uint32_t group);
-/// "global/<round>" — global model after the round.
+/// "global/<round>" — global model after the round, deleted when the
+/// next round is evaluated.
 std::string GlobalModel(uint64_t round);
 /// "sv/<round>/<owner>" — per-round contribution v_i^r.
 std::string RoundSv(uint64_t round, uint32_t owner);

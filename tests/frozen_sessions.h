@@ -17,7 +17,7 @@ namespace bcfl::core::frozen {
 /// test_round_engine.cc, no faults.
 inline constexpr char kCleanSession[] =
     R"({"chain_tip_height":3,"chain_tip_hash":)"
-    R"("e6924ea8fa6d9a13b092a4b8a43556888b251c6b4946187deba35b911c2055ee",)"
+    R"("bb4d8c1a9331ec4eac9b848dac2f8c3914df8e4fb2b8b193806fae37101133e3",)"
     R"("blocks_committed":2,"transactions":8,"recover_transactions":0,)"
     R"("submission_retries":0,"slash_transactions":0,"sv_digest":)"
     R"("44d45744c16675599d59b9f84794d44f61de4a2e004b0576bd372d18b16bc438",)"
@@ -31,7 +31,7 @@ inline constexpr char kCleanSession[] =
 /// @2 x2".
 inline constexpr char kFaultedSession[] =
     R"({"chain_tip_height":5,"chain_tip_hash":)"
-    R"("9acd8bc4f0565871b5ac27217bf49d611991ecedc5c5986bd4153ea90a78386f",)"
+    R"("eb760c1c614178d967d42add61e46cd702d4da4d0a9c9a8447ede7e79e6b42c3",)"
     R"("blocks_committed":4,"transactions":11,"recover_transactions":1,)"
     R"("submission_retries":2,"slash_transactions":0,"sv_digest":)"
     R"("c0949e37e8f32ac15e70c8d92f4ef3effa72cd36a41cd3584f0d565356bdd445",)"
@@ -45,7 +45,7 @@ inline constexpr char kFaultedSession[] =
 /// owner 4 @2 *50".
 inline constexpr char kByzantineSession[] =
     R"({"chain_tip_height":5,"chain_tip_hash":)"
-    R"("1f1058702af885727f7709b27f9f8bfce5b006757870f6bbdc62576b675219f6",)"
+    R"("18920cde55080bec000de8affed74562afec4edc716fc7c0f563008ebb1067f0",)"
     R"("blocks_committed":4,"transactions":18,"recover_transactions":0,)"
     R"("submission_retries":0,"slash_transactions":2,"sv_digest":)"
     R"("c85c1888c3c9814f2a291f68fd0019806eb933db79996017ae2e2275e8bb3fb9",)"
@@ -60,7 +60,7 @@ inline constexpr char kByzantineSession[] =
 /// distribution with a burn, and the survivors' claims.
 inline constexpr char kBadShareRewardSession[] =
     R"({"chain_tip_height":6,"chain_tip_hash":)"
-    R"("33b0dd53b7579d6994043d7d72a35d3a6d571f31ee5bcc25e3e81981bda759d4",)"
+    R"("a090a58894650531dbc544e1bc1a885ed589a053a6c5a6d0c4995d57ac4a4735",)"
     R"("blocks_committed":5,"transactions":23,"recover_transactions":1,)"
     R"("submission_retries":0,"slash_transactions":1,"sv_digest":)"
     R"("ca7bbb78ae82f75b5b212de88c046f939125bbf9a4412bb39e411953b0df5801",)"

@@ -107,7 +107,7 @@ TEST_F(BlockLogTest, OneBlockFileVector) {
   EXPECT_EQ(file.size(), 270u);
   EXPECT_EQ(crypto::DigestToHex(
                 crypto::Sha256::Hash(Bytes(file.begin(), file.end()))),
-            "c9d723a2bac8da0b7dffceff84f91b8ea8501fd2a8334fb68c30461cb48dd427");
+            "aaf68760f89075d48174f230e510c8f9fec0be97fbd9bc119abccaa27537d8a3");
 }
 
 TEST_F(BlockLogTest, RejectsOutOfOrderAppend) {

@@ -134,7 +134,9 @@ TEST(ByzantineTest, SlashIsCommittedOnChainByEveryMiner) {
   EXPECT_TRUE(engine.CanonicalState().Has(keys::Slashed(3)));
   EXPECT_TRUE(engine.CanonicalState().Has(keys::Retired(3)));
   EXPECT_TRUE(engine.CanonicalState().Has(keys::Dropped(1, 3)));
-  EXPECT_FALSE(engine.CanonicalState().Has(keys::Update(1, 3)));
+  auto offender_sv = GetDouble(engine.CanonicalState(), keys::RoundSv(1, 3));
+  ASSERT_TRUE(offender_sv.ok());
+  EXPECT_EQ(*offender_sv, 0.0);
   auto root = engine.miner(0).state().StateRoot();
   for (size_t m = 1; m < engine.num_miners(); ++m) {
     EXPECT_EQ(engine.miner(m).state().StateRoot(), root);

@@ -7,6 +7,7 @@
 
 #include "chain/block_log.h"
 #include "chain/merkle.h"
+#include "chain/miner.h"
 #include "shapley/group_sv.h"
 #include "shapley/utility.h"
 
@@ -73,9 +74,15 @@ TEST(CoordinatorTest, OnChainGroupSvMatchesOffChainReference) {
   // Recompute GroupSV off chain from plain local weights. Local training
   // is deterministic, so each owner's round-r model is retrained here
   // from its own partition and the global model of round r-1 on chain.
+  // The state keeps only the latest global model, so each round's is
+  // read from a fresh replica that commits the chain one block at a time.
   const std::vector<ml::Dataset> datasets = (*coordinator)->OwnerDatasets();
-  const chain::ContractState& state =
-      (*coordinator)->engine().CanonicalState();
+  const chain::Blockchain& chain = (*coordinator)->engine().CanonicalChain();
+  auto host = std::make_shared<chain::ContractHost>();
+  ASSERT_TRUE(
+      host->Register(std::make_shared<FlContract>((*coordinator)->test_set()))
+          .ok());
+  chain::Miner replica(0, host);
   ml::Matrix global(datasets[0].num_features() + 1,
                     datasets[0].num_classes());
   shapley::TestAccuracyUtility utility((*coordinator)->test_set());
@@ -95,9 +102,56 @@ TEST(CoordinatorTest, OnChainGroupSvMatchesOffChainReference) {
                   1e-3)
           << "round " << round << " owner " << i;
     }
-    auto next = GetMatrix(state, keys::GlobalModel(round));
+    while (!replica.state().Has(keys::RoundComplete(round))) {
+      auto block = chain.GetBlock(replica.chain().Height() + 1);
+      ASSERT_TRUE(block.ok()) << "round " << round << " never completes";
+      ASSERT_TRUE(replica.CommitBlock(*block).ok());
+    }
+    auto next = GetMatrix(replica.state(), keys::GlobalModel(round));
     ASSERT_TRUE(next.ok());
     global = std::move(next).value();
+  }
+}
+
+TEST(CoordinatorTest, CleanSessionStateHoldsOnlyWhatTheNextRoundReads) {
+  // Setup, the last global model, n totals, and per round n SVs plus the
+  // completion marker: 2 + n + R(n + 1) keys on every replica, however
+  // many rounds ran. Submissions and superseded models live in blocks.
+  const BcflConfig config = SmallConfig();
+  auto coordinator = BcflCoordinator::Create(config);
+  ASSERT_TRUE(coordinator.ok());
+  ASSERT_TRUE((*coordinator)->Run().ok());
+  const size_t n = config.num_owners;
+  auto& engine = (*coordinator)->engine();
+  for (size_t m = 0; m < engine.num_miners(); ++m) {
+    const chain::ContractState& state = engine.miner(m).state();
+    EXPECT_EQ(state.size(), 2 + n + config.rounds * (n + 1)) << "miner " << m;
+    EXPECT_TRUE(state.KeysWithPrefix("update/").empty()) << "miner " << m;
+    EXPECT_TRUE(state.KeysWithPrefix("group_model/").empty());
+    EXPECT_EQ(state.KeysWithPrefix("global/"),
+              std::vector<std::string>{keys::GlobalModel(config.rounds - 1)});
+  }
+}
+
+TEST(CoordinatorTest, ReplicasShareCommittedTransactionBodies) {
+  // The five replicas' chains hold one copy of each payload: every tip
+  // block is the leader's proposal, copied with shared bodies.
+  BcflConfig config = SmallConfig();
+  config.num_miners = 5;
+  config.rounds = 1;
+  auto coordinator = BcflCoordinator::Create(config);
+  ASSERT_TRUE(coordinator.ok());
+  ASSERT_TRUE((*coordinator)->Run().ok());
+  auto& engine = (*coordinator)->engine();
+  const chain::Block& tip = engine.miner(0).chain().Tip();
+  ASSERT_EQ(tip.txs.size(), config.num_owners);
+  for (size_t m = 1; m < engine.num_miners(); ++m) {
+    const chain::Block& other = engine.miner(m).chain().Tip();
+    ASSERT_EQ(other.header.Hash(), tip.header.Hash());
+    for (size_t k = 0; k < tip.txs.size(); ++k) {
+      EXPECT_EQ(other.txs[k].payload().data(), tip.txs[k].payload().data())
+          << "miner " << m << ", tx " << k;
+    }
   }
 }
 

@@ -213,6 +213,68 @@ TEST_F(FlContractFixture, DuplicateSubmissionRejected) {
   EXPECT_FALSE(duplicate->success);
 }
 
+TEST_F(FlContractFixture, EvaluationPrunesUpdatesAndSupersededGlobal) {
+  chain::ContractState state;
+  ASSERT_TRUE(host_->ExecuteTransaction(SetupTx(), &state)->success);
+  for (uint64_t round = 0; round < 2; ++round) {
+    auto locals = RandomLocals(30 + round);
+    for (uint32_t i = 0; i < kOwners; ++i) {
+      ASSERT_TRUE(
+          host_->ExecuteTransaction(SubmitTx(i, round, locals[i]), &state)
+              ->success);
+      // Every submission stays until the one that completes the round.
+      EXPECT_EQ(state.Has(keys::Update(round, 0)), i + 1 < kOwners);
+    }
+    EXPECT_TRUE(state.Has(keys::GlobalModel(round)));
+    EXPECT_EQ(state.KeysWithPrefix("global/").size(), 1u);
+  }
+  EXPECT_TRUE(state.KeysWithPrefix("update/").empty());
+}
+
+TEST_F(FlContractFixture, EvaluatedRoundRefusesSubmitAndRecover) {
+  // The round's updates are pruned at evaluation, so the refusals cannot
+  // rest on them: a resubmission, and a recovery of an owner who
+  // submitted, both fail on the completion marker and write nothing.
+  chain::ContractState state;
+  ASSERT_TRUE(host_->ExecuteTransaction(SetupTx(), &state)->success);
+  auto locals = RandomLocals(24);
+  for (uint32_t i = 0; i < kOwners; ++i) {
+    ASSERT_TRUE(
+        host_->ExecuteTransaction(SubmitTx(i, 0, locals[i]), &state)
+            ->success);
+  }
+  ASSERT_TRUE(state.Has(keys::RoundComplete(0)));
+  ASSERT_FALSE(state.Has(keys::Update(0, 2)));
+  const crypto::Digest root = state.StateRoot();
+
+  auto resubmit =
+      host_->ExecuteTransaction(SubmitTx(2, 0, locals[2]), &state);
+  ASSERT_TRUE(resubmit.ok());
+  EXPECT_FALSE(resubmit->success);
+  EXPECT_NE(resubmit->error.find("FailedPrecondition"), std::string::npos)
+      << resubmit->error;
+  EXPECT_NE(resubmit->error.find("round already evaluated"),
+            std::string::npos);
+  EXPECT_EQ(state.StateRoot(), root);
+
+  chain::Transaction recover = chain::Transaction::Sign(
+      {.contract = "bcfl",
+       .method = "recover",
+       .payload =
+           FlContract::EncodeRecover(0, 2, participants_[2]->private_key()),
+       .nonce = 905},
+      schnorr_, schnorr_keys_[0], &rng_);
+  auto recovered = host_->ExecuteTransaction(recover, &state);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_FALSE(recovered->success);
+  EXPECT_NE(recovered->error.find("FailedPrecondition"), std::string::npos)
+      << recovered->error;
+  EXPECT_NE(recovered->error.find("round already evaluated"),
+            std::string::npos);
+  EXPECT_FALSE(state.Has(keys::Retired(2)));
+  EXPECT_EQ(state.StateRoot(), root);
+}
+
 TEST_F(FlContractFixture, ImpersonationRejected) {
   chain::ContractState state;
   ASSERT_TRUE(host_->ExecuteTransaction(SetupTx(), &state)->success);
@@ -308,24 +370,18 @@ TEST_F(FlContractFixture, DropoutRecoveryCompletesRound) {
   ASSERT_TRUE(dropped_sv.ok());
   EXPECT_EQ(*dropped_sv, 0.0);
 
-  // Each group model must equal the plain mean of its *survivors'*
-  // locals (masks fully removed), up to quantisation.
-  auto groups = CurrentGroups(0);
-  for (uint32_t j = 0; j < kGroups; ++j) {
-    std::vector<size_t> survivors;
-    for (size_t m : groups[j]) {
-      if (m != 2) survivors.push_back(m);
-    }
-    if (survivors.empty()) continue;
-    std::vector<ml::Matrix> survivor_locals;
-    for (size_t m : survivors) survivor_locals.push_back(locals[m]);
-    auto expected = ml::MeanOfMatrices(survivor_locals).value();
-    auto on_chain = GetMatrix(state, keys::GroupModel(0, j));
-    ASSERT_TRUE(on_chain.ok());
-    for (size_t k = 0; k < expected.size(); ++k) {
-      EXPECT_NEAR(on_chain->data()[k], expected.data()[k], 1e-4)
-          << "group " << j << " element " << k;
-    }
+  // The global model must equal the plain mean of the *survivors'*
+  // locals, up to quantisation: a mask left in any group would show.
+  std::vector<ml::Matrix> survivor_locals;
+  for (uint32_t i = 0; i < kOwners; ++i) {
+    if (i != 2) survivor_locals.push_back(locals[i]);
+  }
+  auto expected = ml::MeanOfMatrices(survivor_locals).value();
+  auto on_chain = GetMatrix(state, keys::GlobalModel(0));
+  ASSERT_TRUE(on_chain.ok());
+  for (size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_NEAR(on_chain->data()[k], expected.data()[k], 1e-4)
+        << "element " << k;
   }
 }
 

@@ -228,9 +228,10 @@ TEST_F(ResumeTest, ResumeRefusesDifferentConfig) {
 TEST_F(ResumeTest, StateDirOfAnOlderFormatFailsClosed) {
   // Version 1 of both files commits to the state root before the
   // leaf-digest one, and the block log, which opens first, refuses it; a
-  // version-2 checkpoint also carried the chain's own results. Either
-  // state dir is refused at open, never half-trusted or failed
-  // mid-replay.
+  // version-2 block log commits to the roots of a state that never
+  // pruned, and a version-2 checkpoint also carried the chain's own
+  // results. Each state dir is refused at open, never half-trusted or
+  // failed mid-replay.
   struct OlderFormat {
     std::vector<const char*> files;
     char version;
@@ -240,12 +241,14 @@ TEST_F(ResumeTest, StateDirOfAnOlderFormatFailsClosed) {
        {OlderFormat{{"blocks.log", "checkpoint.bckp"},
                     1,
                     "unsupported block log version 1"},
+        OlderFormat{{"blocks.log"}, 2, "unsupported block log version 2"},
         OlderFormat{{"checkpoint.bckp"},
                     2,
                     "unsupported checkpoint version 2"}}) {
     BcflConfig config = SmallConfig("kill @2");
     PersistenceOptions persist;
-    persist.state_dir = StateDir(std::to_string(older.version));
+    persist.state_dir =
+        StateDir(older.files.front() + std::to_string(older.version));
     {
       auto coordinator = BcflCoordinator::Create(config);
       ASSERT_TRUE(coordinator.ok());

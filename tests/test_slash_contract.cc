@@ -308,6 +308,61 @@ TEST_F(SlashContractTest, NormViolationConvictsOversizedUpdateOnly) {
   EXPECT_LT(*honest_norm, kNormBound);
 }
 
+TEST_F(SlashContractTest, LateNormViolationIsRefused) {
+  // Owner 3's update is over the bound on its own, but its group's mean
+  // is not, so the round completes and prunes the evidence. While the
+  // round was open the accusation would have convicted; now it fails.
+  ASSERT_TRUE(SubmitOwner(3, 0, 1, /*scale=*/5.0));
+  auto norm = SlashContract::UnmaskedUpdateNorm(
+      params_, 0, 3, owners_[3]->private_key(), state_);
+  ASSERT_TRUE(norm.ok());
+  ASSERT_GT(*norm, kNormBound);
+  for (uint32_t i = 0; i < 3; ++i) ASSERT_TRUE(SubmitOwner(i, 0, i + 2));
+  ASSERT_TRUE(state_.Has(keys::RoundComplete(0)));
+  const crypto::Digest root = state_.StateRoot();
+
+  auto receipt = Slash(
+      SlashContract::EncodeNormViolation(0, 3, owners_[3]->private_key()),
+      50);
+  EXPECT_FALSE(receipt.success);
+  EXPECT_NE(receipt.error.find("FailedPrecondition"), std::string::npos)
+      << receipt.error;
+  EXPECT_FALSE(state_.Has(keys::Slashed(3)));
+  EXPECT_EQ(state_.StateRoot(), root);
+}
+
+TEST_F(SlashContractTest, LateEquivocationConvictsWithoutTouchingTheRound) {
+  // Equivocation evidence travels in the payload, so it still convicts
+  // after the round settled; the round's SVs and totals stay as they are.
+  const uint32_t offender = 2;
+  chain::Transaction first = BuildSubmit(offender, 0, 10, 0.3);
+  ASSERT_TRUE(host_.ExecuteTransaction(first, &state_)->success);
+  for (uint32_t i = 0; i < kOwners; ++i) {
+    if (i == offender) continue;
+    ASSERT_TRUE(SubmitOwner(i, 0, i + 1));
+  }
+  ASSERT_TRUE(state_.Has(keys::RoundComplete(0)));
+  std::vector<double> round_sv, total_sv;
+  for (uint32_t i = 0; i < kOwners; ++i) {
+    round_sv.push_back(GetDouble(state_, keys::RoundSv(0, i)).value());
+    total_sv.push_back(GetDouble(state_, keys::TotalSv(i)).value());
+  }
+
+  chain::Transaction second = chain::Transaction::Sign(
+      FlippedPayload(first), schnorr_, sign_keys_[offender], &rng_);
+  auto receipt = Slash(SlashContract::EncodeEquivocation(
+                           0, offender, owners_[offender]->private_key(),
+                           first, second),
+                       50);
+  EXPECT_TRUE(receipt.success) << receipt.error;
+  EXPECT_TRUE(state_.Has(keys::Slashed(offender)));
+  EXPECT_TRUE(state_.Has(keys::Retired(offender)));
+  for (uint32_t i = 0; i < kOwners; ++i) {
+    EXPECT_EQ(GetDouble(state_, keys::RoundSv(0, i)).value(), round_sv[i]);
+    EXPECT_EQ(GetDouble(state_, keys::TotalSv(i)).value(), total_sv[i]);
+  }
+}
+
 TEST_F(SlashContractTest, DoubleSlashAndRetiredOwnerAreRejected) {
   const uint32_t offender = 1, dealer = 2;
   crypto::ShamirShare forged = ForgedShare(offender, dealer);

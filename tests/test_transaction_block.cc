@@ -72,6 +72,24 @@ TEST_F(TxFixture, SerializeRoundTrip) {
   EXPECT_TRUE(back->VerifySignature(scheme_));
 }
 
+TEST_F(TxFixture, CopiesShareOneBody) {
+  // Copies through a mempool and a block share the signed body; a decode
+  // builds its own.
+  Transaction tx = MakeTx();
+  Mempool pool;
+  ASSERT_TRUE(pool.Add(tx).ok());
+  Block block;
+  block.txs = pool.Peek();
+  ASSERT_EQ(block.txs.size(), 1u);
+  const Transaction copy = block.txs[0];
+  EXPECT_EQ(&copy.body(), &tx.body());
+  EXPECT_EQ(copy.payload().data(), tx.payload().data());
+  auto decoded = Transaction::Deserialize(tx.Serialize());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_NE(&decoded->body(), &tx.body());
+  EXPECT_EQ(decoded->payload(), tx.payload());
+}
+
 TEST_F(TxFixture, DeserializeRejectsTrailingBytes) {
   Bytes wire = MakeTx().Serialize();
   wire.push_back(0);
