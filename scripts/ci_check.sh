@@ -11,9 +11,10 @@
 # the gate bites on an injected 2x regression), then runs the
 # bench_table1_runtime --quick obs-overhead gate (<3%, bit-identical SV).
 # A round engine stage runs bench_e2e_rounds: on the training-heavy
-# shape the pool-1 and pool-N sessions must be identical, and on >= 4
-# pool threads pool N must be >= 2x faster; the fresh numbers are gated
-# against the committed BENCH_e2e.json baseline with tools/bench_diff.
+# shape its 5 alternating pool-1/pool-N pairs of sessions must all be
+# identical, and on >= 4 pool threads the median per-pair speedup must be
+# >= 2x; the fresh numbers are gated against the committed BENCH_e2e.json
+# baseline with tools/bench_diff.
 # (Pool-size invariance across shapes and faults, and the frozen session
 # vectors, are ctest's.)
 # A chaos stage follows: one faulted session whose executed fault
@@ -40,8 +41,9 @@
 # with its callers that decode whole checkpoints and setup params (whose
 # bulk vector and matrix paths copy straight out of and into callers'
 # buffers), the contract-state record helpers with the reward records,
-# the verified share reveal of dropout recovery, and the round ledger's
-# resume truncation, with
+# the verified share reveal of dropout recovery, the round ledger's
+# resume truncation, and whole coordinator sessions whose replicas share
+# transaction bodies, with
 # -DBCFL_SANITIZE=address in their own build dir (<build-dir>-asan), so a
 # dangling journal entry, a use-after-rollback, a use-after-move or a
 # scratch or codec overrun fails CI.
@@ -74,8 +76,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # use-after-free and out-of-bounds access. Every contract-state record is
 # written and read through core/state_keys (test_state_keys, and the
 # reward records in test_reward), every share reveal goes through
-# ShamirSecretSharing::RevealVerified (test_dropout_recovery), and a
-# resumed ledger truncates its file in place (test_round_ledger).
+# ShamirSecretSharing::RevealVerified (test_dropout_recovery), a
+# resumed ledger truncates its file in place (test_round_ledger), and the
+# replicas of a whole session share each transaction's body through its
+# mempools, blocks and chains (test_coordinator).
 ASAN_DIR="${BUILD_DIR}-asan"
 ASAN_SUITES=(test_state_contract test_consensus test_adversary test_byzantine
              test_resume test_block_log test_transaction_block test_merkle
@@ -84,7 +88,7 @@ ASAN_SUITES=(test_state_contract test_consensus test_adversary test_byzantine
              test_logreg test_secureagg test_edge_cases test_native_sv
              test_coalition_engine test_round_engine test_sha256 test_bytes
              test_checkpoint test_params test_reward test_dropout_recovery
-             test_state_keys test_round_ledger)
+             test_state_keys test_round_ledger test_coordinator)
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBCFL_SANITIZE=address \
@@ -136,8 +140,8 @@ BENCH_CHAIN="$(cd "$BUILD_DIR" && pwd)/bench/bench_chain_throughput"
 (cd "$ARTIFACT_DIR" && "$BENCH_CHAIN" --quick)
 
 # Round engine equivalence smoke: bench_e2e_rounds exits non-zero unless
-# the training-heavy session is bit-identical for pool sizes 1 and N.
-# It drops BENCH_e2e.json in the working directory.
+# every training-heavy session of its 5 pool-1/pool-N pairs is
+# bit-identical. It drops BENCH_e2e.json in the working directory.
 BENCH_E2E="$(cd "$BUILD_DIR" && pwd)/bench/bench_e2e_rounds"
 (cd "$ARTIFACT_DIR" && "$BENCH_E2E")
 
@@ -215,9 +219,11 @@ e2e_speedup = e2e["training_heavy"]["speedup"]
 if e2e["pool_threads"] >= 4:
     # The fan-out pays only where training dominates the round and the
     # cores exist to run it: the >= 2x floor applies to the
-    # training-heavy shape on >= 4 pool threads.
+    # training-heavy shape on >= 4 pool threads, and to the median of 5
+    # alternating pairs, since a single pair can read ~1x on a shared
+    # host whose woken workers wait for vCPUs.
     assert e2e_speedup >= 2.0, \
-        f"round engine speedup {e2e_speedup:.2f}x below the 2x floor"
+        f"round engine median speedup {e2e_speedup:.2f}x below the 2x floor"
 assert metrics["round_engine_pool_threads"] >= 1, metrics
 assert metrics["sha256_path"] in {"sha_ni", "scalar"}, metrics
 
@@ -252,11 +258,11 @@ BENCH_DIFF="$(cd "$BUILD_DIR" && pwd)/tools/bench_diff"
   --tolerance schnorr_verify.speedup=0.95 \
   --out "$ARTIFACT_DIR/bench_diff_chain.json"
 
-# Round engine gate: the fresh quick e2e bench must not regress against
-# the committed BENCH_e2e.json baseline. The equivalence booleans gate
-# exactly; the training-heavy fan-out speedup gates with a generous
-# tolerance — it is a wall-clock ratio and quick reps on shared CI
-# hardware are noisy.
+# Round engine gate: the fresh e2e bench must not regress against the
+# committed BENCH_e2e.json baseline. The equivalence booleans gate
+# exactly; the training-heavy fan-out speedup (a median of 5 pairs)
+# gates with a generous tolerance — it is a wall-clock ratio and shared
+# CI hardware is noisy.
 "$BENCH_DIFF" \
   --baseline BENCH_e2e.json \
   --candidate "$ARTIFACT_DIR/BENCH_e2e.json" \

@@ -25,8 +25,8 @@
 # (test_round_engine: concurrent train/mask/payload against the
 # allocation-free ParallelFor), dropout recovery in pooled sessions
 # (test_dropout_recovery; test_shamir for the sharing it relies on) and
-# bench_e2e_rounds, whose pool-1-vs-pool-N training-heavy sessions run
-# the whole protocol both ways.
+# bench_e2e_rounds, whose 5 pairs of pool-1-vs-pool-N training-heavy
+# sessions run the whole protocol both ways.
 # Since the byzantine-hardening PR it also covers the Feldman share
 # verification (test_vss, batched ModPow under a pool) and the full
 # accusation/slashing path under a multi-thread pool (test_byzantine),

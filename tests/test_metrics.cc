@@ -276,31 +276,43 @@ TEST(SnapshotTest, StressSnapshotAndResetDuringConcurrentAdds) {
   Histogram& h = registry.GetHistogram("stress.h_us", {1.0, 10.0, 100.0});
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&, t] {
-      uint64_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        c.Add();
-        h.Observe(static_cast<double>((i * 7 + t) % 200));
-        ++i;
-      }
-    });
-  }
-  for (int iter = 0; iter < 200; ++iter) {
-    MetricsSnapshot snapshot = registry.Snapshot();
-    ASSERT_EQ(snapshot.histograms.size(), 1u);
-    const auto& hs = snapshot.histograms[0];
-    uint64_t bucket_total = 0;
-    for (uint64_t b : hs.bucket_counts) bucket_total += b;
-    ASSERT_EQ(hs.count, bucket_total);
-    if (hs.count > 0) {
-      ASSERT_GE(hs.p99, hs.p50);
-      ASSERT_LE(hs.p99, 200.0);
+  // Stops and joins the writers however the churn ends: a failed ASSERT
+  // returns early, and a joinable std::thread's destructor would
+  // terminate the whole test binary.
+  struct StopAndJoin {
+    std::atomic<bool>* stop;
+    std::vector<std::thread>* writers;
+    ~StopAndJoin() {
+      stop->store(true, std::memory_order_relaxed);
+      for (auto& w : *writers) w.join();
     }
-    if (iter % 10 == 9) registry.Reset();
+  };
+  {
+    const StopAndJoin guard{&stop, &writers};
+    for (int t = 0; t < 4; ++t) {
+      writers.emplace_back([&, t] {
+        uint64_t i = 0;
+        while (!stop.load(std::memory_order_relaxed)) {
+          c.Add();
+          h.Observe(static_cast<double>((i * 7 + t) % 200));
+          ++i;
+        }
+      });
+    }
+    for (int iter = 0; iter < 200; ++iter) {
+      MetricsSnapshot snapshot = registry.Snapshot();
+      ASSERT_EQ(snapshot.histograms.size(), 1u);
+      const auto& hs = snapshot.histograms[0];
+      uint64_t bucket_total = 0;
+      for (uint64_t b : hs.bucket_counts) bucket_total += b;
+      ASSERT_EQ(hs.count, bucket_total);
+      if (hs.count > 0) {
+        ASSERT_GE(hs.p99, hs.p50);
+        ASSERT_LE(hs.p99, 200.0);
+      }
+      if (iter % 10 == 9) registry.Reset();
+    }
   }
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& w : writers) w.join();
   // Still alive and counting after the churn.
   const uint64_t before = c.Value();
   c.Add();
