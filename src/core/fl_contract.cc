@@ -320,9 +320,9 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
   }
   // Clean evaluation: flags from a pre-slash attempt are removed so the
   // final state matches a run where the offender simply crashed.
-  for (const auto& key : state->KeysWithPrefix(keys::FlaggedPrefix(round))) {
-    state->Delete(key);
-  }
+  const std::vector<std::string> flags =
+      state->KeysWithPrefix(keys::FlaggedPrefix(round));
+  for (const auto& key : flags) state->Delete(key);
   std::vector<std::vector<size_t>> surviving_groups;
   surviving_groups.reserve(pending.size());
   std::vector<ml::Matrix> group_models;
@@ -352,10 +352,18 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
 
   // The completing transaction prunes what no later execution reads:
   // the round's submissions and the previous global model. The blocks
-  // keep both.
-  for (uint32_t i = 0; i < n; ++i) state->Delete(keys::Update(round, i));
+  // keep both. A round the gate held open keeps its submissions until
+  // the next round completes: its audit may have accused several
+  // members, and an accusation that lands after the first conviction
+  // completed the round still needs its evidence.
+  if (flags.empty()) {
+    for (uint32_t i = 0; i < n; ++i) state->Delete(keys::Update(round, i));
+  }
   PutMatrix(state, keys::GlobalModel(round), result.global_model);
-  if (round > 0) state->Delete(keys::GlobalModel(round - 1));
+  if (round > 0) {
+    state->Delete(keys::GlobalModel(round - 1));
+    for (uint32_t i = 0; i < n; ++i) state->Delete(keys::Update(round - 1, i));
+  }
   ByteWriter marker;
   marker.WriteU8(1);
   state->Put(keys::RoundComplete(round), marker.Take());

@@ -50,8 +50,10 @@ secureagg::SecureAggregator RosterAggregator(const SetupParams& params);
 ///    the evaluation transparent and verifiable. The completing
 ///    transaction also deletes the round's masked updates and the
 ///    previous global model: no later execution reads them, and the
-///    blocks keep them. A submit_update or recover for an evaluated
-///    round fails with FailedPrecondition.
+///    blocks keep them. A round the norm gate held open keeps its
+///    updates until the next round completes, as evidence for its
+///    audit's remaining accusations. A submit_update or recover for an
+///    evaluated round fails with FailedPrecondition.
 ///
 /// The utility's validation dataset is public setup data replicated on
 /// every miner (a `TestAccuracyUtility` over the agreed test split).

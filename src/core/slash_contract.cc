@@ -257,9 +257,11 @@ Status SlashContract::VerifyNormViolation(const SetupParams& params,
   if (params.update_norm_bound <= 0.0) {
     return Status::FailedPrecondition("no norm bound agreed at setup");
   }
-  // The evidence is the offender's masked update, which the round's
-  // evaluation pruned.
-  if (state->Has(keys::RoundComplete(round))) {
+  // The evidence is the offender's masked update, which evaluation
+  // prunes (a round the norm gate held open keeps it until the next
+  // round completes).
+  if (!state->Has(keys::Update(round, offender)) &&
+      state->Has(keys::RoundComplete(round))) {
     return Status::FailedPrecondition(
         "round already evaluated; its updates are pruned");
   }

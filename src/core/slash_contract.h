@@ -49,8 +49,10 @@ namespace bcfl::core {
 ///    masks against its group roster), decodes it, and convicts iff the
 ///    L2 norm exceeds the setup's `update_norm_bound`. Evaluation prunes
 ///    a round's submissions, so an accusation against an evaluated round
-///    fails with FailedPrecondition; the other kinds carry their evidence
-///    and still convict late.
+///    whose update is gone fails with FailedPrecondition. A round the
+///    norm gate held open keeps them until the next round completes, so
+///    every accusation of its audit still convicts. The other kinds carry
+///    their evidence and convict late at any time.
 class SlashContract : public chain::SmartContract {
  public:
   /// `fl` is the registered FL contract instance: a completing slash

@@ -45,7 +45,7 @@ inline constexpr char kFaultedSession[] =
 /// owner 4 @2 *50".
 inline constexpr char kByzantineSession[] =
     R"({"chain_tip_height":5,"chain_tip_hash":)"
-    R"("18920cde55080bec000de8affed74562afec4edc716fc7c0f563008ebb1067f0",)"
+    R"("d3fb6d8f26ee149aec91eded3df7c84090227b5b1fa7146525294720198dbd3d",)"
     R"("blocks_committed":4,"transactions":18,"recover_transactions":0,)"
     R"("submission_retries":0,"slash_transactions":2,"sv_digest":)"
     R"("c85c1888c3c9814f2a291f68fd0019806eb933db79996017ae2e2275e8bb3fb9",)"

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
 #include "chain/block_log.h"
 #include "chain/miner.h"
@@ -140,6 +141,35 @@ TEST(ByzantineTest, SlashIsCommittedOnChainByEveryMiner) {
   auto root = engine.miner(0).state().StateRoot();
   for (size_t m = 1; m < engine.num_miners(); ++m) {
     EXPECT_EQ(engine.miner(m).state().StateRoot(), root);
+  }
+}
+
+TEST(ByzantineTest, EveryAccusationOfOneAuditConvicts) {
+  // Owners 0 and 2 share a group in round 1 and both poison it: owner 0
+  // at *50, owner 2 just over the bound at *5. The audit accuses both.
+  // Owner 0's conviction leaves the group's mean under the bound, so the
+  // re-evaluation completes the round before owner 2's accusation
+  // executes. The held-open round keeps its updates until round 2
+  // completes, so owner 2 is still convicted; its round-1 SV stays as
+  // the completed evaluation scored it.
+  BcflConfig config = ByzantineConfig();
+  config.fault_plan = *fault::FaultPlan::Parse(
+      "poison-update owner 0 @1 *50; poison-update owner 2 @1 *5");
+  auto coordinator = BcflCoordinator::Create(config);
+  ASSERT_TRUE(coordinator.ok());
+  auto result = (*coordinator)->Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  const std::map<uint32_t, uint64_t> convicted = {{0, 1}, {2, 1}};
+  EXPECT_EQ(result->slashed_at, convicted);
+  EXPECT_EQ(result->retired_at, convicted);
+  EXPECT_EQ(result->slash_transactions, 2u);
+  EXPECT_EQ(result->per_round_sv[1][0], 0.0);
+  EXPECT_NE(result->per_round_sv[1][2], 0.0);
+  // Round 2's completion pruned the held-open round's updates.
+  const chain::ContractState& state = (*coordinator)->engine().CanonicalState();
+  for (uint32_t i = 0; i < config.num_owners; ++i) {
+    EXPECT_FALSE(state.Has(keys::Update(1, i))) << "owner " << i;
   }
 }
 
